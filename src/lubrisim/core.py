@@ -54,6 +54,12 @@ class PositivityError(ValueError):
         self.node = node
         self.value = value
 
+    @classmethod
+    def at_minimum(cls, eta: np.ndarray) -> "PositivityError":
+        """The error for the thinnest node of eta, or of any row of a stack."""
+        flat = int(np.argmin(eta))
+        return cls(flat % eta.shape[-1], float(eta.flat[flat]))
+
 
 class ModelVariant(enum.Enum):
     """Which evolution model supplies the right-hand side."""
@@ -138,11 +144,11 @@ class Grid:
         return np.linspace(0.0, self.length, self.n_nodes)
 
 
-def _frozen_array(name: str, values, allow_zero: bool = False) -> np.ndarray:
+def _frozen_array(name: str, values) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
-    if np.isnan(arr).any() or np.isinf(arr).any():
+    if arr.ndim == 0:
+        raise ValueError(f"{name} must be an array of nodal values, got a scalar")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -152,6 +158,9 @@ def _frozen_array(name: str, values, allow_zero: bool = False) -> np.ndarray:
 class State:
     """Discrete (eta, gamma) fields at one time level.
 
+    The fields are 1-D arrays over the nodes, or stacks of shape
+    (..., n_nodes) holding a batch of states that share t; the stack form
+    lets one ``rhs`` call evaluate many states and is validated once.
     Immutable after construction: the arrays are copied and marked
     read-only, so states can be shared freely across sweep workers.
     """
@@ -165,18 +174,17 @@ class State:
         gamma = _frozen_array("gamma", self.gamma)
         if eta.shape != gamma.shape:
             raise ValueError(
-                f"eta and gamma must have equal length, got {eta.shape} vs {gamma.shape}"
+                f"eta and gamma must have equal shapes, got {eta.shape} vs {gamma.shape}"
             )
-        if np.any(eta <= 0.0):
-            node = int(np.argmin(eta))
-            raise PositivityError(node, float(eta[node]))
+        if not (eta > 0.0).all():
+            raise PositivityError.at_minimum(eta)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "t", _require_finite("t", self.t))
 
     @property
     def n_nodes(self) -> int:
-        return self.eta.shape[0]
+        return self.eta.shape[-1]
 
 
 @dataclass(frozen=True)

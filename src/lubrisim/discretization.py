@@ -21,84 +21,85 @@ from .core import BoundaryKind, Grid, State
 
 
 class StencilOps:
-    """Derivative and integral operators bound to one grid."""
+    """Derivative and integral operators bound to one grid.
+
+    Every operator acts on the last axis, so a stack of fields of shape
+    (..., n_nodes) is differentiated row by row in one call, with results
+    bit-identical to the per-row evaluation.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dx = grid.dx
+        n = grid.n_nodes
+        if grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
+            left, right = [2, 1], [n - 2, n - 3]
+        else:
+            left, right = [n - 3, n - 2], [1, 2]
+        # gather index of the padded array: two ghost nodes per side
+        self._pad_index = np.concatenate((left, np.arange(n), right))
 
-    def _check(self, f) -> np.ndarray:
+    def _check(self, f, n_extra: int = 0) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        if f.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"expected array of length {self.grid.n_nodes}, got shape {f.shape}"
-            )
+        n = self.grid.n_nodes + n_extra
+        if f.ndim == 0 or f.shape[-1] != n:
+            raise ValueError(f"expected trailing length {n}, got shape {f.shape}")
         return f
 
     def _pad(self, f) -> np.ndarray:
-        """Extend by two ghost nodes per side; length n_nodes + 4."""
-        f = self._check(f)
-        if self.grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
-            left = (f[2], f[1])
-            right = (f[-2], f[-3])
-        else:
-            left = (f[-3], f[-2])
-            right = (f[1], f[2])
-        return np.concatenate((left, f, right))
+        """Extend by two ghost nodes per side; trailing length n_nodes + 4."""
+        return self._check(f)[..., self._pad_index]
 
-    # Field derivatives at the nodes, length n_nodes.
+    # Field derivatives at the nodes, trailing length n_nodes.
 
     def d1(self, f) -> np.ndarray:
         p = self._pad(f)
-        return (p[3:-1] - p[1:-3]) / (2.0 * self.dx)
+        return (p[..., 3:-1] - p[..., 1:-3]) / (2.0 * self.dx)
 
     def d2(self, f) -> np.ndarray:
         p = self._pad(f)
-        return (p[3:-1] - 2.0 * p[2:-2] + p[1:-3]) / self.dx**2
+        return (p[..., 3:-1] - 2.0 * p[..., 2:-2] + p[..., 1:-3]) / self.dx**2
 
     def d3(self, f) -> np.ndarray:
         p = self._pad(f)
-        return (p[4:] - 2.0 * p[3:-1] + 2.0 * p[1:-3] - p[:-4]) / (2.0 * self.dx**3)
+        return (p[..., 4:] - 2.0 * p[..., 3:-1] + 2.0 * p[..., 1:-3]
+                - p[..., :-4]) / (2.0 * self.dx**3)
 
-    # Halo variants: values/derivatives on nodes -1..N (length n_nodes + 2),
-    # used to build nested fluxes like (tension * eta_xx)_x at every node.
+    # Halo variants: values/derivatives on nodes -1..N (trailing length
+    # n_nodes + 2), used to build nested fluxes like (tension * eta_xx)_x.
 
     def halo(self, f) -> np.ndarray:
-        return self._pad(f)[1:-1]
+        return self._pad(f)[..., 1:-1]
 
     def halo_d1(self, f) -> np.ndarray:
         p = self._pad(f)
-        return (p[2:] - p[:-2]) / (2.0 * self.dx)
+        return (p[..., 2:] - p[..., :-2]) / (2.0 * self.dx)
 
     def halo_d2(self, f) -> np.ndarray:
         p = self._pad(f)
-        return (p[2:] - 2.0 * p[1:-1] + p[:-2]) / self.dx**2
+        return (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / self.dx**2
 
     def d1_center(self, fh) -> np.ndarray:
         """Centred derivative of a halo array; result lives on the nodes."""
-        fh = np.asarray(fh, dtype=float)
-        if fh.shape != (self.grid.n_nodes + 2,):
-            raise ValueError(
-                f"expected halo array of length {self.grid.n_nodes + 2}, got {fh.shape}"
-            )
-        return (fh[2:] - fh[:-2]) / (2.0 * self.dx)
+        fh = self._check(fh, n_extra=2)
+        return (fh[..., 2:] - fh[..., :-2]) / (2.0 * self.dx)
 
     def div_flux(self, flux) -> np.ndarray:
         """Conservative d/dx of a nodal flux array (see module docstring)."""
         flux = self._check(flux)
         if self.grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
-            left = 2.0 * flux[0] - flux[1]
-            right = 2.0 * flux[-1] - flux[-2]
+            left = 2.0 * flux[..., :1] - flux[..., 1:2]
+            right = 2.0 * flux[..., -1:] - flux[..., -2:-1]
         else:
-            left = flux[-2]
-            right = flux[1]
-        ext = np.concatenate(((left,), flux, (right,)))
-        return (ext[2:] - ext[:-2]) / (2.0 * self.dx)
+            left = flux[..., -2:-1]
+            right = flux[..., 1:2]
+        ext = np.concatenate((left, flux, right), axis=-1)
+        return (ext[..., 2:] - ext[..., :-2]) / (2.0 * self.dx)
 
-    def integrate(self, f) -> float:
-        """Trapezoidal integral over the domain."""
+    def integrate(self, f):
+        """Trapezoidal integral over the domain (per row of a stack)."""
         f = self._check(f)
-        return self.dx * (f.sum() - 0.5 * (f[0] + f[-1]))
+        return self.dx * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
 
 def film_mass(state: State, grid: Grid) -> float:

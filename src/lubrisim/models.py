@@ -64,19 +64,21 @@ def _validate(state: State, grid: Grid) -> None:
         raise ValueError(
             f"state has {state.n_nodes} nodes but grid has {grid.n_nodes}"
         )
-    node = int(np.argmin(state.eta))
-    if state.eta[node] < ETA_FLOOR:
-        raise PositivityError(node, float(state.eta[node]))
+    if not (state.eta >= ETA_FLOOR).all():
+        raise PositivityError.at_minimum(state.eta)
 
 
 def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
-    """Yield (group name, deta contribution, dgamma contribution)."""
+    """Yield (group name, deta contribution, dgamma contribution).
+
+    A batched state (fields of shape (..., n_nodes)) yields contributions of
+    the same shape, each row bit-identical to evaluating that row alone.
+    """
     _validate(state, grid)
     ops = StencilOps(grid)
     eta = state.eta
     gam = state.gamma
-    n = grid.n_nodes
-    zero = np.zeros(n)
+    zero = np.zeros(eta.shape)
 
     on = params.toggles
     A = params.tension_slope
@@ -236,9 +238,12 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
 
 
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
-    """Evaluate the selected model's right-hand side on the grid."""
-    de = np.zeros(grid.n_nodes)
-    dg = np.zeros(grid.n_nodes)
+    """Evaluate the selected model's right-hand side on the grid.
+
+    ``state`` may be a batch of shape (..., n_nodes); see ``State``.
+    """
+    de = np.zeros(state.eta.shape)
+    dg = np.zeros(state.eta.shape)
     for _, de_part, dg_part in _groups(variant, state, params, grid):
         de = de + de_part
         dg = dg + dg_part

@@ -5,17 +5,26 @@ gamma_1, ...), and the residual of one step is
 
     r(u_new) = (u_new - u_old) / dt - rhs(u_new).
 
-The Jacobian is assembled column-wise by finite differences.  The stencil
-reach of the composed fifth-derivative fluxes is at most 4 nodes per side,
-so dr/du is banded with scalar half-bandwidth 9; on symmetric grids it is
-built with a 9-colour probing scheme (one rhs evaluation perturbs every
-ninth node) and solved with a banded LU.  Periodic wrap-around couples the
-matrix corners outside the band, so periodic grids assemble the same
-entries into a sparse matrix and use a sparse LU instead.
+The Jacobian dr/du is assembled by coloured finite differences (Curtis,
+Powell & Reid, IMA J. Appl. Math. 13, 1974).  One rhs column reaches
+STENCIL_REACH = 3 nodes per side, so nodes more than 2*STENCIL_REACH
+apart never feed the same row and can be perturbed together.  The nodes
+are coloured first-fit under that rule; on periodic grids distances count
+cyclically and node N-1, which sits on node 0, conflicts with it.  Every
+colour is probed once per field, and all probes are stacked into one
+batched rhs evaluation next to the base one, so an assembly costs two rhs
+calls on either boundary kind.  Index arrays cached per grid scatter the
+differences into the matrix.
+
+Symmetric grids store dr/du banded (scalar half-bandwidth
+2*STENCIL_REACH + 1 = 7) and solve with a banded LU; periodic wrap-around
+couples the matrix corners outside the band, so periodic grids put the
+same entries into a sparse matrix and use a sparse LU.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -36,8 +45,7 @@ from .core import (
 from .discretization import film_mass, surfactant_mass
 from .models import rhs
 
-BLOCK_REACH = 4    # block bandwidth of the stored Jacobian, nodes per side
-STENCIL_REACH = 3  # actual node reach of one rhs column (outer divergence of
+STENCIL_REACH = 3  # node reach of one rhs column (outer divergence of
                    # fluxes containing third derivatives: 1 + 2 nodes)
 
 
@@ -82,14 +90,12 @@ ZERO_REPORT = StepReport(0.0, 0.0, 0, 0.0, 0.0)
 
 
 def _interleave(eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    u = np.empty(2 * eta.shape[0])
-    u[0::2] = eta
-    u[1::2] = gamma
-    return u
+    """(..., N) field pairs to (..., 2N) interleaved unknowns."""
+    return np.stack((eta, gamma), axis=-1).reshape(*eta.shape[:-1], -1)
 
 
 def _split(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return u[0::2], u[1::2]
+    return u[..., 0::2], u[..., 1::2]
 
 
 def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
@@ -155,73 +161,98 @@ class FdJacobian:
         if self.sparse is not None:
             return self.sparse.toarray()
         hb = self.half_bandwidth
-        dense = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo = max(0, i - hb)
-            hi = min(self.n - 1, i + hb)
-            for j in range(lo, hi + 1):
-                dense[i, j] = self.banded[hb + i - j, j]
-        return dense
+        i = np.arange(self.n)[:, None]
+        j = np.arange(self.n)[None, :]
+        band_row = hb + i - j
+        inside = np.abs(i - j) <= hb
+        return np.where(inside, self.banded[np.clip(band_row, 0, 2 * hb), j], 0.0)
 
 
-def _perturbed(state: State, nodes, fld: int, eps_scale: float):
-    """Bump eta (fld=0) or gamma (fld=1) at the given nodes; returns
-    the perturbed state and the per-node perturbation sizes."""
-    eta = state.eta.copy()
-    gamma = state.gamma.copy()
-    target = eta if fld == 0 else gamma
-    eps = eps_scale * np.maximum(1.0, np.abs(target[nodes]))
-    target[nodes] += eps
-    return State(eta, gamma, state.t), eps
+@dataclass(frozen=True)
+class _ProbePattern:
+    """Colouring of the node columns and the scatter indices it implies.
+
+    Probe fld * n_colors + c bumps field fld at every node of colour c;
+    probe[k] is the probe that bumps unknown k (interleaved as u).  The
+    Jacobian entries (rows[i], cols[i]) are every row inside the stencil
+    of column cols[i], each read from probe probe[cols[i]].
+    """
+
+    color: np.ndarray
+    n_probes: int
+    probe: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _window(j: int, radius: int, n_nodes: int, periodic: bool) -> np.ndarray:
+    """Nodes within ``radius`` of node j.  Periodic grids count distance
+    cyclically mod n_nodes - 1, where node n_nodes - 1 is node 0's twin."""
+    k = j + np.arange(-radius, radius + 1)
+    if not periodic:
+        return k[(k >= 0) & (k < n_nodes)]
+    k = np.unique(k % (n_nodes - 1))
+    return np.append(k, n_nodes - 1) if k[0] == 0 else k
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
+    # First-fit colouring: same-colour nodes lie more than 2*STENCIL_REACH
+    # apart, so no row sees two perturbations of one probe.
+    color = np.empty(n_nodes, dtype=int)
+    for j in range(n_nodes):
+        taken = {color[k] for k in _window(j, 2 * STENCIL_REACH, n_nodes, periodic)
+                 if k < j}
+        color[j] = next(c for c in range(n_nodes) if c not in taken)
+    n_colors = int(color.max()) + 1
+
+    near = [_window(j, STENCIL_REACH, n_nodes, periodic) for j in range(n_nodes)]
+    rnode = np.concatenate(near)
+    cnode = np.repeat(np.arange(n_nodes), [w.size for w in near])
+    # one entry per (row field, column field) block
+    rows = (2 * rnode + np.array([[0], [0], [1], [1]])).ravel()
+    cols = (2 * cnode + np.array([[0], [1], [0], [1]])).ravel()
+    probe = _interleave(color, n_colors + color)
+    for arr in (color, probe, rows, cols):
+        arr.setflags(write=False)
+    return _ProbePattern(color, 2 * n_colors, probe, rows, cols)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
                 params: Params, grid: Grid) -> FdJacobian:
-    """Column-wise finite-difference Jacobian of the step residual."""
-    n_nodes = grid.n_nodes
-    n = 2 * n_nodes
-    hb = 2 * BLOCK_REACH + 1
-    base = rhs(variant, state, params, grid)
-    base_u = _interleave(base.deta_dt, base.dgamma_dt)
+    """Coloured finite-difference Jacobian of the step residual.
 
-    if grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
+    Exactly two rhs calls: the base state, then every colour probe of both
+    fields stacked into one batch.
+    """
+    n = 2 * grid.n_nodes
+    hb = 2 * STENCIL_REACH + 1  # scalar half-bandwidth of dr/du
+    periodic = grid.boundary is BoundaryKind.PERIODIC
+    pat = _probe_pattern(grid.n_nodes, periodic)
+
+    u = _interleave(state.eta, state.gamma)
+    eps = cfg.fd_epsilon * np.maximum(1.0, np.abs(u))
+    probes = np.repeat(u[None, :], pat.n_probes, axis=0)
+    probes[pat.probe, np.arange(n)] += eps
+
+    base = rhs(variant, state, params, grid)
+    pert = rhs(variant, State(*_split(probes), state.t), params, grid)
+    diff = (_interleave(pert.deta_dt, pert.dgamma_dt)
+            - _interleave(base.deta_dt, base.dgamma_dt))
+    vals = -diff[pat.probe[pat.cols], pat.rows] / eps[pat.cols]
+
+    if not periodic:
         ab = np.zeros((2 * hb + 1, n))
-        stride = 2 * STENCIL_REACH + 1
-        for color in range(stride):
-            nodes = np.arange(color, n_nodes, stride)
-            if nodes.size == 0:
-                continue
-            for fld in (0, 1):
-                pert_state, eps = _perturbed(state, nodes, fld, cfg.fd_epsilon)
-                pert = rhs(variant, pert_state, params, grid)
-                pert_u = _interleave(pert.deta_dt, pert.dgamma_dt)
-                for j, e in zip(nodes, eps):
-                    col = 2 * j + fld
-                    lo = max(0, j - STENCIL_REACH)
-                    hi = min(n_nodes - 1, j + STENCIL_REACH)
-                    rows = np.arange(2 * lo, 2 * hi + 2)
-                    ab[hb + rows - col, col] = -(pert_u[rows] - base_u[rows]) / e
+        ab[hb + pat.rows - pat.cols, pat.cols] = vals
         ab[hb, :] += 1.0 / cfg.dt
         return FdJacobian(n=n, half_bandwidth=hb, banded=ab)
 
-    # Periodic: plain column loop; exact sparsity falls out because rhs
-    # entries outside the stencil of the perturbed node are bit-identical.
-    rows_acc: list[np.ndarray] = []
-    cols_acc: list[np.ndarray] = []
-    vals_acc: list[np.ndarray] = []
-    for j in range(n_nodes):
-        for fld in (0, 1):
-            pert_state, eps = _perturbed(state, np.array([j]), fld, cfg.fd_epsilon)
-            pert = rhs(variant, pert_state, params, grid)
-            pert_u = _interleave(pert.deta_dt, pert.dgamma_dt)
-            delta = pert_u - base_u
-            nz = np.nonzero(delta)[0]
-            rows_acc.append(nz)
-            cols_acc.append(np.full(nz.shape, 2 * j + fld))
-            vals_acc.append(-delta[nz] / eps[0])
-    rows = np.concatenate(rows_acc + [np.arange(n)])
-    cols = np.concatenate(cols_acc + [np.arange(n)])
-    vals = np.concatenate(vals_acc + [np.full(n, 1.0 / cfg.dt)])
+    # entries that are exactly zero stay out of the sparsity pattern
+    nz = vals != 0.0
+    diag = np.arange(n)
+    rows = np.concatenate((pat.rows[nz], diag))
+    cols = np.concatenate((pat.cols[nz], diag))
+    vals = np.concatenate((vals[nz], np.full(n, 1.0 / cfg.dt)))
     mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return FdJacobian(n=n, half_bandwidth=hb, sparse=mat)
 

@@ -89,6 +89,31 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             ops.div_flux(np.ones(3))
 
+    def test_stack_length_mismatch_rejected(self, noflux_grid):
+        # stacks are checked on their trailing (node) axis
+        ops = StencilOps(noflux_grid)
+        n = noflux_grid.n_nodes
+        for op in (ops.d1, ops.d2, ops.d3, ops.halo, ops.halo_d2, ops.div_flux):
+            with pytest.raises(ValueError):
+                op(np.ones((4, n + 1)))
+            with pytest.raises(ValueError):
+                op(np.ones((n, 4)))
+            with pytest.raises(ValueError):
+                op(1.0)
+        with pytest.raises(ValueError):
+            ops.d1_center(np.ones((4, n)))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_stacked_operators_match_row_by_row(self, boundary):
+        g = Grid(29, 10.0, boundary)
+        ops = StencilOps(g)
+        f = np.random.default_rng(7).normal(size=(3, g.n_nodes))
+        for op in (ops.d1, ops.d2, ops.d3, ops.halo, ops.halo_d1, ops.halo_d2,
+                   ops.div_flux, ops.integrate):
+            stacked = op(f)
+            for b in range(3):
+                np.testing.assert_array_equal(stacked[b], op(f[b]))
+
 
 class TestDivFlux:
     def test_constant_flux_zero_everywhere(self, noflux_grid, periodic_grid):

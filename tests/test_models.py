@@ -200,6 +200,32 @@ class TestInvariants:
                 np.testing.assert_array_equal(r_low.dgamma_dt, r_dw.dgamma_dt)
 
 
+class TestBatch:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_stacked_rhs_matches_row_by_row(self, variant, boundary):
+        # one call on a (B, N) stack equals B single-state calls bit for bit
+        g = Grid(37, 10.0, boundary)
+        rows = [smooth_state(g, seed=seed) for seed in range(5)]
+        batch = State(np.stack([r.eta for r in rows]),
+                      np.stack([r.gamma for r in rows]))
+        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
+        stacked = rhs(variant, batch, p, g)
+        assert stacked.deta_dt.shape == (5, 37)
+        for b, row in enumerate(rows):
+            single = rhs(variant, row, p, g)
+            np.testing.assert_array_equal(stacked.deta_dt[b], single.deta_dt)
+            np.testing.assert_array_equal(stacked.dgamma_dt[b], single.dgamma_dt)
+
+    def test_positivity_guard_reports_node_within_row(self, noflux_grid):
+        eta = np.ones((3, noflux_grid.n_nodes))
+        eta[2, 7] = 1e-9
+        s = State(eta, np.ones_like(eta))
+        with pytest.raises(PositivityError) as err:
+            rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+        assert err.value.node == 7
+
+
 class TestErrors:
     def test_positivity_guard(self, noflux_grid):
         eta = np.ones(noflux_grid.n_nodes)

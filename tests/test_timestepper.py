@@ -12,8 +12,11 @@ from lubrisim import (
     advance,
     jacobian_fd,
     residual,
+    rhs,
     run_simulation,
 )
+from lubrisim import timestepper
+from lubrisim.timestepper import STENCIL_REACH, _probe_pattern
 
 from conftest import smooth_state
 
@@ -152,6 +155,69 @@ class TestJacobian:
                 oracle[:, 2 * j + fld] = -(pert_u - base_u) / eps
         oracle[np.arange(2 * n), np.arange(2 * n)] += 1.0 / cfg.dt
         np.testing.assert_array_equal(dense, oracle)
+
+    @pytest.mark.parametrize("n_nodes", [33, 37, 129])
+    def test_colored_periodic_jacobian_matches_brute_force(self, n_nodes):
+        # periodic twin of the oracle above; N - 1 = 32, 36, 128 covers a
+        # node count with and without a divisor >= 7, so the colouring has
+        # to avoid aliasing across the wrap in both cases
+        g = Grid(n_nodes, 10.0, BoundaryKind.PERIODIC)
+        s = smooth_state(g, seed=29)
+        cfg = StepConfig(dt=2.0)
+        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
+        dense = jacobian_fd(s, cfg, ModelVariant.FULL_CM, p, g).to_dense()
+
+        def interleaved(r):
+            u = np.empty(2 * n_nodes)
+            u[0::2] = r.deta_dt
+            u[1::2] = r.dgamma_dt
+            return u
+
+        base_u = interleaved(rhs(ModelVariant.FULL_CM, s, p, g))
+        oracle = np.zeros((2 * n_nodes, 2 * n_nodes))
+        for j in range(n_nodes):
+            for fld in (0, 1):
+                fields = [s.eta.copy(), s.gamma.copy()]
+                eps = cfg.fd_epsilon * max(1.0, abs(fields[fld][j]))
+                fields[fld][j] += eps
+                pert_u = interleaved(rhs(ModelVariant.FULL_CM, State(*fields), p, g))
+                oracle[:, 2 * j + fld] = -(pert_u - base_u) / eps
+        oracle[np.arange(2 * n_nodes), np.arange(2 * n_nodes)] += 1.0 / cfg.dt
+        np.testing.assert_array_equal(dense, oracle)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("n_nodes", [5, 8, 14, 33, 37, 97, 129])
+    def test_coloring_keeps_probes_apart(self, boundary, n_nodes):
+        periodic = boundary is BoundaryKind.PERIODIC
+        color = _probe_pattern(n_nodes, periodic).color
+        m = n_nodes - 1
+        for c in np.unique(color):
+            nodes = np.nonzero(color == c)[0]
+            for a in nodes:
+                for b in nodes[nodes > a]:
+                    d = b - a
+                    if periodic:
+                        d = abs(a % m - b % m)
+                        d = min(d, m - d)
+                    assert d > 2 * STENCIL_REACH, (c, a, b)
+        if periodic and n_nodes == 129:
+            assert color.max() + 1 == 10
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("n_nodes", [33, 129])
+    def test_assembly_makes_two_rhs_calls(self, boundary, n_nodes, monkeypatch):
+        # base state plus one batched probe call, on both boundary kinds
+        calls = []
+
+        def counting_rhs(*args, **kwargs):
+            calls.append(1)
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+        g = Grid(n_nodes, 10.0, boundary)
+        jacobian_fd(smooth_state(g, seed=30), StepConfig(dt=1.0),
+                    ModelVariant.FULL_CM, Params(), g)
+        assert len(calls) == 2
 
     def test_banded_and_sparse_paths_behave_alike(self):
         # same physics on both boundary kinds: interior rows must agree
