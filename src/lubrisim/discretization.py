@@ -15,6 +15,8 @@ while a constant F still differentiates to exactly zero everywhere.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import BoundaryKind, Grid, State
@@ -102,9 +104,13 @@ class StencilOps:
         return self.dx * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
 
+# The operators of a grid, built once per (frozen, hashable) Grid.
+stencil_ops = functools.lru_cache(maxsize=16)(StencilOps)
+
+
 def film_mass(state: State, grid: Grid) -> float:
     """Total film volume: trapezoidal integral of eta."""
-    return StencilOps(grid).integrate(state.eta)
+    return stencil_ops(grid).integrate(state.eta)
 
 
 def surfactant_mass(state: State, grid: Grid) -> float:
@@ -113,6 +119,6 @@ def surfactant_mass(state: State, grid: Grid) -> float:
     The root factor converts concentration per unit of free surface into
     concentration per unit of substrate.
     """
-    ops = StencilOps(grid)
+    ops = stencil_ops(grid)
     slope = ops.d1(state.eta)
     return ops.integrate(state.gamma * np.sqrt(1.0 + slope**2))

@@ -29,7 +29,7 @@ from .core import (
     State,
     surface_tension,
 )
-from .discretization import StencilOps
+from .discretization import stencil_ops
 
 __all__ = ["FieldSample", "FieldGrid", "reconstruct", "depth_flux", "write_fields_csv"]
 
@@ -71,7 +71,7 @@ def _series(state: State, params: Params, grid: Grid):
     if state.eta[node] < ETA_FLOOR:
         raise PositivityError(node, float(state.eta[node]))
 
-    ops = StencilOps(grid)
+    ops = stencil_ops(grid)
     eta = state.eta
     gam = state.gamma
     etx = ops.d1(eta)

@@ -16,10 +16,13 @@ batched rhs evaluation next to the base one, so an assembly costs two rhs
 calls on either boundary kind.  Index arrays cached per grid scatter the
 differences into the matrix.
 
-Symmetric grids store dr/du banded (scalar half-bandwidth
-2*STENCIL_REACH + 1 = 7) and solve with a banded LU; periodic wrap-around
-couples the matrix corners outside the band, so periodic grids put the
-same entries into a sparse matrix and use a sparse LU.
+Both boundary kinds store dr/du banded and solve it with one banded LU
+(LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
+2*STENCIL_REACH + 1 = 7.  Periodic wrap-around couples the first and last
+nodes, so periodic grids renumber the nodes in the folded order 0, N-1, 1,
+N-2, ... (bandwidth reduction after Cuthill & McKee, Proc. ACM Nat. Conf.
+1969): cyclic neighbours land at most 7 positions apart, and the scalar
+half-bandwidth is 15, or less on grids too small to reach it.
 """
 
 from __future__ import annotations
@@ -29,12 +32,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import blas, lapack
 
 from .core import (
-    ETA_FLOOR,
     BoundaryKind,
     Grid,
     ModelVariant,
@@ -43,7 +43,7 @@ from .core import (
     State,
 )
 from .discretization import film_mass, surfactant_mass
-from .models import rhs
+from .models import Rhs, rhs
 
 STENCIL_REACH = 3  # node reach of one rhs column (outer divergence of
                    # fluxes containing third derivatives: 1 + 2 nodes)
@@ -111,61 +111,68 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
 
 
 def _banded_matvec(ab: np.ndarray, hb: int, x: np.ndarray) -> np.ndarray:
-    """y = A @ x for A stored in solve_banded layout ab[hb + i - j, j]."""
-    n = x.shape[0]
-    y = np.zeros(n)
-    for off in range(-hb, hb + 1):
-        row = ab[hb - off]
-        if off >= 0:
-            y[: n - off] += row[off:] * x[off:]
-        else:
-            y[-off:] += row[: n + off] * x[: n + off]
-    return y
+    """y = A @ x for A stored in band layout ab[hb + i - j, j]."""
+    n = x.size
+    m = max(n, 2 * hb + 1)  # the gbmv wrapper wants m >= 2 * hb + 1
+    if m > n:  # tiny grids: pad with zero columns
+        ab, x = np.pad(ab, ((0, 0), (0, m - n))), np.pad(x, (0, m - n))
+    return blas.dgbmv(m, m, hb, hb, 1.0, ab, x)[:n]
 
 
 @dataclass
 class FdJacobian:
-    """Jacobian of the step residual, banded where the grid allows it."""
+    """Jacobian of the step residual, banded in a bandwidth-reducing order.
+
+    Row and column p of the stored matrix belong to unknown order[p];
+    ``banded`` holds it in LAPACK band layout, banded[hb + p - q, q] with
+    hb = half_bandwidth.  ``base`` is the rhs at the state the Jacobian
+    was taken at.
+    """
 
     n: int
     half_bandwidth: int
-    banded: np.ndarray | None = None          # solve_banded layout
-    sparse: scipy.sparse.csr_matrix | None = None
+    banded: np.ndarray
+    order: np.ndarray
+    base: Rhs
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.banded is not None:
-            return _banded_matvec(self.banded, self.half_bandwidth, x)
-        return self.sparse @ x
+        y = np.empty(self.n)
+        y[self.order] = _banded_matvec(self.banded, self.half_bandwidth,
+                                       x[self.order])
+        return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Direct solve with one step of iterative refinement.
+        """Banded LU solve with one step of iterative refinement.
 
         Refinement keeps the exact per-step mass conservation identity of
         the flux-form divergence intact even when an ill-conditioned first
         step produces a large Newton update.
         """
-        if self.banded is not None:
-            hb = self.half_bandwidth
-            x = scipy.linalg.solve_banded((hb, hb), self.banded, b)
-            x -= scipy.linalg.solve_banded((hb, hb), self.banded,
-                                           self.matvec(x) - b)
-            return x
-        lu = scipy.sparse.linalg.splu(self.sparse.tocsc())
-        x = lu.solve(b)
-        x -= lu.solve(self.sparse @ x - b)
-        if not np.all(np.isfinite(x)):
-            raise np.linalg.LinAlgError("singular Jacobian in sparse solve")
+        hb = self.half_bandwidth
+        lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
+        lu[hb:] = self.banded
+        lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {info})")
+        bp = b[self.order]
+        xp, _ = lapack.dgbtrs(lu, hb, hb, bp, piv)
+        fix, _ = lapack.dgbtrs(lu, hb, hb,
+                               _banded_matvec(self.banded, hb, xp) - bp, piv)
+        xp -= fix
+        if not np.isfinite(xp).all():
+            raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
+        x = np.empty(self.n)
+        x[self.order] = xp
         return x
 
     def to_dense(self) -> np.ndarray:
-        if self.sparse is not None:
-            return self.sparse.toarray()
         hb = self.half_bandwidth
-        i = np.arange(self.n)[:, None]
-        j = np.arange(self.n)[None, :]
-        band_row = hb + i - j
-        inside = np.abs(i - j) <= hb
-        return np.where(inside, self.banded[np.clip(band_row, 0, 2 * hb), j], 0.0)
+        p = np.arange(self.n)
+        band_row = hb + p[:, None] - p
+        dense = np.empty((self.n, self.n))
+        dense[np.ix_(self.order, self.order)] = np.where(
+            np.abs(band_row - hb) <= hb, self.banded[np.clip(band_row, 0, 2 * hb), p], 0.0)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,8 @@ class _ProbePattern:
     Probe fld * n_colors + c bumps field fld at every node of colour c;
     probe[k] is the probe that bumps unknown k (interleaved as u).  The
     Jacobian entries (rows[i], cols[i]) are every row inside the stencil
-    of column cols[i], each read from probe probe[cols[i]].
+    of column cols[i], each read from probe probe[cols[i]], and lands at
+    band[i] of the banded matrix, whose position p holds unknown order[p].
     """
 
     color: np.ndarray
@@ -183,6 +191,9 @@ class _ProbePattern:
     probe: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    order: np.ndarray
+    half_bandwidth: int
+    band: tuple[np.ndarray, np.ndarray]
 
 
 def _window(j: int, radius: int, n_nodes: int, periodic: bool) -> np.ndarray:
@@ -213,9 +224,19 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     rows = (2 * rnode + np.array([[0], [0], [1], [1]])).ravel()
     cols = (2 * cnode + np.array([[0], [1], [0], [1]])).ravel()
     probe = _interleave(color, n_colors + color)
-    for arr in (color, probe, rows, cols):
+
+    # band order: folded 0, N-1, 1, N-2, ... on periodic grids, so that
+    # node 0's twin N-1 sits next to it
+    node = np.arange(n_nodes)
+    node = _interleave(node, node[::-1])[:n_nodes] if periodic else node
+    order = _interleave(2 * node, 2 * node + 1)
+    position = np.argsort(order)
+    prow, pcol = position[rows], position[cols]
+    hb = int(np.abs(prow - pcol).max())
+    band = (hb + prow - pcol, pcol)
+    for arr in (color, probe, rows, cols, order, *band):
         arr.setflags(write=False)
-    return _ProbePattern(color, 2 * n_colors, probe, rows, cols)
+    return _ProbePattern(color, 2 * n_colors, probe, rows, cols, order, hb, band)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -223,12 +244,10 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     """Coloured finite-difference Jacobian of the step residual.
 
     Exactly two rhs calls: the base state, then every colour probe of both
-    fields stacked into one batch.
+    fields stacked into one batch.  The base rhs is kept on the result.
     """
     n = 2 * grid.n_nodes
-    hb = 2 * STENCIL_REACH + 1  # scalar half-bandwidth of dr/du
-    periodic = grid.boundary is BoundaryKind.PERIODIC
-    pat = _probe_pattern(grid.n_nodes, periodic)
+    pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
 
     u = _interleave(state.eta, state.gamma)
     eps = cfg.fd_epsilon * np.maximum(1.0, np.abs(u))
@@ -239,22 +258,12 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     pert = rhs(variant, State(*_split(probes), state.t), params, grid)
     diff = (_interleave(pert.deta_dt, pert.dgamma_dt)
             - _interleave(base.deta_dt, base.dgamma_dt))
-    vals = -diff[pat.probe[pat.cols], pat.rows] / eps[pat.cols]
 
-    if not periodic:
-        ab = np.zeros((2 * hb + 1, n))
-        ab[hb + pat.rows - pat.cols, pat.cols] = vals
-        ab[hb, :] += 1.0 / cfg.dt
-        return FdJacobian(n=n, half_bandwidth=hb, banded=ab)
-
-    # entries that are exactly zero stay out of the sparsity pattern
-    nz = vals != 0.0
-    diag = np.arange(n)
-    rows = np.concatenate((pat.rows[nz], diag))
-    cols = np.concatenate((pat.cols[nz], diag))
-    vals = np.concatenate((vals[nz], np.full(n, 1.0 / cfg.dt)))
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return FdJacobian(n=n, half_bandwidth=hb, sparse=mat)
+    hb = pat.half_bandwidth
+    ab = np.zeros((2 * hb + 1, n), order="F")
+    ab[pat.band] = -diff[pat.probe[pat.cols], pat.rows] / eps[pat.cols]
+    ab[hb] += 1.0 / cfg.dt
+    return FdJacobian(n=n, half_bandwidth=hb, banded=ab, order=pat.order, base=base)
 
 
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -264,19 +273,17 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     surf_before = surfactant_mass(state, grid)
 
     current = state
-    r = residual(current, state, cfg, variant, params, grid)
+    jac = jacobian_fd(current, cfg, variant, params, grid)
+    # (current - state) / dt is exactly 0, so the first residual is -rhs
+    r = -_interleave(jac.base.deta_dt, jac.base.dgamma_dt)
     norm_before = float(np.max(np.abs(r)))
     iters_used = 0
-    for _ in range(cfg.newton_iters):
-        jac = jacobian_fd(current, cfg, variant, params, grid)
-        delta = jac.solve(-r)
-        d_eta, d_gamma = _split(delta)
-        eta_new = current.eta + d_eta
-        gamma_new = current.gamma + d_gamma
-        node = int(np.argmin(eta_new))
-        if eta_new[node] <= ETA_FLOOR:
-            raise PositivityError(node, float(eta_new[node]))
-        current = State(eta_new, gamma_new, state.t)
+    for it in range(cfg.newton_iters):
+        if it > 0:
+            jac = jacobian_fd(current, cfg, variant, params, grid)
+        d_eta, d_gamma = _split(jac.solve(-r))
+        # State and the residual's rhs reject a film that breached the floor
+        current = State(current.eta + d_eta, current.gamma + d_gamma, state.t)
         r = residual(current, state, cfg, variant, params, grid)
         iters_used += 1
         if cfg.newton_iters > 1 and np.max(np.abs(r)) <= cfg.newton_tol:

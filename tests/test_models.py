@@ -1,7 +1,12 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lubrisim import (
     ALL_TOGGLES,
@@ -224,6 +229,63 @@ class TestBatch:
         with pytest.raises(PositivityError) as err:
             rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
         assert err.value.node == 7
+
+
+@st.composite
+def scenarios(draw):
+    """A random positive state with random physics on either boundary kind."""
+    boundary = draw(st.sampled_from(list(BoundaryKind)))
+    periodic = boundary is BoundaryKind.PERIODIC
+    n = draw(st.integers(5, 40))
+    grid = Grid(n, draw(st.floats(1.0, 20.0)), boundary)
+    eta = draw(arrays(float, n, elements=st.floats(0.5, 1.5)))
+    gamma = draw(arrays(float, n, elements=st.floats(0.5, 1.5)))
+    if periodic:
+        eta[-1], gamma[-1] = eta[0], gamma[0]
+    # a sloped substrate drives a flux through symmetric walls, so only
+    # periodic grids draw an incline
+    params = Params(
+        reynolds=draw(st.floats(0.0, 5.0)),
+        bond=draw(st.floats(0.0, 1.0)),
+        hamaker=draw(st.floats(0.0, 0.1)),
+        inv_peclet=draw(st.floats(0.0, 0.1)),
+        incline=draw(st.floats(0.0, math.pi)) if periodic else 0.0,
+        toggles=draw(st.frozensets(st.sampled_from(TERM_GROUPS))),
+    )
+    return draw(st.sampled_from(VARIANTS)), State(eta, gamma), params, grid
+
+
+class TestFluxFormProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_film_flux_telescopes(self, scenario):
+        variant, s, p, g = scenario
+        r = rhs(variant, s, p, g)
+        w = trapz_weights(g)
+        assert abs(w @ r.deta_dt) <= 1e-12 * max(w @ np.abs(r.deta_dt), 1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_rhs_is_sum_of_breakdown(self, scenario):
+        variant, s, p, g = scenario
+        r = rhs(variant, s, p, g)
+        bd = rhs_breakdown(variant, s, p, g)
+        total = bd.total()
+        parts = bd.contributions.values()
+        scale = max(max(np.max(np.abs(c.deta_dt)), np.max(np.abs(c.dgamma_dt)))
+                    for c in parts)
+        assert np.max(np.abs(total.deta_dt - r.deta_dt)) <= 1e-14 * scale
+        assert np.max(np.abs(total.dgamma_dt - r.dgamma_dt)) <= 1e-14 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios(), st.floats(0.1, 3.0), st.floats(0.0, 3.0),
+           st.floats(0.0, math.pi))
+    def test_flat_state_is_exact_fixed_point(self, scenario, eta0, gamma0, incline):
+        variant, s, p, g = scenario
+        flat = State(np.full(g.n_nodes, eta0), np.full(g.n_nodes, gamma0))
+        r = rhs(variant, flat, dataclasses.replace(p, incline=incline), g)
+        assert np.max(np.abs(r.deta_dt)) == 0.0
+        assert np.max(np.abs(r.dgamma_dt)) == 0.0
 
 
 class TestErrors:

@@ -232,6 +232,82 @@ class TestJacobian:
                                        atol=1e-12)
 
 
+def interleaved(r):
+    u = np.empty(2 * r.deta_dt.size)
+    u[0::2] = r.deta_dt
+    u[1::2] = r.dgamma_dt
+    return u
+
+
+SOLVER_GRIDS = pytest.mark.parametrize("n_nodes", [5, 6, 8, 33, 37, 129])
+
+
+class TestBandedSolver:
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @SOLVER_GRIDS
+    def test_every_entry_lies_inside_the_band(self, boundary, n_nodes):
+        # one rhs call per unknown finds every nonzero of dr/du; in the
+        # stored order each must sit within the half-bandwidth
+        g = Grid(n_nodes, 10.0, boundary)
+        s = smooth_state(g, seed=31)
+        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
+        jac = jacobian_fd(s, StepConfig(dt=2.0), ModelVariant.FULL_CM, p, g)
+        n = 2 * n_nodes
+        np.testing.assert_array_equal(np.sort(jac.order), np.arange(n))
+        position = np.empty(n, dtype=int)
+        position[jac.order] = np.arange(n)
+        hb = jac.half_bandwidth
+        assert hb <= min(15 if boundary is BoundaryKind.PERIODIC else 7, n - 1)
+        base = interleaved(rhs(ModelVariant.FULL_CM, s, p, g))
+        for k in range(n):
+            fields = [s.eta.copy(), s.gamma.copy()]
+            fields[k % 2][k // 2] += 1e-4
+            pert = interleaved(rhs(ModelVariant.FULL_CM, State(*fields), p, g))
+            rows = np.nonzero(pert != base)[0]
+            assert rows.size > 0
+            assert np.all(np.abs(position[rows] - position[k]) <= hb), k
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @SOLVER_GRIDS
+    def test_solve_is_backward_stable(self, boundary, n_nodes):
+        g = Grid(n_nodes, 10.0, boundary)
+        jac = jacobian_fd(smooth_state(g, seed=32), StepConfig(dt=2.0),
+                          ModelVariant.FULL_CM,
+                          Params(bond=0.1, hamaker=0.01, incline=0.3), g)
+        dense = jac.to_dense()
+        b = np.random.default_rng(32).uniform(-1.0, 1.0, 2 * n_nodes)
+        x = jac.solve(b)
+        err = np.max(np.abs(dense @ x - b))
+        assert err <= 1e-14 * np.max(np.abs(dense)) * np.max(np.abs(x))
+
+    def test_singular_jacobian_raises(self, periodic_grid):
+        jac = jacobian_fd(smooth_state(periodic_grid, seed=33), StepConfig(dt=1.0),
+                          ModelVariant.FULL_CM, Params(), periodic_grid)
+        jac.banded[:] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            jac.solve(np.ones(jac.n))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("iters, expected", [(1, 3), (3, 9)])
+    def test_newton_iteration_makes_three_rhs_calls(self, boundary, iters,
+                                                    expected, monkeypatch):
+        # the first residual reuses the Jacobian's base rhs; an unreachable
+        # tolerance keeps every requested iteration running
+        calls = []
+
+        def counting_rhs(*args, **kwargs):
+            calls.append(1)
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+        g = Grid(33, 10.0, boundary)
+        cfg = StepConfig(dt=1.0, newton_iters=iters, newton_tol=1e-300)
+        _, rep = advance(smooth_state(g, seed=34), cfg, ModelVariant.FULL_CM,
+                         Params(), g)
+        assert rep.newton_iters_used == iters
+        assert len(calls) == expected
+
+
 class TestAdvance:
     def test_flat_state_unchanged(self, noflux_grid):
         s = flat_state(noflux_grid.n_nodes)
@@ -327,6 +403,22 @@ class TestAdvance:
         with pytest.raises(PositivityError) as err:
             advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
                     noflux_grid)
+        assert err.value.node == 5
+
+    @pytest.mark.parametrize("thickness", [-0.5, 1e-9])
+    def test_newton_update_breach_reports_node(self, noflux_grid, thickness,
+                                               monkeypatch):
+        # an update that thins node 5 of a flat film below the floor, past
+        # zero or not, stops the step with that node
+        def thinning_solve(jac, b):
+            delta = np.zeros(jac.n)
+            delta[2 * 5] = thickness - 1.0
+            return delta
+
+        monkeypatch.setattr(timestepper.FdJacobian, "solve", thinning_solve)
+        with pytest.raises(PositivityError) as err:
+            advance(flat_state(noflux_grid.n_nodes), StepConfig(dt=1.0),
+                    ModelVariant.FULL_CM, Params(), noflux_grid)
         assert err.value.node == 5
 
     def test_determinism(self, noflux_grid):
