@@ -24,7 +24,7 @@ from .core import (
     surface_tension,
 )
 from .discretization import StencilOps, film_mass, surfactant_mass
-from .fields import FieldGrid, FieldSample, depth_flux, reconstruct
+from .fields import FieldGrid, depth_flux, reconstruct
 from .models import Rhs, TermBreakdown, rhs, rhs_breakdown
 from .stability import (
     DispersionResult,
@@ -54,7 +54,6 @@ __all__ = [
     "DimensionalInputs",
     "DispersionResult",
     "FieldGrid",
-    "FieldSample",
     "Grid",
     "ModelVariant",
     "Params",

@@ -2,6 +2,9 @@
 
 Subcommands: simulate, dispersion, compare, preset-list.  Configuration
 files are YAML; the full schema with defaults is documented in README.md.
+The schema is the Scenario dataclass tree: one walk over its fields loads
+a YAML document, writes one back, and applies the command-line overrides,
+so keys, defaults and checks are stated once, on the dataclasses.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 Set LUBRISIM_LOG={quiet|info|debug} to control chattiness.
 """
@@ -10,18 +13,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
+import functools
 import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .core import (
-    ALL_TOGGLES,
-    TERM_GROUPS,
     BoundaryKind,
     Grid,
     ModelVariant,
@@ -34,7 +38,6 @@ from .timestepper import SimulationResult, StepConfig, run_simulation
 
 log = logging.getLogger("lubrisim")
 
-DEFAULT_LENGTH = 15.0 * math.pi
 INITIAL_KINDS = ("flat_with_surfactant_drop", "corrugated_uniform_surfactant", "custom")
 
 
@@ -50,15 +53,16 @@ class InitialCondition:
     drop_excess: float = 1.0
     corrugation_amplitude: float = 0.1
     corrugation_wavenumber: float = 0.5
-    eta: tuple | None = None             # custom profiles
-    gamma: tuple | None = None
+    eta: tuple[float, ...] | None = None  # custom profiles
+    gamma: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
-            raise ConfigError(f"initial.kind must be one of {INITIAL_KINDS}, "
-                              f"got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {INITIAL_KINDS}, got {self.kind!r}")
         if self.kind == "custom" and (self.eta is None or self.gamma is None):
-            raise ConfigError("initial.kind 'custom' requires eta and gamma arrays")
+            raise ConfigError("kind 'custom' requires eta and gamma arrays")
+        if not self.drop_width > 0:
+            raise ConfigError(f"width must be positive, got {self.drop_width}")
         if self.eta is not None:
             object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
         if self.gamma is not None:
@@ -73,11 +77,22 @@ class Scenario:
     params: Params
     variant: ModelVariant
     step: StepConfig
-    snapshot_times: tuple
+    snapshot_times: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times",
                            tuple(float(t) for t in self.snapshot_times))
+        init, n = self.initial, self.grid.n_nodes
+        if init.kind != "custom":
+            return
+        if len(init.eta) != n or len(init.gamma) != n:
+            raise ConfigError(f"custom initial eta and gamma need grid.n_nodes = {n} "
+                              f"values, got {len(init.eta)} and {len(init.gamma)}")
+        # node N-1 of a periodic grid is node 0 again
+        if self.grid.boundary is BoundaryKind.PERIODIC and (
+                init.eta[0] != init.eta[-1] or init.gamma[0] != init.gamma[-1]):
+            raise ConfigError("custom initial eta and gamma on a periodic grid "
+                              "must have node N-1 equal to node 0")
 
 
 @dataclass(frozen=True)
@@ -106,8 +121,6 @@ def build_initial_state(scenario: Scenario) -> State:
         eta = np.ones(grid.n_nodes)
         center = grid.length / 2.0 if init.drop_center is None else init.drop_center
         w = init.drop_width
-        if w <= 0:
-            raise ConfigError("initial.width must be positive")
         r = np.abs(x - center)
         bump = np.where(r <= w, 0.5 * (1.0 + np.cos(np.pi * np.minimum(r, w) / w)), 0.0)
         gamma = 1.0 + init.drop_excess * bump
@@ -118,10 +131,6 @@ def build_initial_state(scenario: Scenario) -> State:
     else:
         eta = np.asarray(init.eta, dtype=float)
         gamma = np.asarray(init.gamma, dtype=float)
-        if eta.shape != (grid.n_nodes,) or gamma.shape != (grid.n_nodes,):
-            raise ConfigError("custom initial arrays must match grid.n_nodes")
-    if np.any(eta <= 0):
-        raise ConfigError("initial film thickness must be positive everywhere")
     if np.any(gamma < 0):
         raise ConfigError("initial surfactant concentration must be >= 0")
     return State(eta, gamma, 0.0)
@@ -130,7 +139,7 @@ def build_initial_state(scenario: Scenario) -> State:
 def default_scenario(name: str = "fig2") -> Scenario:
     return Scenario(
         name=name,
-        grid=Grid(97, DEFAULT_LENGTH, BoundaryKind.NO_FLUX_SYMMETRIC),
+        grid=Grid(97, 15.0 * math.pi),
         initial=InitialCondition(),
         params=Params(),
         variant=ModelVariant.FULL_CM,
@@ -143,15 +152,11 @@ def _corrugated_scenario(name: str, snapshot_times) -> Scenario:
     # One full cosine wave over L = 4*pi, i.e. k = 0.5: slow enough to
     # outlive the clean-film levelling by orders of magnitude, and k*L is a
     # multiple of pi so the profile reflects evenly at the walls.
-    length = 4.0 * math.pi
-    return Scenario(
-        name=name,
-        grid=Grid(97, length, BoundaryKind.NO_FLUX_SYMMETRIC),
+    return dataclasses.replace(
+        default_scenario(name),
+        grid=Grid(97, 4.0 * math.pi),
         initial=InitialCondition(kind="corrugated_uniform_surfactant",
-                                 corrugation_amplitude=0.1,
                                  corrugation_wavenumber=0.5),
-        params=Params(),
-        variant=ModelVariant.FULL_CM,
         step=StepConfig(dt=1.0),
         snapshot_times=snapshot_times,
     )
@@ -179,155 +184,77 @@ def preset_names() -> list:
 
 # --- config file handling ---------------------------------------------------
 
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+# YAML keys that differ from the dataclass field names.
+_YAML_NAMES = {"drop_center": "center", "drop_width": "width", "drop_excess": "excess",
+               "corrugation_amplitude": "amplitude", "corrugation_wavenumber": "wavenumber"}
+# annotations are strings (PEP 563): resolve each class's hints once, not per load
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _as_float(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
+def _convert(tp, value, where: str, current=None):
+    """Read a YAML value as the annotated type; a nested dataclass updates
+    ``current`` from its own mapping.  Every value goes through its type,
+    because PyYAML reads numbers such as 1e-10 (no dot) as strings.
+    """
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(current, value, where)
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        tp = args[0]
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from None
+        origin = typing.get_origin(tp)
+        if origin in (tuple, frozenset):
+            return origin(map(typing.get_args(tp)[0], value))
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        if isinstance(tp, type) and issubclass(tp, enum.Enum):
+            raise ConfigError(f"{where} must be one of {[m.value for m in tp]}, "
+                              f"got {value!r}") from None
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _from_dict(base, data, where: str):
+    """``base`` with the fields named in the mapping ``data`` replaced.
+
+    Nested dataclass fields recurse into their own mapping; unknown keys
+    and values the dataclasses reject raise ConfigError naming the key path.
+    """
+    if data is None:
+        return base
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a mapping, got {data!r}")
+    fields = {_YAML_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(base)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    hints = _type_hints(type(base))
+    changes = {}
+    for key, value in data.items():
+        name = fields[key]
+        changes[name] = _convert(hints[name], value, f"{where}.{key}", getattr(base, name))
+    try:
+        return dataclasses.replace(base, **changes)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-    _reject_unknown(data, ("name", "grid", "initial", "params", "variant",
-                           "step", "snapshot_times"), source)
-    base = default_scenario(str(data.get("name", "custom")))
-
-    gsec = data.get("grid", {}) or {}
-    _reject_unknown(gsec, ("n_nodes", "length", "boundary"), f"{source}.grid")
-    try:
-        boundary = BoundaryKind(gsec.get("boundary", base.grid.boundary.value))
-    except ValueError:
-        raise ConfigError(f"{source}.grid.boundary must be one of "
-                          f"{[b.value for b in BoundaryKind]}") from None
-    try:
-        grid = Grid(int(gsec.get("n_nodes", base.grid.n_nodes)),
-                    _as_float(gsec, "length", base.grid.length, f"{source}.grid"),
-                    boundary)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.grid: {exc}") from None
-
-    isec = data.get("initial", {}) or {}
-    _reject_unknown(isec, ("kind", "center", "width", "excess", "amplitude",
-                           "wavenumber", "eta", "gamma"), f"{source}.initial")
-    initial = InitialCondition(
-        kind=isec.get("kind", "flat_with_surfactant_drop"),
-        drop_center=(None if isec.get("center") is None
-                     else float(isec["center"])),
-        drop_width=_as_float(isec, "width", 2.0, f"{source}.initial"),
-        drop_excess=_as_float(isec, "excess", 1.0, f"{source}.initial"),
-        corrugation_amplitude=_as_float(isec, "amplitude", 0.1, f"{source}.initial"),
-        corrugation_wavenumber=_as_float(isec, "wavenumber", 0.5, f"{source}.initial"),
-        eta=isec.get("eta"),
-        gamma=isec.get("gamma"),
-    )
-
-    psec = data.get("params", {}) or {}
-    _reject_unknown(psec, ("reynolds", "bond", "hamaker", "inv_peclet",
-                           "tension_slope", "incline", "toggles"), f"{source}.params")
-    toggles = psec.get("toggles")
-    if toggles is not None:
-        toggles = frozenset(str(t) for t in toggles)
-        bad = toggles - set(TERM_GROUPS)
-        if bad:
-            raise ConfigError(f"{source}.params.toggles: unknown group(s) "
-                              f"{', '.join(sorted(bad))}")
-    try:
-        params = Params(
-            reynolds=_as_float(psec, "reynolds", base.params.reynolds, f"{source}.params"),
-            bond=_as_float(psec, "bond", base.params.bond, f"{source}.params"),
-            hamaker=_as_float(psec, "hamaker", base.params.hamaker, f"{source}.params"),
-            inv_peclet=_as_float(psec, "inv_peclet", base.params.inv_peclet, f"{source}.params"),
-            tension_slope=_as_float(psec, "tension_slope", base.params.tension_slope, f"{source}.params"),
-            incline=_as_float(psec, "incline", base.params.incline, f"{source}.params"),
-            toggles=ALL_TOGGLES if toggles is None else toggles,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}.params: {exc}") from None
-
-    try:
-        variant = ModelVariant(data.get("variant", base.variant.value))
-    except ValueError:
-        raise ConfigError(f"{source}.variant must be one of "
-                          f"{[v.value for v in ModelVariant]}") from None
-
-    ssec = data.get("step", {}) or {}
-    _reject_unknown(ssec, ("dt", "newton_iters", "newton_tol", "fd_epsilon",
-                           "jacobian"), f"{source}.step")
-    try:
-        step = StepConfig(
-            dt=_as_float(ssec, "dt", base.step.dt, f"{source}.step"),
-            newton_iters=int(ssec.get("newton_iters", base.step.newton_iters)),
-            newton_tol=_as_float(ssec, "newton_tol", base.step.newton_tol, f"{source}.step"),
-            jacobian=ssec.get("jacobian", "finite_difference"),
-            fd_epsilon=_as_float(ssec, "fd_epsilon", base.step.fd_epsilon, f"{source}.step"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}.step: {exc}") from None
-
-    snaps = data.get("snapshot_times", list(base.snapshot_times))
-    try:
-        snaps = tuple(float(t) for t in snaps)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}.snapshot_times must be a list of numbers") from None
-
-    try:
-        return Scenario(base.name if "name" not in data else str(data["name"]),
-                        grid, initial, params, variant, step, snaps)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    """Scenario from a parsed YAML document; omitted keys keep the defaults."""
+    return _from_dict(default_scenario("custom"), data, source)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    initial = {"kind": s.initial.kind}
-    if s.initial.kind == "flat_with_surfactant_drop":
-        if s.initial.drop_center is not None:
-            initial["center"] = s.initial.drop_center
-        initial["width"] = s.initial.drop_width
-        initial["excess"] = s.initial.drop_excess
-    elif s.initial.kind == "corrugated_uniform_surfactant":
-        initial["amplitude"] = s.initial.corrugation_amplitude
-        initial["wavenumber"] = s.initial.corrugation_wavenumber
-    else:
-        initial["eta"] = list(s.initial.eta)
-        initial["gamma"] = list(s.initial.gamma)
-    return {
-        "name": s.name,
-        "grid": {
-            "n_nodes": s.grid.n_nodes,
-            "length": s.grid.length,
-            "boundary": s.grid.boundary.value,
-        },
-        "initial": initial,
-        "params": {
-            "reynolds": s.params.reynolds,
-            "bond": s.params.bond,
-            "hamaker": s.params.hamaker,
-            "inv_peclet": s.params.inv_peclet,
-            "tension_slope": s.params.tension_slope,
-            "incline": s.params.incline,
-            "toggles": sorted(s.params.toggles),
-        },
-        "variant": s.variant.value,
-        "step": {
-            "dt": s.step.dt,
-            "newton_iters": s.step.newton_iters,
-            "newton_tol": s.step.newton_tol,
-            "fd_epsilon": s.step.fd_epsilon,
-        },
-        "snapshot_times": list(s.snapshot_times),
-    }
+def scenario_to_dict(value):
+    """YAML form of a Scenario, or of any value inside one; None is omitted."""
+    if dataclasses.is_dataclass(value):
+        return {_YAML_NAMES.get(f.name, f.name): scenario_to_dict(getattr(value, f.name))
+                for f in dataclasses.fields(value) if getattr(value, f.name) is not None}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def load_config(path) -> Scenario:
@@ -350,15 +277,13 @@ def save_config(scenario: Scenario, path) -> None:
 
 # --- output helpers ----------------------------------------------------------
 
-def _fmt_time(value: float) -> str:
-    return f"{value:g}"
-
-
-def _write_profile_csv(path, x, eta, gamma) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """A table of floats at 17 significant digits, so values survive the text."""
+    line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,eta,gamma\n")
-        for xi, e, g in zip(x, eta, gamma):
-            fh.write(f"{xi:.17g},{e:.17g},{g:.17g}\n")
+        fh.write(header + "\n")
+        # Python floats format faster than numpy scalars
+        fh.writelines(line.format(*row) for row in np.asarray(rows).tolist())
 
 
 def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> None:
@@ -374,7 +299,7 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
     ]
     for snap in result.snapshots[1:]:
         lines.append(
-            f"t={_fmt_time(snap.time)}: newton_iters={snap.report.newton_iters_used} "
+            f"t={snap.time:g}: newton_iters={snap.report.newton_iters_used} "
             f"residual_before={snap.report.residual_norm_before:.3e} "
             f"residual_after={snap.report.residual_norm_after:.3e}"
         )
@@ -401,8 +326,8 @@ def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int
     result = run_simulation(s0, end, snaps, scenario.step, scenario.variant,
                             scenario.params, scenario.grid)
     for snap in result.snapshots:
-        path = os.path.join(out_dir, f"t{_fmt_time(snap.time)}.csv")
-        _write_profile_csv(path, scenario.grid.x, snap.state.eta, snap.state.gamma)
+        _write_csv(os.path.join(out_dir, f"t{snap.time:g}.csv"), "x,eta,gamma",
+                   np.column_stack((scenario.grid.x, snap.state.eta, snap.state.gamma)))
     _write_run_report(os.path.join(out_dir, "report.txt"), scenario, result)
     if result.summary.failure:
         log.error("solver failure: %s", result.summary.failure)
@@ -466,17 +391,11 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             linf_gamma=float(np.max(np.abs(d_gamma))),
             l2_gamma=float(np.sqrt(dx * np.sum(d_gamma**2))),
         ))
-        with open(os.path.join(out_dir, f"diff_P{pe:g}.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("x,d_eta,d_gamma\n")
-            for xi, de, dg in zip(scenario.grid.x, d_eta, d_gamma):
-                fh.write(f"{xi:.17g},{de:.17g},{dg:.17g}\n")
-    with open(os.path.join(out_dir, "compare_summary.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma\n")
-        for row in report.rows:
-            fh.write(f"{row.peclet:.17g},{row.time:.17g},{row.linf_eta:.17g},"
-                     f"{row.l2_eta:.17g},{row.linf_gamma:.17g},{row.l2_gamma:.17g}\n")
+        _write_csv(os.path.join(out_dir, f"diff_P{pe:g}.csv"), "x,d_eta,d_gamma",
+                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
+    _write_csv(os.path.join(out_dir, "compare_summary.csv"),
+               "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma",
+               [dataclasses.astuple(row) for row in report.rows])
     log.info("comparison (%s vs %s) written to %s", variants[0].value,
              variants[1].value, out_dir)
     return report
@@ -492,26 +411,19 @@ def _configure_logging() -> None:
 
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "config", None):
+    if args.config:
         scenario = load_config(args.config)
-    elif getattr(args, "preset", None):
+    elif args.preset:
         scenario = preset(args.preset)
     else:
         scenario = default_scenario()
-    if getattr(args, "variant", None):
-        scenario = dataclasses.replace(scenario,
-                                       variant=ModelVariant(args.variant))
-    if getattr(args, "nodes", None):
-        scenario = dataclasses.replace(
-            scenario, grid=dataclasses.replace(scenario.grid, n_nodes=args.nodes))
-    if getattr(args, "dt", None):
-        scenario = dataclasses.replace(
-            scenario, step=dataclasses.replace(scenario.step, dt=args.dt))
-    if getattr(args, "delta_s", None) is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            params=dataclasses.replace(scenario.params, inv_peclet=args.delta_s))
-    return scenario
+    flags = {"grid": {"n_nodes": args.nodes}, "step": {"dt": args.dt},
+             "params": {"inv_peclet": args.delta_s}}
+    overrides = {section: {k: v for k, v in keys.items() if v is not None}
+                 for section, keys in flags.items()}
+    if args.variant:
+        overrides["variant"] = args.variant
+    return _from_dict(scenario, overrides, "command line")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -569,12 +481,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(scenario, args.out, t_end=args.t_end)
         # compare
-        try:
-            variants = tuple(ModelVariant(v.strip())
-                             for v in args.variants.split(","))
-            peclets = tuple(float(p) for p in args.peclet.split(","))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        variants = _convert(tuple[ModelVariant, ...],
+                            [v.strip() for v in args.variants.split(",")], "--variants")
+        peclets = _convert(tuple[float, ...], args.peclet.split(","), "--peclet")
         outcome = cmd_compare(scenario, variants, peclets, args.t_compare, args.out)
         return outcome if isinstance(outcome, int) else 0
     except ConfigError as exc:

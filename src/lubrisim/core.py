@@ -97,7 +97,7 @@ class Params:
     inv_peclet: float = 1.0 / 300.0
     tension_slope: float = 1.0
     incline: float = 0.0
-    toggles: frozenset = ALL_TOGGLES
+    toggles: frozenset[str] = ALL_TOGGLES
 
     def __post_init__(self):
         for name in ("reynolds", "bond", "hamaker", "inv_peclet",

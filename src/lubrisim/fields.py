@@ -31,19 +31,10 @@ from .core import (
 )
 from .discretization import stencil_ops
 
-__all__ = ["FieldSample", "FieldGrid", "reconstruct", "depth_flux", "write_fields_csv"]
+__all__ = ["FieldGrid", "reconstruct", "depth_flux", "write_fields_csv"]
 
 # zeta-profiles shared by several terms, as {power: coefficient}
 _PARABOLIC = {1: 1.0, 2: -0.5}
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    x: float
-    zeta: float
-    u: float
-    v: float
-    p: float
 
 
 @dataclass(frozen=True)
@@ -55,12 +46,6 @@ class FieldGrid:
     u: np.ndarray           # (n_levels, n_nodes)
     v: np.ndarray
     p: np.ndarray
-
-    def samples(self):
-        for m, z in enumerate(self.zeta):
-            for i, xi in enumerate(self.x):
-                yield FieldSample(float(xi), float(z), float(self.u[m, i]),
-                                  float(self.v[m, i]), float(self.p[m, i]))
 
 
 def _series(state: State, params: Params, grid: Grid):

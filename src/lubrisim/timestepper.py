@@ -61,7 +61,6 @@ class StepConfig:
     dt: float
     newton_iters: int = 1
     newton_tol: float = 1e-10
-    jacobian: str = "finite_difference"
     fd_epsilon: float = 1e-7
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class StepConfig:
             raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not self.newton_tol > 0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.jacobian != "finite_difference":
-            raise ValueError(f"unsupported jacobian kind {self.jacobian!r}")
         if not self.fd_epsilon > 0:
             raise ValueError(f"fd_epsilon must be positive, got {self.fd_epsilon}")
 
@@ -271,6 +268,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     """One backward-Euler step via cfg.newton_iters Newton updates."""
     film_before = film_mass(state, grid)
     surf_before = surfactant_mass(state, grid)
+    t_new = state.t + cfg.dt
 
     current = state
     jac = jacobian_fd(current, cfg, variant, params, grid)
@@ -283,15 +281,14 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             jac = jacobian_fd(current, cfg, variant, params, grid)
         d_eta, d_gamma = _split(jac.solve(-r))
         # State and the residual's rhs reject a film that breached the floor
-        current = State(current.eta + d_eta, current.gamma + d_gamma, state.t)
+        current = State(current.eta + d_eta, current.gamma + d_gamma, t_new)
         r = residual(current, state, cfg, variant, params, grid)
         iters_used += 1
         if cfg.newton_iters > 1 and np.max(np.abs(r)) <= cfg.newton_tol:
             break
 
-    new_state = State(current.eta, current.gamma, state.t + cfg.dt)
-    film_after = film_mass(new_state, grid)
-    surf_after = surfactant_mass(new_state, grid)
+    film_after = film_mass(current, grid)
+    surf_after = surfactant_mass(current, grid)
     report = StepReport(
         residual_norm_before=norm_before,
         residual_norm_after=float(np.max(np.abs(r))),
@@ -299,7 +296,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         film_mass_drift=(film_after - film_before) / max(abs(film_before), 1e-300),
         surfactant_mass_drift=(surf_after - surf_before) / max(abs(surf_before), 1e-300),
     )
-    return new_state, report
+    return current, report
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         t += dt_step
         if abs(t - target) <= tol:
             t = target
-        state = State(state.eta, state.gamma, t)
+        if state.t != t:  # snapped to the target, or s0.t was not 0
+            state = State(state.eta, state.gamma, t)
         film_drift = abs(film_mass(state, grid) - film0) / abs(film0)
         surf_drift = abs(surfactant_mass(state, grid) - surf0) / abs(surf0)
         summary.max_film_mass_drift = max(summary.max_film_mass_drift, film_drift)

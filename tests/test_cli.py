@@ -1,10 +1,13 @@
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from lubrisim import BoundaryKind, ModelVariant
+from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant
 from lubrisim.cli import (
     ComparisonReport,
     ConfigError,
@@ -36,6 +39,10 @@ class TestLoadConfig:
         assert sc.step.dt == 100.0
         assert sc.variant is ModelVariant.FULL_CM
         assert sc.initial.kind == "flat_with_surfactant_drop"
+        # PyYAML reads 1e2 and 1e-10 (no dot) as strings
+        numbers = tmp_path / "numbers.yaml"
+        numbers.write_text("step:\n  dt: 1e2\n  newton_tol: 1e-10\n")
+        assert load_config(numbers) == sc
 
     def test_too_few_nodes_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -66,11 +73,21 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.yaml")
 
     def test_round_trip(self, tmp_path):
-        sc = preset("fig3")
-        path = tmp_path / "fig3.yaml"
-        save_config(sc, path)
-        back = load_config(path)
-        assert back == sc
+        n = 33
+        wave = np.cos(np.linspace(0.0, 2.0 * np.pi, n))
+        periodic = scenario_from_dict({
+            "grid": {"n_nodes": n, "boundary": "periodic"},
+            "initial": {"kind": "custom", "eta": list(1.0 + 0.1 * wave),
+                        "gamma": list(1.0 - 0.2 * wave)},
+            "params": {"toggles": ["capillary", "marangoni"]},
+            "variant": "dewit",
+            "snapshot_times": [],
+        })
+        for sc in [preset(name) for name in preset_names()] + [periodic]:
+            path = tmp_path / f"{sc.name}.yaml"
+            save_config(sc, path)
+            back = load_config(path)
+            assert back == sc
 
     def test_round_trip_custom_arrays(self):
         sc = default_scenario()
@@ -79,6 +96,66 @@ class TestLoadConfig:
                            "eta": [1.0] * 97, "gamma": [1.0] * 97}
         sc2 = scenario_from_dict(data)
         assert scenario_from_dict(scenario_to_dict(sc2)) == sc2
+
+    def test_readme_schema_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        sc = scenario_from_dict(yaml.safe_load(block), source="README.md")
+        assert sc.name == "my-run"
+        assert sc.grid.length == pytest.approx(default_scenario().grid.length)
+        assert sc.initial.drop_center == pytest.approx(sc.grid.length / 2)
+        assert sc.params.toggles == ALL_TOGGLES
+        assert sc.step == default_scenario().step
+
+
+MALFORMED_CONFIGS = [
+    ("initial: {center: abc}", ".initial.center"),
+    ("step: {newton_iters: null}", ".step.newton_iters"),
+    ("grid: [1, 2]", ".grid must be a mapping"),
+    ("params: {toggles: 5}", ".params.toggles"),
+    ("initial: {kind: custom, eta: abc, gamma: [1.0]}", ".initial.eta"),
+    ("initial: {width: 0}", ".initial: width"),
+    ("step: {jacobian: finite_difference}", ".step: jacobian"),
+    ("grid: {n_nodes: 5}\n"
+     "initial: {kind: custom, eta: [1, 1, 1, 1], gamma: [1, 1, 1, 1]}",
+     "yaml: custom initial eta and gamma need grid.n_nodes = 5"),
+    ("grid: {n_nodes: 5, boundary: periodic}\n"
+     "initial: {kind: custom, eta: [1, 1, 1, 1, 1.5], gamma: [1, 1, 1, 1, 1]}",
+     "yaml: custom initial eta and gamma on a periodic grid"),
+]
+
+
+@pytest.mark.parametrize("text,where", MALFORMED_CONFIGS)
+def test_malformed_config_is_config_error(tmp_path, caplog, text, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(path)
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert where in caplog.text
+
+
+@pytest.mark.parametrize("flags,where", [
+    (["--dt", "0"], "command line.step: dt"),
+    (["--dt", "-1"], "command line.step: dt"),
+    (["--nodes", "3"], "command line.grid: n_nodes"),
+    (["--delta-s", "-1"], "command line.params: inv_peclet"),
+    (["--nodes", "33", "--config", "{periodic}"], "command line: custom initial"),
+])
+def test_malformed_flag_is_config_error(tmp_path, caplog, flags, where):
+    n = 129
+    wave = np.cos(np.linspace(0.0, 2.0 * np.pi, n))
+    save_config(scenario_from_dict({
+        "grid": {"n_nodes": n, "boundary": "periodic"},
+        "initial": {"kind": "custom", "eta": list(1.0 + 0.1 * wave),
+                    "gamma": [1.0] * n}}), tmp_path / "periodic.yaml")
+    flags = [f.format(periodic=tmp_path / "periodic.yaml") for f in flags]
+    source = [] if "--config" in flags else ["--preset", "fig3"]
+    assert main(["simulate", *source, "--out", str(tmp_path / "out"),
+                 "--t-end", "1", *flags]) == 2
+    assert where in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 class TestPresets:

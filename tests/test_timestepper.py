@@ -447,6 +447,26 @@ class TestRunSimulation:
         assert times == [0.0, 1.0, 10.0, 25.0]
         assert res.snapshots[-1].state.t == 25.0
 
+    @pytest.mark.parametrize("t0,builds", [(0.0, 8), (3.0, 9)])
+    def test_two_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
+        # the probe batch and the Newton iterate; the step loop relabels a
+        # state only when its t differs from the run's clock (here once,
+        # when s0 does not start at t = 0)
+        calls = []
+
+        def counting_state(*args, **kwargs):
+            calls.append(1)
+            return State(*args, **kwargs)
+
+        s = smooth_state(noflux_grid, seed=29)
+        monkeypatch.setattr(timestepper, "State", counting_state)
+        res = run_simulation(State(s.eta, s.gamma, t0), 4.0, (2.0, 4.0),
+                             StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
+                             noflux_grid)
+        assert res.summary.steps == 4
+        assert len(calls) == builds
+        assert [snap.state.t for snap in res.snapshots[1:]] == [2.0, 4.0]
+
     def test_partial_results_on_positivity_failure(self, noflux_grid):
         eta = np.ones(noflux_grid.n_nodes)
         eta[5] = 2e-9  # valid state, fails in the first rhs evaluation
@@ -473,7 +493,7 @@ class TestStepConfig:
             StepConfig(dt=0.0)
         with pytest.raises(ValueError):
             StepConfig(dt=1.0, newton_iters=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # no such knob: one Jacobian kind
             StepConfig(dt=1.0, jacobian="analytic")
         with pytest.raises(ValueError):
             StepConfig(dt=1.0, fd_epsilon=0.0)
