@@ -61,12 +61,26 @@ class InitialCondition:
             raise ConfigError(f"kind must be one of {INITIAL_KINDS}, got {self.kind!r}")
         if self.kind == "custom" and (self.eta is None or self.gamma is None):
             raise ConfigError("kind 'custom' requires eta and gamma arrays")
-        if not self.drop_width > 0:
-            raise ConfigError(f"width must be positive, got {self.drop_width}")
+        if not 0.0 < self.drop_width < math.inf:
+            raise ConfigError(f"width must be positive and finite, got {self.drop_width}")
+        if not -1.0 <= self.drop_excess < math.inf:  # the drop centre holds 1 + excess
+            raise ConfigError(f"excess must be finite and >= -1, got {self.drop_excess}")
+        if not abs(self.corrugation_amplitude) < 1.0:  # eta = 1 + a*cos(kx) > 0
+            raise ConfigError("amplitude must lie in (-1, 1), "
+                              f"got {self.corrugation_amplitude}")
+        if self.drop_center is not None and not math.isfinite(self.drop_center):
+            raise ConfigError(f"center must be finite, got {self.drop_center}")
+        if not math.isfinite(self.corrugation_wavenumber):
+            raise ConfigError("wavenumber must be finite, "
+                              f"got {self.corrugation_wavenumber}")
         if self.eta is not None:
             object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
+            if not all(0.0 < v < math.inf for v in self.eta):
+                raise ConfigError("eta (film thickness) must be positive and finite")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
+            if not all(0.0 <= v < math.inf for v in self.gamma):
+                raise ConfigError("gamma (surfactant) must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,6 @@ def build_initial_state(scenario: Scenario) -> State:
     else:
         eta = np.asarray(init.eta, dtype=float)
         gamma = np.asarray(init.gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise ConfigError("initial surfactant concentration must be >= 0")
     return State(eta, gamma, 0.0)
 
 
@@ -207,6 +219,10 @@ def _convert(tp, value, where: str, current=None):
         origin = typing.get_origin(tp)
         if origin in (tuple, frozenset):
             return origin(map(typing.get_args(tp)[0], value))
+        if tp is int:  # int() would truncate 97.9 and read true as 1
+            if isinstance(value, bool) or not float(value).is_integer():
+                raise ValueError(f"expected an integer, got {value!r}")
+            return int(float(value))
         return tp(value)
     except (TypeError, ValueError) as exc:
         if isinstance(tp, type) and issubclass(tp, enum.Enum):
@@ -313,11 +329,7 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
 
 def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        s0 = build_initial_state(scenario)
-    except (ConfigError, ValueError) as exc:
-        log.error("bad initial condition: %s", exc)
-        return 2
+    s0 = build_initial_state(scenario)
     snaps = scenario.snapshot_times
     end = t_end if t_end is not None else (max(snaps) if snaps else 0.0)
     snaps = tuple(st for st in snaps if st <= end)
@@ -363,11 +375,7 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
         log.error("compare needs positive Peclet numbers")
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        s0 = build_initial_state(scenario)
-    except (ConfigError, ValueError) as exc:
-        log.error("bad initial condition: %s", exc)
-        return 2
+    s0 = build_initial_state(scenario)
     report = ComparisonReport(variants[0].value, variants[1].value, [])
     dx = scenario.grid.dx
     for pe in peclet_list:

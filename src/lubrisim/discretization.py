@@ -16,10 +16,19 @@ while a constant F still differentiates to exactly zero everywhere.
 from __future__ import annotations
 
 import functools
+import typing
 
 import numpy as np
 
 from .core import BoundaryKind, Grid, State
+
+
+class Ghosted(typing.NamedTuple):
+    """A field (or stack) with its ghost nodes gathered, from
+    ``StencilOps.ghosted``: the stencil methods take it in place of the
+    field, so several stencils of one field share one gather."""
+
+    padded: np.ndarray
 
 
 class StencilOps:
@@ -48,9 +57,12 @@ class StencilOps:
             raise ValueError(f"expected trailing length {n}, got shape {f.shape}")
         return f
 
+    def ghosted(self, f) -> Ghosted:
+        """f extended by two ghost nodes per side (trailing length n_nodes + 4)."""
+        return Ghosted(self._pad(f))
+
     def _pad(self, f) -> np.ndarray:
-        """Extend by two ghost nodes per side; trailing length n_nodes + 4."""
-        return self._check(f)[..., self._pad_index]
+        return f.padded if isinstance(f, Ghosted) else self._check(f)[..., self._pad_index]
 
     # Field derivatives at the nodes, trailing length n_nodes.
 

@@ -17,10 +17,11 @@ and always uses the plain (uncorrected) diffusion form.
 
 Each group is written in flux form: a nodal eta flux, a nodal gamma flux
 and its non-divergence gamma terms as a pointwise source (surface diffusion
-keeps its inner derivative there).  ``div_flux`` is linear, so ``rhs`` sums
-the fluxes of all groups and takes one divergence per field, which keeps
-the eta equation conservative to round-off; ``rhs_breakdown`` takes the
-divergence per group.
+keeps its inner derivative there), factored over products shared between
+groups, each computed only when a switched-on group reads it.  ``div_flux``
+is linear, so ``rhs`` sums the fluxes of all groups and takes one divergence
+per field, keeping the eta equation conservative to round-off;
+``rhs_breakdown`` takes the divergence per group.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class TermBreakdown:
 def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     """Yield (name, eta flux, gamma flux, gamma source) per switched-on group.
 
-    None stands for an absent part.  A batched state (fields of shape
+    None stands for an absent part; every other part is a fresh array that
+    the caller may add into.  A batched state (fields of shape
     (..., n_nodes)) yields parts of the same shape, each row bit-identical
     to evaluating that row alone.  A state of the wrong length fails in the
     first stencil with ValueError.
@@ -73,159 +75,124 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     if not (state.eta >= ETA_FLOOR).all():
         raise PositivityError.at_minimum(state.eta)
     ops = stencil_ops(grid)
-    eta = state.eta
-    gam = state.gamma
+    eta, gam = state.eta, state.gamma
 
     on = params.toggles
     A = params.tension_slope
-    theta = params.incline
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    bs = params.bond * sin_t
-    bc = params.bond * cos_t
+    sin_t, cos_t = math.sin(params.incline), math.cos(params.incline)
+    bs, bc = params.bond * sin_t, params.bond * cos_t
     hm = params.hamaker
     hrb = hm * params.reynolds * params.bond
+    hs, hc = hrb * sin_t, hrb * cos_t
     ds = params.inv_peclet
 
     full = variant is ModelVariant.FULL_CM
     dewit = variant is ModelVariant.DE_WIT
+    tangential = "gravity_tangential" in on and not dewit and bs != 0.0
+    normal = "gravity_normal" in on and not dewit and bc != 0.0
+    vdw = "van_der_waals" in on and hm != 0.0
+    cross = "inertia_cross_HRB" in on and full and hrb != 0.0
+    geometric = ds != 0.0 and not dewit and "geometric_diffusion" in on
 
-    etx = ops.d1(eta)
-    etxx = ops.d2(eta)
-    etxxx = ops.d3(eta)
-    gmx = ops.d1(gam)
-    tension_x = -A * gmx  # d/dx of 1 + A*(1 - gamma)
+    ghost_eta, ghost_gam = ops.ghosted(eta), ops.ghosted(gam)  # one gather each
+    etx, gmx = ops.d1(ghost_eta), ops.d1(ghost_gam)
     e2 = eta * eta
     e3 = e2 * eta
-    etx2 = etx * etx
-    etx3 = etx2 * etx
+    ge = gam * eta
 
-    # Marangoni
+    # Marangoni: the tension 1 + A*(1 - gamma) has slope -A*gamma_x
     if "marangoni" in on and A != 0.0:
-        yield "marangoni", -0.5 * e2 * tension_x, -gam * eta * tension_x, None
+        agx = A * gmx
+        yield "marangoni", 0.5 * e2 * agx, ge * agx, None
 
     # Capillary: the inner (tension * eta_xx)_x needs a one-node halo.
     if "capillary" in on:
-        tension_h = 1.0 + A * (1.0 - ops.halo(gam))
-        curv = ops.d1_center(tension_h * ops.halo_d2(eta))
-        yield "capillary", -(1.0 / 3.0) * e3 * curv, -0.5 * gam * e2 * curv, None
+        tension_h = 1.0 + A * (1.0 - ops.halo(ghost_gam))
+        curv = ops.d1_center(tension_h * ops.halo_d2(ghost_eta))
+        yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
+
+    # Surface diffusion of surfactant (x1s = eta_x^2 serves the corrections too)
+    if geometric or (full and (tangential or normal or vdw or cross)):
+        x1s = etx * etx
+    if ds != 0.0:
+        if geometric:
+            slope2 = 1.0 + x1s
+            source = ds / np.sqrt(slope2) * ops.div_flux(gmx / slope2)
+        else:
+            source = ds * ops.d2(ghost_gam)
+        yield "diffusion", None, None, source
+
+    # Products shared by the corrections below (x1, x2, x3 = eta_x, eta_xx,
+    # eta_xxx), each computed only when a switched-on group reads it
+    if full and (tangential or normal or vdw or cross):
+        etxx = ops.d2(ghost_eta)
+    if full and (normal or vdw or cross):
+        etxxx = ops.d3(ghost_eta)
+        x1c = x1s * etx
+        x12 = etx * etxx
+        ex12 = eta * x12
+        e2x3 = e2 * etxxx
+    if tangential or normal:
+        ge2 = ge * eta
+    del ghost_eta, ghost_gam  # fewer live arrays: a lower peak on large batches
 
     # Gravity, tangential component (absent from the de Wit baseline)
-    if "gravity_tangential" in on and not dewit and bs != 0.0:
+    if tangential:
         if full:
-            yield (
-                "gravity_tangential",
-                -bs * (e3 / 3.0 + (7.0 / 3.0) * e3 * etx2 + e3 * eta * etxx),
-                bs * (
-                    -0.5 * gam * e2
-                    - (5.0 / 3.0) * gam * e3 * etxx
-                    - (17.0 / 4.0) * gam * e2 * etx2
-                ),
-                bs * (1.5 * gam * eta * etx3 - 0.25 * gmx * e2 * etx2),
-            )
+            yield ("gravity_tangential",
+                   -bs * e3 * (1.0 / 3.0 + (7.0 / 3.0) * x1s + eta * etxx),
+                   -bs * ge2 * (0.5 + (5.0 / 3.0) * eta * etxx + (17.0 / 4.0) * x1s),
+                   bs * x1s * (1.5 * ge * etx - 0.25 * gmx * e2))
         else:
-            yield "gravity_tangential", -(bs / 3.0) * e3, -(bs / 2.0) * gam * e2, None
+            yield "gravity_tangential", (-bs / 3.0) * e3, (-bs / 2.0) * ge2, None
 
     # Gravity, normal component
-    if "gravity_normal" in on and not dewit and bc != 0.0:
+    if normal:
         if full:
-            yield (
-                "gravity_normal",
-                bc * (
-                    e3 * etx / 3.0
-                    + 0.6 * e3 * e2 * etxxx
-                    + 4.0 * e3 * eta * etx * etxx
-                    + (7.0 / 3.0) * e3 * etx3
-                ),
-                bc * (
-                    0.5 * gam * e2 * etx
-                    + 4.0 * gam * e2 * etx3
-                    + (20.0 / 3.0) * gam * e3 * etx * etxx
-                    + gam * e3 * eta * etxxx
-                ),
-                bc * (
-                    -gam * eta * etx2 * etx2
-                    + gam * e3 * etxx * etxx / 3.0
-                    + 0.5 * gmx * e2 * etx3
-                    + gmx * e3 * etx * etxx / 3.0
-                ),
-            )
+            yield ("gravity_normal",
+                   bc * e3 * (etx / 3.0 + 0.6 * e2x3 + 4.0 * ex12 + (7.0 / 3.0) * x1c),
+                   bc * ge2 * (0.5 * etx + 4.0 * x1c + (20.0 / 3.0) * ex12 + e2x3),
+                   bc * (ge * (e2 * etxx * etxx / 3.0 - x1s * x1s)
+                         + gmx * e2 * (0.5 * x1c + ex12 / 3.0)))
         else:
-            yield ("gravity_normal", (bc / 3.0) * e3 * etx,
-                   (bc / 2.0) * gam * e2 * etx, None)
+            yield "gravity_normal", (bc / 3.0) * e3 * etx, (bc / 2.0) * ge2 * etx, None
 
     # Van der Waals disjoining forces
-    if "van_der_waals" in on and hm != 0.0:
+    if vdw:
         if full:
-            yield (
-                "van_der_waals",
-                hm * (
-                    -etx / eta
-                    + 9.6 * etx * etxx
-                    - 1.8 * eta * etxxx
-                    - 7.0 * etx3 / eta
-                ),
-                hm * (
-                    -1.5 * gam * etx / e2
-                    - (32.0 / 3.0) * gam * etx3 / e2
-                    + 16.0 * gam * etx * etxx / eta
-                    - 3.0 * gam * etxxx
-                ),
-                hm * (
-                    -gam * etx2 * etx2 / (3.0 * e3)
-                    - gam * etxx * etxx / eta
-                    + (7.0 / 6.0) * gmx * etx3 / e2
-                    - gmx * etx * etxx / eta
-                ),
-            )
+            yield ("van_der_waals",
+                   hm * (9.6 * x12 - 1.8 * eta * etxxx - (etx + 7.0 * x1c) / eta),
+                   hm * gam * ((16.0 * x12 - (1.5 * etx + (32.0 / 3.0) * x1c) / eta) / eta
+                               - 3.0 * etxxx),
+                   hm / eta * (gmx * ((7.0 / 6.0) * x1c / eta - x12)
+                               - gam * (x1s * x1s / (3.0 * e2) + etxx * etxx)))
         else:
-            yield "van_der_waals", -hm * (etx / eta), -1.5 * hm * (gam * etx / e2), None
+            yield "van_der_waals", -hm * (etx / eta), (-1.5 * hm) * gam * etx / e2, None
 
-    # Inertia / gravity / vdW cross terms (comprehensive model only)
-    if "inertia_cross_HRB" in on and full and hrb != 0.0:
-        yield (
-            "inertia_cross_HRB",
-            hrb * (
-                sin_t * ((32.0 / 105.0) * e2 * etx2 - (10.0 / 21.0) * e3 * etxx)
-                + cos_t * (
-                    (44.0 / 105.0) * e3 * etx * etxx
-                    + (4.0 / 15.0) * e3 * eta * etxxx
-                    - (4.0 / 105.0) * e2 * etx3
-                )
-            ),
-            hrb * (
-                sin_t * (
-                    -(89.0 / 120.0) * gam * e2 * etxx
-                    + (7.0 / 15.0) * gam * eta * etx2
-                )
-                + cos_t * (
-                    0.65 * gam * e2 * etx * etxx
-                    + (5.0 / 12.0) * gam * e3 * etxxx
-                    - 0.05 * gam * eta * etx3
-                )
-            ),
-            None,
-        )
-
-    # Surface diffusion of surfactant
-    if ds != 0.0:
-        if dewit or "geometric_diffusion" not in on:
-            source = ds * ops.d2(gam)
-        else:
-            slope2 = 1.0 + etx2
-            source = ds / np.sqrt(slope2) * ops.div_flux(gmx / slope2)
-        yield "diffusion", None, None, source
+    # Inertia / gravity / vdW cross terms (comprehensive model only); a
+    # horizontal substrate has no sin(theta) part
+    if cross:
+        eta_flux = hc * ((44.0 / 105.0) * ex12 + (4.0 / 15.0) * e2x3
+                         - (4.0 / 105.0) * x1c)
+        gamma_flux = hc * (0.65 * ex12 + (5.0 / 12.0) * e2x3 - 0.05 * x1c)
+        if hs != 0.0:
+            ex2 = eta * etxx
+            eta_flux += hs * ((32.0 / 105.0) * x1s - (10.0 / 21.0) * ex2)
+            gamma_flux += hs * ((7.0 / 15.0) * x1s - (89.0 / 120.0) * ex2)
+        yield "inertia_cross_HRB", e2 * eta_flux, ge * gamma_flux, None
 
 
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     """Evaluate the selected model's right-hand side on the grid: the parts
     of all groups are summed, then each field takes a single ``div_flux``.
     ``state`` may be a batch of shape (..., n_nodes); see ``State``."""
-    totals = [np.zeros(state.eta.shape) for _ in range(3)]
+    totals = [None, None, None]
     for _, *parts in _groups(variant, state, params, grid):
-        for total, part in zip(totals, parts):
-            if part is not None:
-                total += part
-    eta_flux, gamma_flux, source = totals
+        # parts are fresh arrays: the first of each kind takes the sum
+        totals = [t if p is None else p if t is None else np.add(t, p, out=t)
+                  for t, p in zip(totals, parts)]
+    eta_flux, gamma_flux, source = (np.zeros(state.eta.shape) if t is None else t
+                                    for t in totals)
     ops = stencil_ops(grid)
     return Rhs(ops.div_flux(eta_flux), ops.div_flux(gamma_flux) + source)
 

@@ -6,15 +6,17 @@ gamma_1, ...), and the residual of one step is
     r(u_new) = (u_new - u_old) / dt - rhs(u_new).
 
 The Jacobian dr/du is assembled by coloured finite differences (Curtis,
-Powell & Reid, IMA J. Appl. Math. 13, 1974).  One rhs column reaches
-STENCIL_REACH = 3 nodes per side, so nodes more than 2*STENCIL_REACH
-apart never feed the same row and can be perturbed together.  The nodes
-are coloured first-fit under that rule; on periodic grids distances count
-cyclically and node N-1, which sits on node 0, conflicts with it.  Every
-colour is probed once per field, and all probes are stacked into one
-batched rhs evaluation next to the base one, so an assembly costs two rhs
-calls on either boundary kind.  Index arrays cached per grid scatter the
-differences into the matrix.
+Powell & Reid, IMA J. Appl. Math. 13, 1974), coloured per field (Coleman
+& More, SIAM J. Numer. Anal. 20, 1983): an eta column reaches
+STENCIL_REACH = 3 nodes per side, a gamma column GAMMA_REACH = 2, and
+columns of one field more than twice its reach apart never feed the same
+row, so they are perturbed together.  Each field's nodes are coloured
+first-fit under that rule, 7 + 5 = 12 probes on symmetric grids; on
+periodic grids distances count cyclically and node N-1, which sits on
+node 0, conflicts with it.  All probes are stacked into one batched rhs
+evaluation next to the base one, so an assembly costs two rhs calls on
+either boundary kind.  Flat indices cached per grid move the differences
+into the band.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -45,8 +47,10 @@ from .core import (
 from .discretization import film_mass, surfactant_mass
 from .models import Rhs, rhs
 
-STENCIL_REACH = 3  # node reach of one rhs column (outer divergence of
+STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
                    # fluxes containing third derivatives: 1 + 2 nodes)
+GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
+                   # only through gamma, gamma_x and the halo tension
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,6 @@ ZERO_REPORT = StepReport(0.0, 0.0, 0, 0.0, 0.0)
 def _interleave(eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(..., N) field pairs to (..., 2N) interleaved unknowns."""
     return np.stack((eta, gamma), axis=-1).reshape(*eta.shape[:-1], -1)
-
-
-def _split(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return u[..., 0::2], u[..., 1::2]
 
 
 def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
@@ -174,23 +174,23 @@ class FdJacobian:
 
 @dataclass(frozen=True)
 class _ProbePattern:
-    """Colouring of the node columns and the scatter indices it implies.
+    """Per-field node colourings and the flat indices they imply.
 
-    Probe fld * n_colors + c bumps field fld at every node of colour c;
-    probe[k] is the probe that bumps unknown k (interleaved as u).  The
-    Jacobian entries (rows[i], cols[i]) are every row inside the stencil
-    of column cols[i], each read from probe probe[cols[i]], and lands at
-    band[i] of the banded matrix, whose position p holds unknown order[p].
+    Probes and rhs differences are (field, probe, node) arrays, holding the
+    (field, node) bumps at flat indices ``bump``.  Jacobian entry i is the
+    difference at src[i]; it lands at dest[i] of the column-major band,
+    whose position p holds unknown order[p], bumped by eps.flat[eps_at[p]].
     """
 
     color: np.ndarray
+    gamma_color: np.ndarray
     n_probes: int
-    probe: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    bump: np.ndarray
+    src: np.ndarray
+    dest: np.ndarray
+    eps_at: np.ndarray
     order: np.ndarray
     half_bandwidth: int
-    band: tuple[np.ndarray, np.ndarray]
 
 
 def _window(j: int, radius: int, n_nodes: int, periodic: bool) -> np.ndarray:
@@ -205,35 +205,42 @@ def _window(j: int, radius: int, n_nodes: int, periodic: bool) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
-    # First-fit colouring: same-colour nodes lie more than 2*STENCIL_REACH
-    # apart, so no row sees two perturbations of one probe.
-    color = np.empty(n_nodes, dtype=int)
-    for j in range(n_nodes):
-        taken = {color[k] for k in _window(j, 2 * STENCIL_REACH, n_nodes, periodic)
-                 if k < j}
-        color[j] = next(c for c in range(n_nodes) if c not in taken)
-    n_colors = int(color.max()) + 1
+    node = np.arange(n_nodes)
+    # First-fit colouring per field: same-colour nodes lie more than twice
+    # the field's reach apart, so no row sees two bumps of one probe.
+    colors = np.empty((2, n_nodes), dtype=int)
+    for color, reach in zip(colors, (STENCIL_REACH, GAMMA_REACH)):
+        for j in node:
+            taken = {color[k] for k in _window(j, 2 * reach, n_nodes, periodic) if k < j}
+            color[j] = next(c for c in range(n_nodes) if c not in taken)
+    probe = colors + [[0], [colors[0].max() + 1]]
+    n_probes = int(probe.max()) + 1
+    bump = ((np.arange(2)[:, None] * n_probes + probe) * n_nodes + node).ravel()
 
-    near = [_window(j, STENCIL_REACH, n_nodes, periodic) for j in range(n_nodes)]
-    rnode = np.concatenate(near)
-    cnode = np.repeat(np.arange(n_nodes), [w.size for w in near])
-    # one entry per (row field, column field) block
-    rows = (2 * rnode + np.array([[0], [0], [1], [1]])).ravel()
-    cols = (2 * cnode + np.array([[0], [1], [0], [1]])).ravel()
-    probe = _interleave(color, n_colors + color)
+    # entries: each row node within the column field's reach, both row fields
+    src, cols = [], []
+    for fld, reach in enumerate((STENCIL_REACH, GAMMA_REACH)):
+        near = [_window(j, reach, n_nodes, periodic) for j in node]
+        rnode = np.concatenate(near)
+        cnode = np.repeat(node, [w.size for w in near])
+        for row_fld in (0, 1):
+            src.append((row_fld * n_probes + probe[fld, cnode]) * n_nodes + rnode)
+            cols.append(2 * cnode + fld)
 
     # band order: folded 0, N-1, 1, N-2, ... on periodic grids, so that
     # node 0's twin N-1 sits next to it
-    node = np.arange(n_nodes)
     node = _interleave(node, node[::-1])[:n_nodes] if periodic else node
     order = _interleave(2 * node, 2 * node + 1)
     position = np.argsort(order)
-    prow, pcol = position[rows], position[cols]
+    src = np.concatenate(src)
+    prow = position[2 * (src % n_nodes) + src // (n_probes * n_nodes)]
+    pcol = position[np.concatenate(cols)]
     hb = int(np.abs(prow - pcol).max())
-    band = (hb + prow - pcol, pcol)
-    for arr in (color, probe, rows, cols, order, *band):
+    dest = (hb + prow - pcol) + (2 * hb + 1) * pcol
+    eps_at = order % 2 * n_nodes + order // 2
+    for arr in (colors, bump, src, dest, eps_at, order):
         arr.setflags(write=False)
-    return _ProbePattern(color, 2 * n_colors, probe, rows, cols, order, hb, band)
+    return _ProbePattern(*colors, n_probes, bump, src, dest, eps_at, order, hb)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -246,19 +253,23 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     n = 2 * grid.n_nodes
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
 
-    u = _interleave(state.eta, state.gamma)
-    eps = cfg.fd_epsilon * np.maximum(1.0, np.abs(u))
-    probes = np.repeat(u[None, :], pat.n_probes, axis=0)
-    probes[pat.probe, np.arange(n)] += eps
-
     base = rhs(variant, state, params, grid)
-    pert = rhs(variant, State(*_split(probes), state.t), params, grid)
-    diff = (_interleave(pert.deta_dt, pert.dgamma_dt)
-            - _interleave(base.deta_dt, base.dgamma_dt))
+    fields = np.stack((state.eta, state.gamma))
+    eps = cfg.fd_epsilon * np.maximum(1.0, np.abs(fields))
+    probes = np.repeat(fields[:, None, :], pat.n_probes, axis=1)
+    probes.reshape(-1)[pat.bump] += eps.reshape(-1)
+    batch = State(probes[0], probes[1], state.t)
+    del probes  # the batch holds its own copy
+    pert = rhs(variant, batch, params, grid)
+    diff = np.empty((2, *pert.deta_dt.shape))
+    np.subtract(pert.deta_dt, base.deta_dt, out=diff[0])
+    np.subtract(pert.dgamma_dt, base.dgamma_dt, out=diff[1])
 
     hb = pat.half_bandwidth
-    ab = np.zeros((2 * hb + 1, n), order="F")
-    ab[pat.band] = -diff[pat.probe[pat.cols], pat.rows] / eps[pat.cols]
+    ab = np.zeros((2 * hb + 1) * n)
+    ab[pat.dest] = diff.take(pat.src)
+    ab = ab.reshape(2 * hb + 1, n, order="F")
+    ab /= -eps.take(pat.eps_at)  # one bump size per band column
     ab[hb] += 1.0 / cfg.dt
     return FdJacobian(n=n, half_bandwidth=hb, banded=ab, order=pat.order, base=base)
 
@@ -279,9 +290,9 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     for it in range(cfg.newton_iters):
         if it > 0:
             jac = jacobian_fd(current, cfg, variant, params, grid)
-        d_eta, d_gamma = _split(jac.solve(-r))
+        du = jac.solve(-r)
         # State and the residual's rhs reject a film that breached the floor
-        current = State(current.eta + d_eta, current.gamma + d_gamma, t_new)
+        current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
         r = residual(current, state, cfg, variant, params, grid)
         iters_used += 1
         if cfg.newton_iters > 1 and np.max(np.abs(r)) <= cfg.newton_tol:

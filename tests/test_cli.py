@@ -89,6 +89,13 @@ class TestLoadConfig:
             back = load_config(path)
             assert back == sc
 
+    @pytest.mark.parametrize("value", ["97", "97.0", "'97'"])
+    def test_integral_numbers_load_as_int(self, tmp_path, value):
+        path = tmp_path / "nodes.yaml"
+        path.write_text(f"grid: {{n_nodes: {value}}}\n")
+        n_nodes = load_config(path).grid.n_nodes
+        assert n_nodes == 97 and type(n_nodes) is int
+
     def test_round_trip_custom_arrays(self):
         sc = default_scenario()
         data = scenario_to_dict(sc)
@@ -122,6 +129,29 @@ MALFORMED_CONFIGS = [
     ("grid: {n_nodes: 5, boundary: periodic}\n"
      "initial: {kind: custom, eta: [1, 1, 1, 1, 1.5], gamma: [1, 1, 1, 1, 1]}",
      "yaml: custom initial eta and gamma on a periodic grid"),
+    # int fields take integral numbers only
+    ("grid: {n_nodes: 97.9}", ".grid.n_nodes: expected an integer"),
+    ("step: {newton_iters: 2.5}", ".step.newton_iters: expected an integer"),
+    ("step: {newton_iters: true}", ".step.newton_iters: expected an integer"),
+    ("grid: {n_nodes: abc}", ".grid.n_nodes"),
+    # initial conditions that would start from a non-physical state
+    ("initial: {excess: -1.5}", ".initial: excess must be finite and >= -1"),
+    ("initial: {kind: corrugated_uniform_surfactant, amplitude: 1.0}",
+     ".initial: amplitude must lie in (-1, 1)"),
+    ("initial: {amplitude: -1.2}", ".initial: amplitude"),
+    ("initial: {excess: .inf}", ".initial: excess must be finite"),
+    ("initial: {width: .inf}", ".initial: width must be positive and finite"),
+    ("initial: {wavenumber: .nan}", ".initial: wavenumber must be finite"),
+    ("initial: {center: .nan}", ".initial: center must be finite"),
+    ("grid: {n_nodes: 5}\n"
+     "initial: {kind: custom, eta: [1, 1, 1, 1, 1], gamma: [1, 1, -0.1, 1, 1]}",
+     ".initial: gamma (surfactant) must be >= 0"),
+    ("grid: {n_nodes: 5}\n"
+     "initial: {kind: custom, eta: [1, 1, 0, 1, 1], gamma: [1, 1, 1, 1, 1]}",
+     ".initial: eta (film thickness) must be positive"),
+    ("grid: {n_nodes: 5}\n"
+     "initial: {kind: custom, eta: [1, 1, .nan, 1, 1], gamma: [1, 1, 1, 1, 1]}",
+     ".initial: eta (film thickness) must be positive and finite"),
 ]
 
 

@@ -115,6 +115,19 @@ class TestDerivatives:
                 np.testing.assert_array_equal(stacked[b], op(f[b]))
 
 
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_ghosted_field_matches_plain_field(self, boundary):
+        # one gather of the ghost nodes serves every stencil, bit for bit
+        g = Grid(29, 10.0, boundary)
+        ops = StencilOps(g)
+        f = np.random.default_rng(8).normal(size=(3, g.n_nodes))
+        ghost = ops.ghosted(f)
+        for op in (ops.d1, ops.d2, ops.d3, ops.halo, ops.halo_d1, ops.halo_d2):
+            np.testing.assert_array_equal(op(ghost), op(f))
+        with pytest.raises(ValueError):
+            ops.ghosted(np.ones((3, g.n_nodes + 1)))
+
+
 class TestDivFlux:
     def test_constant_flux_zero_everywhere(self, noflux_grid, periodic_grid):
         for g in (noflux_grid, periodic_grid):

@@ -17,6 +17,7 @@ from lubrisim import (
     Params,
     PositivityError,
     State,
+    StencilOps,
     rhs,
     rhs_breakdown,
 )
@@ -286,6 +287,109 @@ class TestFluxFormProperties:
         r = rhs(variant, flat, dataclasses.replace(p, incline=incline), g)
         assert np.max(np.abs(r.deta_dt)) == 0.0
         assert np.max(np.abs(r.dgamma_dt)) == 0.0
+
+
+def expanded_fluxes(variant, state, params, grid):
+    """The term groups as displayed, one monomial per term: a transcription
+    independent of the factored forms in lubrisim.models.  Returns
+    {group: (eta flux, gamma flux, gamma source)} for the switched-on groups.
+    """
+    ops = StencilOps(grid)
+    eta, gam = state.eta, state.gamma
+    on = params.toggles
+    A = params.tension_slope
+    sin_t, cos_t = math.sin(params.incline), math.cos(params.incline)
+    bs, bc = params.bond * sin_t, params.bond * cos_t
+    hm = params.hamaker
+    hrb = hm * params.reynolds * params.bond
+    ds = params.inv_peclet
+    full = variant is ModelVariant.FULL_CM
+    dewit = variant is ModelVariant.DE_WIT
+    etx, etxx, etxxx, gmx = ops.d1(eta), ops.d2(eta), ops.d3(eta), ops.d1(gam)
+    tension_x = -A * gmx
+    e2, e3 = eta**2, eta**3
+    zero = np.zeros(grid.n_nodes)
+    out = {}
+    if "marangoni" in on and A != 0.0:
+        out["marangoni"] = (-0.5 * e2 * tension_x, -gam * eta * tension_x, zero)
+    if "capillary" in on:
+        curv = ops.d1_center((1.0 + A * (1.0 - ops.halo(gam))) * ops.halo_d2(eta))
+        out["capillary"] = (-e3 * curv / 3.0, -0.5 * gam * e2 * curv, zero)
+    if "gravity_tangential" in on and not dewit and bs != 0.0:
+        if full:
+            out["gravity_tangential"] = (
+                -bs * (e3 / 3.0 + (7.0 / 3.0) * e3 * etx**2 + eta**4 * etxx),
+                bs * (-0.5 * gam * e2 - (5.0 / 3.0) * gam * e3 * etxx
+                      - (17.0 / 4.0) * gam * e2 * etx**2),
+                bs * (1.5 * gam * eta * etx**3 - 0.25 * gmx * e2 * etx**2))
+        else:
+            out["gravity_tangential"] = (-bs * e3 / 3.0, -bs * gam * e2 / 2.0, zero)
+    if "gravity_normal" in on and not dewit and bc != 0.0:
+        if full:
+            out["gravity_normal"] = (
+                bc * (e3 * etx / 3.0 + 0.6 * eta**5 * etxxx
+                      + 4.0 * eta**4 * etx * etxx + (7.0 / 3.0) * e3 * etx**3),
+                bc * (0.5 * gam * e2 * etx + 4.0 * gam * e2 * etx**3
+                      + (20.0 / 3.0) * gam * e3 * etx * etxx + gam * eta**4 * etxxx),
+                bc * (-gam * eta * etx**4 + gam * e3 * etxx**2 / 3.0
+                      + 0.5 * gmx * e2 * etx**3 + gmx * e3 * etx * etxx / 3.0))
+        else:
+            out["gravity_normal"] = (bc * e3 * etx / 3.0, bc * gam * e2 * etx / 2.0,
+                                     zero)
+    if "van_der_waals" in on and hm != 0.0:
+        if full:
+            out["van_der_waals"] = (
+                hm * (-etx / eta + 9.6 * etx * etxx - 1.8 * eta * etxxx
+                      - 7.0 * etx**3 / eta),
+                hm * (-1.5 * gam * etx / e2 - (32.0 / 3.0) * gam * etx**3 / e2
+                      + 16.0 * gam * etx * etxx / eta - 3.0 * gam * etxxx),
+                hm * (-gam * etx**4 / (3.0 * e3) - gam * etxx**2 / eta
+                      + (7.0 / 6.0) * gmx * etx**3 / e2 - gmx * etx * etxx / eta))
+        else:
+            out["van_der_waals"] = (-hm * etx / eta, -1.5 * hm * gam * etx / e2, zero)
+    if "inertia_cross_HRB" in on and full and hrb != 0.0:
+        out["inertia_cross_HRB"] = (
+            hrb * (sin_t * ((32.0 / 105.0) * e2 * etx**2 - (10.0 / 21.0) * e3 * etxx)
+                   + cos_t * ((44.0 / 105.0) * e3 * etx * etxx
+                              + (4.0 / 15.0) * eta**4 * etxxx
+                              - (4.0 / 105.0) * e2 * etx**3)),
+            hrb * (sin_t * (-(89.0 / 120.0) * gam * e2 * etxx
+                            + (7.0 / 15.0) * gam * eta * etx**2)
+                   + cos_t * (0.65 * gam * e2 * etx * etxx
+                              + (5.0 / 12.0) * gam * e3 * etxxx
+                              - 0.05 * gam * eta * etx**3)),
+            zero)
+    if ds != 0.0:
+        if dewit or "geometric_diffusion" not in on:
+            source = ds * ops.d2(gam)
+        else:
+            slope2 = 1.0 + etx**2
+            source = ds / np.sqrt(slope2) * ops.div_flux(gmx / slope2)
+        out["diffusion"] = (zero, zero, source)
+    return out
+
+
+class TestFactoredGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_groups_match_expanded_formulas(self, scenario):
+        # the factored term groups equal the displayed monomials to
+        # round-off, group by group
+        variant, s, p, g = scenario
+        ops = StencilOps(g)
+        expected = expanded_fluxes(variant, s, p, g)
+        got = rhs_breakdown(variant, s, p, g).contributions
+        for name, contrib in got.items():
+            if name not in expected:
+                assert not contrib.deta_dt.any() and not contrib.dgamma_dt.any(), name
+                continue
+            eta_flux, gamma_flux, source = expected[name]
+            want_eta = ops.div_flux(eta_flux)
+            want_gamma = ops.div_flux(gamma_flux) + source
+            # subnormal coefficients (bond ~ 1e-310) carry no relative accuracy
+            scale = max(np.max(np.abs(want_eta)), np.max(np.abs(want_gamma)), 1e-300)
+            assert np.max(np.abs(contrib.deta_dt - want_eta)) <= 1e-12 * scale, name
+            assert np.max(np.abs(contrib.dgamma_dt - want_gamma)) <= 1e-12 * scale, name
 
 
 class TestErrors:

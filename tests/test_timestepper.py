@@ -16,13 +16,62 @@ from lubrisim import (
     run_simulation,
 )
 from lubrisim import timestepper
-from lubrisim.timestepper import STENCIL_REACH, _probe_pattern
+from lubrisim.timestepper import GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
 from conftest import smooth_state
 
 
 def flat_state(n, eta=1.0, gamma=1.0):
     return State(np.full(n, eta), np.full(n, gamma))
+
+
+def interleaved(r):
+    u = np.empty(2 * r.deta_dt.size)
+    u[0::2] = r.deta_dt
+    u[1::2] = r.dgamma_dt
+    return u
+
+
+def one_column_oracle(s, cfg, variant, params, grid):
+    """Residual Jacobian from one rhs evaluation per unknown, with the
+    finite differences taken exactly as jacobian_fd takes them."""
+    n = 2 * grid.n_nodes
+    base_u = interleaved(rhs(variant, s, params, grid))
+    oracle = np.zeros((n, n))
+    for k in range(n):
+        fields = [s.eta.copy(), s.gamma.copy()]
+        fld, j = k % 2, k // 2
+        eps = cfg.fd_epsilon * max(1.0, abs(fields[fld][j]))
+        fields[fld][j] += eps
+        pert_u = interleaved(rhs(variant, State(*fields), params, grid))
+        oracle[:, k] = -(pert_u - base_u) / eps
+    oracle[np.arange(n), np.arange(n)] += 1.0 / cfg.dt
+    return oracle
+
+
+def assert_colors_apart(color, separation, periodic):
+    """Same-colour nodes lie more than ``separation`` apart, counted
+    cyclically mod N - 1 on periodic grids (node N - 1 is node 0)."""
+    m = color.size - 1
+    for c in np.unique(color):
+        nodes = np.nonzero(color == c)[0]
+        for a in nodes:
+            for b in nodes[nodes > a]:
+                d = b - a
+                if periodic:
+                    d = abs(a % m - b % m)
+                    d = min(d, m - d)
+                assert d > separation, (c, a, b)
+
+
+# every variant, a toggle subset, and no surface diffusion
+PHYSICS = [(variant, Params(bond=0.1, hamaker=0.01, incline=0.3))
+           for variant in ModelVariant] + [
+    (ModelVariant.FULL_CM, Params(bond=0.1, hamaker=0.01, incline=0.3,
+                                  toggles=frozenset({"marangoni", "capillary"}))),
+    (ModelVariant.FULL_CM, Params(bond=0.1, hamaker=0.01, incline=0.3,
+                                  inv_peclet=0.0)),
+]
 
 
 class TestResidual:
@@ -123,85 +172,73 @@ class TestJacobian:
         scale = np.max(np.abs(jac))
         assert np.max(np.abs(lhs - rhs_)) <= 1e-5 * scale
 
-    def test_colored_banded_jacobian_matches_brute_force(self, noflux_grid):
-        # oracle: one rhs evaluation per column, full-vector differences.
-        # The colored assembly must reproduce it exactly (stencil locality
-        # makes the multi-perturbation evaluations bit-identical per block).
-        from lubrisim import rhs as rhs_fn
-        s = smooth_state(noflux_grid, seed=29)
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("n_nodes", [33, 37, 65, 97, 129])
+    @pytest.mark.parametrize("variant, params", PHYSICS)
+    def test_per_field_coloring_matches_brute_force(self, boundary, n_nodes,
+                                                    variant, params):
+        # the coloured assembly reproduces the one-column oracle exactly:
+        # no row sees a bump outside its stencil, so every row of a probe is
+        # bit-identical to a one-column evaluation.  No periodic N - 1 here
+        # is a multiple of 7 or 5, so the colourings must avoid aliasing
+        # across the wrap
+        g = Grid(n_nodes, 10.0, boundary)
+        s = smooth_state(g, seed=n_nodes)
         cfg = StepConfig(dt=2.0)
-        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
-        jac = jacobian_fd(s, cfg, ModelVariant.FULL_CM, p, noflux_grid)
-        dense = jac.to_dense()
-
-        n = noflux_grid.n_nodes
-        base = rhs_fn(ModelVariant.FULL_CM, s, p, noflux_grid)
-        base_u = np.empty(2 * n)
-        base_u[0::2] = base.deta_dt
-        base_u[1::2] = base.dgamma_dt
-        oracle = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            for fld, field_name in ((0, "eta"), (1, "gamma")):
-                eta = s.eta.copy()
-                gamma = s.gamma.copy()
-                arr = eta if fld == 0 else gamma
-                eps = cfg.fd_epsilon * max(1.0, abs(arr[j]))
-                arr[j] += eps
-                pert = rhs_fn(ModelVariant.FULL_CM, State(eta, gamma),
-                              p, noflux_grid)
-                pert_u = np.empty(2 * n)
-                pert_u[0::2] = pert.deta_dt
-                pert_u[1::2] = pert.dgamma_dt
-                oracle[:, 2 * j + fld] = -(pert_u - base_u) / eps
-        oracle[np.arange(2 * n), np.arange(2 * n)] += 1.0 / cfg.dt
-        np.testing.assert_array_equal(dense, oracle)
-
-    @pytest.mark.parametrize("n_nodes", [33, 37, 129])
-    def test_colored_periodic_jacobian_matches_brute_force(self, n_nodes):
-        # periodic twin of the oracle above; N - 1 = 32, 36, 128 covers a
-        # node count with and without a divisor >= 7, so the colouring has
-        # to avoid aliasing across the wrap in both cases
-        g = Grid(n_nodes, 10.0, BoundaryKind.PERIODIC)
-        s = smooth_state(g, seed=29)
-        cfg = StepConfig(dt=2.0)
-        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
-        dense = jacobian_fd(s, cfg, ModelVariant.FULL_CM, p, g).to_dense()
-
-        def interleaved(r):
-            u = np.empty(2 * n_nodes)
-            u[0::2] = r.deta_dt
-            u[1::2] = r.dgamma_dt
-            return u
-
-        base_u = interleaved(rhs(ModelVariant.FULL_CM, s, p, g))
-        oracle = np.zeros((2 * n_nodes, 2 * n_nodes))
-        for j in range(n_nodes):
-            for fld in (0, 1):
-                fields = [s.eta.copy(), s.gamma.copy()]
-                eps = cfg.fd_epsilon * max(1.0, abs(fields[fld][j]))
-                fields[fld][j] += eps
-                pert_u = interleaved(rhs(ModelVariant.FULL_CM, State(*fields), p, g))
-                oracle[:, 2 * j + fld] = -(pert_u - base_u) / eps
-        oracle[np.arange(2 * n_nodes), np.arange(2 * n_nodes)] += 1.0 / cfg.dt
-        np.testing.assert_array_equal(dense, oracle)
+        dense = jacobian_fd(s, cfg, variant, params, g).to_dense()
+        np.testing.assert_array_equal(dense, one_column_oracle(s, cfg, variant,
+                                                               params, g))
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("n_nodes", [5, 8, 14, 33, 37, 97, 129])
     def test_coloring_keeps_probes_apart(self, boundary, n_nodes):
         periodic = boundary is BoundaryKind.PERIODIC
         color = _probe_pattern(n_nodes, periodic).color
-        m = n_nodes - 1
-        for c in np.unique(color):
-            nodes = np.nonzero(color == c)[0]
-            for a in nodes:
-                for b in nodes[nodes > a]:
-                    d = b - a
-                    if periodic:
-                        d = abs(a % m - b % m)
-                        d = min(d, m - d)
-                    assert d > 2 * STENCIL_REACH, (c, a, b)
+        assert_colors_apart(color, 2 * STENCIL_REACH, periodic)
         if periodic and n_nodes == 129:
             assert color.max() + 1 == 10
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("n_nodes", [5, 8, 14, 33, 37, 97, 129])
+    def test_gamma_coloring_keeps_probes_apart(self, boundary, n_nodes):
+        periodic = boundary is BoundaryKind.PERIODIC
+        color = _probe_pattern(n_nodes, periodic).gamma_color
+        assert_colors_apart(color, 2 * GAMMA_REACH, periodic)
+
+    @pytest.mark.parametrize("n_nodes, periodic, probes", [
+        (97, False, 12), (769, False, 12), (129, True, 19)])
+    def test_probe_count(self, n_nodes, periodic, probes):
+        # 7 eta + 5 gamma colours on symmetric grids; the cyclic colouring
+        # needs a few more when the colours do not tile N - 1
+        pat = _probe_pattern(n_nodes, periodic)
+        assert pat.n_probes <= probes
+        if not periodic:
+            assert pat.n_probes == probes
+        assert pat.half_bandwidth == (15 if periodic else 7)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("variant, params", PHYSICS)
+    def test_column_reach(self, boundary, variant, params):
+        # one rhs per unknown: an eta column changes no row more than
+        # STENCIL_REACH nodes away, a gamma column none more than
+        # GAMMA_REACH away (cyclically on periodic grids)
+        n_nodes = 37
+        g = Grid(n_nodes, 10.0, boundary)
+        s = smooth_state(g, seed=35)
+        base = interleaved(rhs(variant, s, params, g))
+        m = n_nodes - 1
+        for k in range(2 * n_nodes):
+            fld, j = k % 2, k // 2
+            fields = [s.eta.copy(), s.gamma.copy()]
+            fields[fld][j] += 1e-4
+            pert = interleaved(rhs(variant, State(*fields), params, g))
+            nodes = np.nonzero(pert != base)[0] // 2
+            d = np.abs(nodes - j)
+            if boundary is BoundaryKind.PERIODIC:
+                d = np.abs(nodes % m - j % m)
+                d = np.minimum(d, m - d)
+            reach = GAMMA_REACH if fld else STENCIL_REACH
+            assert d.max(initial=0) <= reach, (fld, j)
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("n_nodes", [33, 129])
@@ -230,13 +267,6 @@ class TestJacobian:
             dense = jac.to_dense()
             np.testing.assert_allclose(jac.matvec(v), dense @ v, rtol=1e-12,
                                        atol=1e-12)
-
-
-def interleaved(r):
-    u = np.empty(2 * r.deta_dt.size)
-    u[0::2] = r.deta_dt
-    u[1::2] = r.dgamma_dt
-    return u
 
 
 SOLVER_GRIDS = pytest.mark.parametrize("n_nodes", [5, 6, 8, 33, 37, 129])
