@@ -97,14 +97,19 @@ class Scenario:
         object.__setattr__(self, "snapshot_times",
                            tuple(float(t) for t in self.snapshot_times))
         init, n = self.initial, self.grid.n_nodes
+        periodic = self.grid.boundary is BoundaryKind.PERIODIC
+        if periodic and init.kind == "corrugated_uniform_surfactant":
+            turns = init.corrugation_wavenumber * self.grid.length / (2.0 * math.pi)
+            if not math.isclose(turns, round(turns), abs_tol=1e-9):
+                raise ConfigError("initial.wavenumber times grid.length must be a whole "
+                                  f"multiple of 2*pi on a periodic grid, got {turns} turns")
         if init.kind != "custom":
             return
         if len(init.eta) != n or len(init.gamma) != n:
             raise ConfigError(f"custom initial eta and gamma need grid.n_nodes = {n} "
                               f"values, got {len(init.eta)} and {len(init.gamma)}")
         # node N-1 of a periodic grid is node 0 again
-        if self.grid.boundary is BoundaryKind.PERIODIC and (
-                init.eta[0] != init.eta[-1] or init.gamma[0] != init.gamma[-1]):
+        if periodic and (init.eta[0] != init.eta[-1] or init.gamma[0] != init.gamma[-1]):
             raise ConfigError("custom initial eta and gamma on a periodic grid "
                               "must have node N-1 equal to node 0")
 
@@ -127,15 +132,19 @@ class ComparisonReport:
 
 
 def build_initial_state(scenario: Scenario) -> State:
-    """Realise the initial condition on the scenario grid."""
+    """Realise the initial condition on the scenario grid; on periodic grids
+    the drop distance runs around the ring and node N-1 is node 0 again."""
     grid = scenario.grid
     x = grid.x
     init = scenario.initial
+    periodic = grid.boundary is BoundaryKind.PERIODIC
     if init.kind == "flat_with_surfactant_drop":
         eta = np.ones(grid.n_nodes)
         center = grid.length / 2.0 if init.drop_center is None else init.drop_center
         w = init.drop_width
         r = np.abs(x - center)
+        if periodic:
+            r = np.minimum(r % grid.length, -r % grid.length)
         bump = np.where(r <= w, 0.5 * (1.0 + np.cos(np.pi * np.minimum(r, w) / w)), 0.0)
         gamma = 1.0 + init.drop_excess * bump
     elif init.kind == "corrugated_uniform_surfactant":
@@ -145,6 +154,8 @@ def build_initial_state(scenario: Scenario) -> State:
     else:
         eta = np.asarray(init.eta, dtype=float)
         gamma = np.asarray(init.gamma, dtype=float)
+    if periodic:
+        eta[-1], gamma[-1] = eta[0], gamma[0]
     return State(eta, gamma, 0.0)
 
 

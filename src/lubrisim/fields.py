@@ -50,11 +50,8 @@ class FieldGrid:
 
 def _series(state: State, params: Params, grid: Grid):
     """Term tables for u, v, p: lists of (coefficient array, zeta poly)."""
-    if state.n_nodes != grid.n_nodes:
-        raise ValueError("state and grid disagree on the number of nodes")
-    node = int(np.argmin(state.eta))
-    if state.eta[node] < ETA_FLOOR:
-        raise PositivityError(node, float(state.eta[node]))
+    if not (state.eta >= ETA_FLOOR).all():
+        raise PositivityError.at_minimum(state.eta)
 
     ops = stencil_ops(grid)
     eta = state.eta

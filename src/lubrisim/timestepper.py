@@ -1,7 +1,9 @@
 """Implicit time stepping: backward Euler solved by Newton iterations.
 
-The 2*N unknowns are interleaved per node, u = (eta_0, gamma_0, eta_1,
-gamma_1, ...), and the residual of one step is
+The unknowns are interleaved per node, u = (eta_0, gamma_0, eta_1,
+gamma_1, ...), over the m distinct nodes: all N of a symmetric grid, N-1
+of a periodic one, whose node N-1 is node 0 again and takes node 0's
+update bit for bit.  The residual of one step is
 
     r(u_new) = (u_new - u_old) / dt - rhs(u_new).
 
@@ -10,21 +12,18 @@ Powell & Reid, IMA J. Appl. Math. 13, 1974), coloured per field (Coleman
 & More, SIAM J. Numer. Anal. 20, 1983): an eta column reaches
 STENCIL_REACH = 3 nodes per side, a gamma column GAMMA_REACH = 2, and
 columns of one field more than twice its reach apart never feed the same
-row, so they are perturbed together.  Each field's nodes are coloured
-first-fit under that rule, 7 + 5 = 12 probes on symmetric grids; on
-periodic grids distances count cyclically and node N-1, which sits on
-node 0, conflicts with it.  All probes are stacked into one batched rhs
-evaluation next to the base one, so an assembly costs two rhs calls on
-either boundary kind.  Flat indices cached per grid move the differences
-into the band.
+row, so they are perturbed together.  Node j takes colour j mod
+(2*reach + 1) on symmetric grids, 7 + 5 = 12 probes; the periodic ring is
+cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
+allows.  All probes are stacked into one batched rhs evaluation next to
+the base one, so an assembly costs two rhs calls on either boundary kind.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
-2*STENCIL_REACH + 1 = 7.  Periodic wrap-around couples the first and last
-nodes, so periodic grids renumber the nodes in the folded order 0, N-1, 1,
-N-2, ... (bandwidth reduction after Cuthill & McKee, Proc. ACM Nat. Conf.
-1969): cyclic neighbours land at most 7 positions apart, and the scalar
-half-bandwidth is 15, or less on grids too small to reach it.
+2*STENCIL_REACH + 1 = 7.  Periodic grids number their nodes in the folded
+order 0, N-2, 1, N-3, ... (bandwidth reduction after Cuthill & McKee,
+Proc. ACM Nat. Conf. 1969), which keeps cyclic neighbours at most 6
+positions apart: half-bandwidth 13, or less on grids too small for it.
 """
 
 from __future__ import annotations
@@ -120,23 +119,27 @@ def _banded_matvec(ab: np.ndarray, hb: int, x: np.ndarray) -> np.ndarray:
 class FdJacobian:
     """Jacobian of the step residual, banded in a bandwidth-reducing order.
 
-    Row and column p of the stored matrix belong to unknown order[p];
-    ``banded`` holds it in LAPACK band layout, banded[hb + p - q, q] with
-    hb = half_bandwidth.  ``base`` is the rhs at the state the Jacobian
-    was taken at.
+    Row and column p of the stored matrix belong to unknown order[p], an
+    index of the interleaved node vector; ``banded`` holds it in LAPACK
+    band layout, banded[hb + p - q, q] with hb = half_bandwidth.  Node
+    vectors are read through ``order`` and written back through
+    ``gather``, the band position of each entry (node 0's for periodic
+    node N-1).  ``base`` is the rhs at the state the Jacobian was taken at.
     """
 
-    n: int
     half_bandwidth: int
     banded: np.ndarray
     order: np.ndarray
+    gather: np.ndarray
     base: Rhs
 
+    @property
+    def n(self) -> int:
+        return self.order.size
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(self.n)
-        y[self.order] = _banded_matvec(self.banded, self.half_bandwidth,
-                                       x[self.order])
-        return y
+        return _banded_matvec(self.banded, self.half_bandwidth,
+                              x[self.order])[self.gather]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Banded LU solve with one step of iterative refinement.
@@ -158,9 +161,7 @@ class FdJacobian:
         xp -= fix
         if not np.isfinite(xp).all():
             raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
-        x = np.empty(self.n)
-        x[self.order] = xp
-        return x
+        return xp[self.gather]
 
     def to_dense(self) -> np.ndarray:
         hb = self.half_bandwidth
@@ -174,12 +175,13 @@ class FdJacobian:
 
 @dataclass(frozen=True)
 class _ProbePattern:
-    """Per-field node colourings and the flat indices they imply.
+    """Per-field colourings of the m unknown nodes and their flat indices.
 
     Probes and rhs differences are (field, probe, node) arrays, holding the
-    (field, node) bumps at flat indices ``bump``.  Jacobian entry i is the
-    difference at src[i]; it lands at dest[i] of the column-major band,
-    whose position p holds unknown order[p], bumped by eps.flat[eps_at[p]].
+    (field, node) bumps at flat indices ``bump`` (node N-1 with periodic
+    node 0).  Jacobian entry i is the difference at src[i], a row below m;
+    it lands at dest[i] of the column-major band, whose position p holds
+    unknown order[p], bumped by eps.flat[eps_at[p]].
     """
 
     color: np.ndarray
@@ -190,46 +192,43 @@ class _ProbePattern:
     dest: np.ndarray
     eps_at: np.ndarray
     order: np.ndarray
+    gather: np.ndarray
     half_bandwidth: int
-
-
-def _window(j: int, radius: int, n_nodes: int, periodic: bool) -> np.ndarray:
-    """Nodes within ``radius`` of node j.  Periodic grids count distance
-    cyclically mod n_nodes - 1, where node n_nodes - 1 is node 0's twin."""
-    k = j + np.arange(-radius, radius + 1)
-    if not periodic:
-        return k[(k >= 0) & (k < n_nodes)]
-    k = np.unique(k % (n_nodes - 1))
-    return np.append(k, n_nodes - 1) if k[0] == 0 else k
 
 
 @functools.lru_cache(maxsize=8)
 def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
-    node = np.arange(n_nodes)
-    # First-fit colouring per field: same-colour nodes lie more than twice
-    # the field's reach apart, so no row sees two bumps of one probe.
-    colors = np.empty((2, n_nodes), dtype=int)
+    m = n_nodes - 1 if periodic else n_nodes  # periodic node N-1 is node 0 again
+    node = np.arange(m)
+    # Same-colour nodes lie more than twice the field's reach apart, so no row
+    # sees two bumps of one probe: blocks coloured 0, 1, ..., of 2*reach + 1
+    # nodes on a line, floor(m / (2*reach + 1)) near-equal ones around a ring
+    colors = np.empty((2, m), dtype=int)
     for color, reach in zip(colors, (STENCIL_REACH, GAMMA_REACH)):
-        for j in node:
-            taken = {color[k] for k in _window(j, 2 * reach, n_nodes, periodic) if k < j}
-            color[j] = next(c for c in range(n_nodes) if c not in taken)
+        span = 2 * reach + 1
+        blocks = max(m // span, 1)
+        start = np.arange(blocks) * m // blocks if periodic else np.arange(0, m, span)
+        color[:] = node - np.repeat(start, np.diff(start, append=m))
     probe = colors + [[0], [colors[0].max() + 1]]
     n_probes = int(probe.max()) + 1
-    bump = ((np.arange(2)[:, None] * n_probes + probe) * n_nodes + node).ravel()
+    grid_node = np.arange(n_nodes)  # node N-1 takes node 0's probe
+    bump = ((np.arange(2)[:, None] * n_probes + probe[:, grid_node % m]) * n_nodes
+            + grid_node).ravel()
 
     # entries: each row node within the column field's reach, both row fields
     src, cols = [], []
     for fld, reach in enumerate((STENCIL_REACH, GAMMA_REACH)):
-        near = [_window(j, reach, n_nodes, periodic) for j in node]
-        rnode = np.concatenate(near)
-        cnode = np.repeat(node, [w.size for w in near])
+        near = node[:, None] + np.arange(-reach, reach + 1)
+        if periodic:
+            near %= m
+        inside = (near >= 0) & (near < m)
+        rnode, cnode = near[inside], np.nonzero(inside)[0]
         for row_fld in (0, 1):
             src.append((row_fld * n_probes + probe[fld, cnode]) * n_nodes + rnode)
             cols.append(2 * cnode + fld)
 
-    # band order: folded 0, N-1, 1, N-2, ... on periodic grids, so that
-    # node 0's twin N-1 sits next to it
-    node = _interleave(node, node[::-1])[:n_nodes] if periodic else node
+    # band order: folded 0, m-1, 1, m-2, ... on periodic grids, near the wrap
+    node = _interleave(node, node[::-1])[:m] if periodic else node
     order = _interleave(2 * node, 2 * node + 1)
     position = np.argsort(order)
     src = np.concatenate(src)
@@ -238,9 +237,10 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     hb = int(np.abs(prow - pcol).max())
     dest = (hb + prow - pcol) + (2 * hb + 1) * pcol
     eps_at = order % 2 * n_nodes + order // 2
-    for arr in (colors, bump, src, dest, eps_at, order):
+    gather = position[np.arange(2 * n_nodes) % (2 * m)]
+    for arr in (colors, bump, src, dest, eps_at, order, gather):
         arr.setflags(write=False)
-    return _ProbePattern(*colors, n_probes, bump, src, dest, eps_at, order, hb)
+    return _ProbePattern(*colors, n_probes, bump, src, dest, eps_at, order, gather, hb)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -250,7 +250,6 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     Exactly two rhs calls: the base state, then every colour probe of both
     fields stacked into one batch.  The base rhs is kept on the result.
     """
-    n = 2 * grid.n_nodes
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
 
     base = rhs(variant, state, params, grid)
@@ -266,12 +265,12 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     np.subtract(pert.dgamma_dt, base.dgamma_dt, out=diff[1])
 
     hb = pat.half_bandwidth
-    ab = np.zeros((2 * hb + 1) * n)
+    ab = np.zeros((2 * hb + 1) * pat.order.size)
     ab[pat.dest] = diff.take(pat.src)
-    ab = ab.reshape(2 * hb + 1, n, order="F")
+    ab = ab.reshape(2 * hb + 1, -1, order="F")
     ab /= -eps.take(pat.eps_at)  # one bump size per band column
     ab[hb] += 1.0 / cfg.dt
-    return FdJacobian(n=n, half_bandwidth=hb, banded=ab, order=pat.order, base=base)
+    return FdJacobian(hb, ab, pat.order, pat.gather, base)
 
 
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,

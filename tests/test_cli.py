@@ -129,6 +129,11 @@ MALFORMED_CONFIGS = [
     ("grid: {n_nodes: 5, boundary: periodic}\n"
      "initial: {kind: custom, eta: [1, 1, 1, 1, 1.5], gamma: [1, 1, 1, 1, 1]}",
      "yaml: custom initial eta and gamma on a periodic grid"),
+    # a periodic corrugation must close on itself: k*L = 0.3*4*pi is no
+    # whole multiple of 2*pi
+    ("grid: {length: 12.566370614359172, boundary: periodic}\n"
+     "initial: {kind: corrugated_uniform_surfactant, wavenumber: 0.3}",
+     "yaml: initial.wavenumber"),
     # int fields take integral numbers only
     ("grid: {n_nodes: 97.9}", ".grid.n_nodes: expected an integer"),
     ("step: {newton_iters: 2.5}", ".step.newton_iters: expected an integer"),
@@ -219,6 +224,32 @@ class TestPresets:
         # even reflection at the walls requires k*L to be a multiple of pi
         kl = sc3.initial.corrugation_wavenumber * sc3.grid.length
         assert kl / math.pi == pytest.approx(round(kl / math.pi), abs=1e-12)
+
+
+class TestPeriodicInitialConditions:
+    def periodic(self, **initial):
+        return scenario_from_dict({"grid": {"n_nodes": 97, "boundary": "periodic"},
+                                   "initial": initial})
+
+    def test_drop_distance_wraps(self):
+        # a drop centred 0.5 from node 0 reaches across the wrap to node N-1
+        sc = self.periodic(center=0.5, width=2.0, excess=1.0)
+        s0 = build_initial_state(sc)
+        length = sc.grid.length
+        r = np.abs(sc.grid.x - 0.5)
+        r = np.minimum(r, length - r)
+        expect = 1.0 + np.where(r <= 2.0, 0.5 * (1.0 + np.cos(np.pi * r / 2.0)), 0.0)
+        np.testing.assert_allclose(s0.gamma, expect, rtol=0, atol=1e-15)
+        assert s0.gamma[0] == pytest.approx(1.0 + 0.5 * (1.0 + math.cos(np.pi / 4)))
+        assert s0.gamma[-1] == s0.gamma[0]
+
+    @pytest.mark.parametrize("initial", [
+        {"center": 0.0}, {"center": 3.0}, {"center": 47.0}, {"center": -5.0},
+        # three waves over 15*pi, a whole multiple of 2*pi up to round-off
+        {"kind": "corrugated_uniform_surfactant", "wavenumber": 0.4, "amplitude": 0.2}])
+    def test_generated_profiles_close_exactly(self, initial):
+        s0 = build_initial_state(self.periodic(**initial))
+        assert s0.eta[-1] == s0.eta[0] and s0.gamma[-1] == s0.gamma[0]
 
 
 class TestCommands:

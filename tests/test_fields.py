@@ -102,6 +102,15 @@ class TestReconstruct:
         with pytest.raises(PositivityError):
             reconstruct(bad, Params(), grid, [0.5])
 
+    def test_grid_mismatch(self, low_slope):
+        # the first stencil rejects a state that does not fit the grid
+        grid, s = low_slope
+        short = State(s.eta[:-1], s.gamma[:-1])
+        with pytest.raises(ValueError, match="trailing length"):
+            reconstruct(short, Params(), grid, [0.5])
+        with pytest.raises(ValueError, match="trailing length"):
+            depth_flux(short, Params(), grid)
+
 
 class TestDepthFlux:
     def test_marangoni_flux_matches_thickness_equation(self, low_slope):
