@@ -154,7 +154,7 @@ def _frozen_array(name: str, values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Discrete (eta, gamma) fields at one time level.
 
@@ -162,7 +162,8 @@ class State:
     (..., n_nodes) holding a batch of states that share t; the stack form
     lets one ``rhs`` call evaluate many states and is validated once.
     Immutable after construction: the arrays are copied and marked
-    read-only, so states can be shared freely across sweep workers.
+    read-only, so states can be shared freely across sweep workers; a State
+    hashes and compares by identity, keying the caches of ``rhs`` and masses.
     """
 
     eta: np.ndarray

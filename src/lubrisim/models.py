@@ -26,6 +26,7 @@ per field, keeping the eta equation conservative to round-off;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,10 +183,12 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         yield "inertia_cross_HRB", e2 * eta_flux, ge * gamma_flux, None
 
 
+@functools.lru_cache(maxsize=1)
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     """Evaluate the selected model's right-hand side on the grid: the parts
     of all groups are summed, then each field takes a single ``div_flux``.
-    ``state`` may be a batch of shape (..., n_nodes); see ``State``."""
+    ``state`` may be a batch of shape (..., n_nodes); see ``State``.  A repeat
+    of the last call returns its read-only arrays (``__wrapped__`` evaluates)."""
     totals = [None, None, None]
     for _, *parts in _groups(variant, state, params, grid):
         # parts are fresh arrays: the first of each kind takes the sum
@@ -194,7 +197,9 @@ def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     eta_flux, gamma_flux, source = (np.zeros(state.eta.shape) if t is None else t
                                     for t in totals)
     ops = stencil_ops(grid)
-    return Rhs(ops.div_flux(eta_flux), ops.div_flux(gamma_flux) + source)
+    out = Rhs(ops.div_flux(eta_flux), ops.div_flux(gamma_flux) + source)
+    out.deta_dt.flags.writeable = out.dgamma_dt.flags.writeable = False
+    return out
 
 
 def rhs_breakdown(variant: ModelVariant, state: State, params: Params,

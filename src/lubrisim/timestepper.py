@@ -17,6 +17,8 @@ row, so they are perturbed together.  Node j takes colour j mod
 cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
 allows.  All probes are stacked into one batched rhs evaluation next to
 the base one, so an assembly costs two rhs calls on either boundary kind.
+The base rhs is the previous step's closing residual's, which ``rhs``
+remembers, so a one-iteration step evaluates rhs twice, not three times.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -276,6 +278,10 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             params: Params, grid: Grid) -> tuple[State, StepReport]:
     """One backward-Euler step via cfg.newton_iters Newton updates."""
+    if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
+        for name, f in (("eta", state.eta), ("gamma", state.gamma)):
+            if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
+                raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
     film_before = film_mass(state, grid)
     surf_before = surfactant_mass(state, grid)
     t_new = state.t + cfg.dt

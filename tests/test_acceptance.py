@@ -142,10 +142,11 @@ def test_criterion_4_conservation():
 
     The film bound holds (flux-form divergence conserves to solver
     round-off).  The surfactant bound does not hold for this scenario: the
-    truncated model does not conserve the slope-weighted surfactant
-    integral, and its inherent drift (~4e-5 final, ~5e-4 transiently while
-    the film is deformed) exceeds 1e-5 regardless of solver settings.  The
-    assertion is kept as specified; see the decisions log for the analysis.
+    model conserves neither surfactant integral.  At t = 1e5 the
+    slope-weighted integral has drifted by 3.89e-5 (~5e-4 transiently while
+    the film is deformed) and the substrate-projected integral of gamma by
+    3.88e-5.  The van der Waals group causes nearly all of it: without it
+    both drifts are below 8e-7.  The assertion is kept as specified.
     """
     started = time.perf_counter()
     sc = preset("fig2")

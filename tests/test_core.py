@@ -127,6 +127,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             s.eta[0] = 2.0
 
+    def test_state_hashes_and_compares_by_identity(self):
+        # equal fields make distinct States: the key of the rhs cache
+        s = State(np.ones(5), np.ones(5))
+        twin = State(s.eta, s.gamma, s.t)
+        assert s == s and s != twin
+        assert hash(s) == object.__hash__(s)
+        assert {s: 1, twin: 2}[s] == 1
+
     def test_incline_defaults_to_horizontal(self):
         assert Params().incline == 0.0
         assert math.sin(Params().incline) == 0.0

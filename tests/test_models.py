@@ -206,6 +206,34 @@ class TestInvariants:
                 np.testing.assert_array_equal(r_low.dgamma_dt, r_dw.dgamma_dt)
 
 
+class TestCache:
+    def test_results_are_read_only(self, noflux_grid):
+        r = rhs(ModelVariant.FULL_CM, smooth_state(noflux_grid, seed=7),
+                Params(), noflux_grid)
+        for arr in (r.deta_dt, r.dgamma_dt):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_repeat_call_returns_the_same_result(self, noflux_grid):
+        # the cache is keyed on the State object: an equal but distinct
+        # State is evaluated afresh, to the same bits
+        s = smooth_state(noflux_grid, seed=8)
+        first = rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+        assert rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid) is first
+        again = rhs(ModelVariant.FULL_CM, State(s.eta, s.gamma), Params(), noflux_grid)
+        assert again is not first
+        np.testing.assert_array_equal(again.deta_dt, first.deta_dt)
+        np.testing.assert_array_equal(again.dgamma_dt, first.dgamma_dt)
+
+    def test_failed_state_is_checked_on_every_call(self, noflux_grid):
+        eta = np.ones(noflux_grid.n_nodes)
+        eta[4] = 1e-9
+        s = State(eta, np.ones_like(eta))
+        for _ in range(2):  # exceptions are not cached
+            with pytest.raises(PositivityError):
+                rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+
+
 class TestBatch:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("boundary", list(BoundaryKind))

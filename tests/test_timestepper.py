@@ -15,7 +15,7 @@ from lubrisim import (
     rhs,
     run_simulation,
 )
-from lubrisim import timestepper
+from lubrisim import cli, discretization, models, timestepper
 from lubrisim.timestepper import GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
 from conftest import smooth_state
@@ -420,6 +420,23 @@ class TestAdvance:
         assert s.eta[-1] == s.eta[0]
         assert s.gamma[-1] == s.gamma[0]
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-12])
+    @pytest.mark.parametrize("field", ["eta", "gamma"])
+    def test_periodic_gap_is_rejected(self, periodic_grid, field, gap):
+        # node N - 1 is node 0 again: a gap would never close, so any
+        # difference at all is refused, before the first step
+        s = smooth_state(periodic_grid, seed=3)
+        fields = {"eta": s.eta.copy(), "gamma": s.gamma.copy()}
+        fields[field][-1] += gap
+        bad = State(**fields)
+        cfg = StepConfig(dt=1.0)
+        with pytest.raises(ValueError, match=rf"periodic {field}\[N-1\] - {field}\[0\] "
+                                             rf"is {gap:.3e}"):
+            advance(bad, cfg, ModelVariant.FULL_CM, Params(), periodic_grid)
+        with pytest.raises(ValueError, match=f"periodic {field}"):
+            run_simulation(bad, 5.0, (), cfg, ModelVariant.FULL_CM, Params(),
+                           periodic_grid)
+
     def test_slow_mode_decay_matches_dispersion(self):
         # criterion-level check at desk scale; the acceptance suite runs the
         # full-size version
@@ -575,6 +592,123 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(s, 5.0, (3.0, 1.0), StepConfig(dt=1.0),
                            ModelVariant.FULL_CM, Params(), noflux_grid)
+
+
+class TestEvaluationReuse:
+    """``rhs`` and the mass integrals remember their last State, so each
+    accepted state is evaluated once: the closing residual's rhs is the
+    next step's Jacobian base, and a step's masses are read again for free."""
+
+    @staticmethod
+    def evaluate_every_call(monkeypatch):
+        for name in ("rhs", "film_mass", "surfactant_mass"):
+            monkeypatch.setattr(timestepper, name,
+                                getattr(timestepper, name).__wrapped__)
+
+    def test_fig2_run_is_bit_identical(self, monkeypatch):
+        # 20 steps, three of them shortened to land on a snapshot
+        sc = cli.preset("fig2")
+        s0 = cli.build_initial_state(sc)
+
+        def run():
+            return run_simulation(s0, 1800.0, (1.0, 10.0, 100.0, 1000.0, 1800.0),
+                                  sc.step, sc.variant, sc.params, sc.grid)
+
+        cached = run()
+        with monkeypatch.context() as m:
+            self.evaluate_every_call(m)
+            plain = run()
+        assert cached.summary.steps == plain.summary.steps == 20
+        assert len(cached.snapshots) == len(plain.snapshots) == 6
+        for a, b in zip(cached.snapshots, plain.snapshots):
+            assert a.time == b.time and a.report == b.report
+            np.testing.assert_array_equal(a.state.eta, b.state.eta)
+            np.testing.assert_array_equal(a.state.gamma, b.state.gamma)
+        for name in ("max_film_mass_drift", "max_surfactant_mass_drift",
+                     "final_film_mass_drift", "final_surfactant_mass_drift"):
+            assert getattr(cached.summary, name) == getattr(plain.summary, name)
+
+    def test_periodic_steps_are_bit_identical(self, periodic_grid, monkeypatch):
+        cfg = StepConfig(dt=1.0)
+
+        def march():
+            s = smooth_state(periodic_grid, seed=35)
+            out = []
+            for _ in range(10):
+                s, rep = advance(s, cfg, ModelVariant.FULL_CM, Params(), periodic_grid)
+                out.append((s, rep))
+            return out
+
+        cached = march()
+        with monkeypatch.context() as m:
+            self.evaluate_every_call(m)
+            plain = march()
+        for (a, rep_a), (b, rep_b) in zip(cached, plain):
+            assert rep_a == rep_b
+            np.testing.assert_array_equal(a.eta, b.eta)
+            np.testing.assert_array_equal(a.gamma, b.gamma)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("iters, evaluations", [(1, 3), (3, 7)])
+    def test_first_step_evaluates_its_start_once(self, boundary, iters,
+                                                 evaluations, monkeypatch):
+        # the start state, then a probe batch and a residual per iteration;
+        # each later Jacobian base is the residual just evaluated
+        entries = []
+        real = models._groups
+
+        def counting_groups(*args):
+            entries.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(models, "_groups", counting_groups)
+        g = Grid(33, 10.0, boundary)
+        cfg = StepConfig(dt=1.0, newton_iters=iters, newton_tol=1e-300)
+        advance(smooth_state(g, seed=34), cfg, ModelVariant.FULL_CM, Params(), g)
+        assert len(entries) == evaluations
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_two_evaluations_per_step(self, boundary, monkeypatch):
+        # k steps evaluate rhs 2k + 1 times (3k without the cache), while the
+        # timestepper still makes three rhs calls per step, one of them a hit
+        entries, calls = [], []
+        real_groups, real_rhs = models._groups, timestepper.rhs
+
+        def counting_groups(*args):
+            entries.append(1)
+            return real_groups(*args)
+
+        def counting_rhs(*args):
+            calls.append(1)
+            return real_rhs(*args)
+
+        monkeypatch.setattr(models, "_groups", counting_groups)
+        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+        g = Grid(33, 10.0, boundary)
+        s = smooth_state(g, seed=36)
+        k = 5
+        for _ in range(k):
+            s, _ = advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), g)
+        assert len(entries) == 2 * k + 1
+        assert len(calls) == 3 * k
+
+    def test_one_mass_pair_per_step(self, noflux_grid, monkeypatch):
+        # film and surfactant mass each integrate once per accepted state:
+        # 2 (k + 1) integrals over k steps and the start, 6k + 2 uncached
+        integrals = []
+        real = discretization.StencilOps.integrate
+
+        def counting_integrate(self, f):
+            integrals.append(1)
+            return real(self, f)
+
+        monkeypatch.setattr(discretization.StencilOps, "integrate", counting_integrate)
+        k = 4
+        res = run_simulation(smooth_state(noflux_grid, seed=37), float(k), (),
+                             StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
+                             noflux_grid)
+        assert res.summary.steps == k
+        assert len(integrals) == 2 * (k + 1)
 
 
 class TestStepConfig:
