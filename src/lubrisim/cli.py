@@ -32,6 +32,7 @@ from .core import (
     Params,
     PositivityError,
     State,
+    write_csv,
 )
 from .stability import dispersion_scan, write_dispersion_csv
 from .timestepper import SimulationResult, StepConfig, run_simulation
@@ -304,15 +305,6 @@ def save_config(scenario: Scenario, path) -> None:
 
 # --- output helpers ----------------------------------------------------------
 
-def _write_csv(path, header: str, rows) -> None:
-    """A table of floats at 17 significant digits, so values survive the text."""
-    line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        # Python floats format faster than numpy scalars
-        fh.writelines(line.format(*row) for row in np.asarray(rows).tolist())
-
-
 def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> None:
     s = result.summary
     lines = [
@@ -349,8 +341,8 @@ def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int
     result = run_simulation(s0, end, snaps, scenario.step, scenario.variant,
                             scenario.params, scenario.grid)
     for snap in result.snapshots:
-        _write_csv(os.path.join(out_dir, f"t{snap.time:g}.csv"), "x,eta,gamma",
-                   np.column_stack((scenario.grid.x, snap.state.eta, snap.state.gamma)))
+        write_csv(os.path.join(out_dir, f"t{snap.time:g}.csv"), "x,eta,gamma",
+                  np.column_stack((scenario.grid.x, snap.state.eta, snap.state.gamma)))
     _write_run_report(os.path.join(out_dir, "report.txt"), scenario, result)
     if result.summary.failure:
         log.error("solver failure: %s", result.summary.failure)
@@ -393,8 +385,8 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
         params = dataclasses.replace(scenario.params, inv_peclet=1.0 / pe)
         finals = []
         for variant in variants:
-            result = run_simulation(s0, t_compare, (t_compare,) if t_compare > 0 else (),
-                                    scenario.step, variant, params, scenario.grid)
+            result = run_simulation(s0, t_compare, (), scenario.step, variant, params,
+                                    scenario.grid)
             if result.summary.failure:
                 log.error("solver failure at P=%g (%s): %s", pe, variant.value,
                           result.summary.failure)
@@ -410,11 +402,11 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             linf_gamma=float(np.max(np.abs(d_gamma))),
             l2_gamma=float(np.sqrt(dx * np.sum(d_gamma**2))),
         ))
-        _write_csv(os.path.join(out_dir, f"diff_P{pe:g}.csv"), "x,d_eta,d_gamma",
-                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
-    _write_csv(os.path.join(out_dir, "compare_summary.csv"),
-               "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma",
-               [dataclasses.astuple(row) for row in report.rows])
+        write_csv(os.path.join(out_dir, f"diff_P{pe:g}.csv"), "x,d_eta,d_gamma",
+                  np.column_stack((scenario.grid.x, d_eta, d_gamma)))
+    write_csv(os.path.join(out_dir, "compare_summary.csv"),
+              "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma",
+              [dataclasses.astuple(row) for row in report.rows])
     log.info("comparison (%s vs %s) written to %s", variants[0].value,
              variants[1].value, out_dir)
     return report

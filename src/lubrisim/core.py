@@ -1,4 +1,4 @@
-"""Shared data model: nondimensional parameters, grid, state.
+"""Shared data model: nondimensional parameters, grid, state; the CSV format.
 
 Naming convention used throughout the package: ``eta`` is the film
 thickness, ``gamma`` is the surfactant concentration on the free surface,
@@ -251,3 +251,13 @@ def surface_tension(gamma_field, tension_slope: float) -> np.ndarray:
     """Linear constitutive law: tension = 1 + A*(1 - gamma), elementwise."""
     gamma_field = np.asarray(gamma_field, dtype=float)
     return 1.0 + tension_slope * (1.0 - gamma_field)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A table of floats at 17 significant digits, so values survive the text;
+    None is written as nan."""
+    line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        # Python floats format faster than numpy scalars
+        fh.writelines(line.format(*row) for row in np.asarray(rows, dtype=float).tolist())

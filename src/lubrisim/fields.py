@@ -28,6 +28,7 @@ from .core import (
     PositivityError,
     State,
     surface_tension,
+    write_csv,
 )
 from .discretization import stencil_ops
 
@@ -156,9 +157,6 @@ def depth_flux(state: State, params: Params, grid: Grid) -> np.ndarray:
 
 def write_fields_csv(fg: FieldGrid, path) -> None:
     """CSV export with columns x, zeta, u, v, p (x-major order)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,zeta,u,v,p\n")
-        for i, xi in enumerate(fg.x):
-            for m, z in enumerate(fg.zeta):
-                fh.write(f"{xi:.17g},{z:.17g},{fg.u[m, i]:.17g},"
-                         f"{fg.v[m, i]:.17g},{fg.p[m, i]:.17g}\n")
+    x, zeta = np.meshgrid(fg.x, fg.zeta, indexing="ij")
+    write_csv(path, "x,zeta,u,v,p", np.column_stack(
+        [a.ravel() for a in (x, zeta, fg.u.T, fg.v.T, fg.p.T)]))

@@ -20,7 +20,9 @@ A = 1 is the conventional normalisation and the default everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+
+from .core import write_csv
 
 __all__ = [
     "DispersionResult",
@@ -85,7 +87,6 @@ def dispersion(k: float, delta_s: float,
     (q = -(c1 + sign(c1) sqrt(disc))/2, roots q and c0/q) so the slow root
     does not suffer cancellation at small k.
     """
-    k, delta_s = _check_inputs(k, delta_s)
     c1, c0 = char_poly_coeffs(k, delta_s, tension_slope)
     if k == 0.0:
         return DispersionResult(0.0, 0.0, 0.0, None, None)
@@ -120,14 +121,7 @@ def dispersion_scan(k_min: float, k_max: float, n_points: int, delta_s: float,
 
 
 def write_dispersion_csv(results, path) -> None:
-    """Write a scan as CSV: k, lambda_slow, lambda_fast, ratio_slow, ratio_fast."""
-    def fmt(value):
-        return "nan" if value is None else f"{value:.17g}"
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,lambda_slow,lambda_fast,ratio_slow,ratio_fast\n")
-        for r in results:
-            fh.write(",".join([
-                fmt(r.k), fmt(r.lambda_slow), fmt(r.lambda_fast),
-                fmt(r.amp_ratio_slow), fmt(r.amp_ratio_fast),
-            ]) + "\n")
+    """Write a scan as CSV: k, lambda_slow, lambda_fast, ratio_slow, ratio_fast
+    (an undefined ratio as nan)."""
+    write_csv(path, "k,lambda_slow,lambda_fast,ratio_slow,ratio_fast",
+              [astuple(r) for r in results])

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .core import (
     BoundaryKind,
@@ -52,21 +52,20 @@ STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
                    # fluxes containing third derivatives: 1 + 2 nodes)
 GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
                    # only through gamma, gamma_x and the halo tension
+FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
 
 
 @dataclass(frozen=True)
 class StepConfig:
     """Backward-Euler step controls.
 
-    newton_tol is only consulted when newton_iters > 1 (the default single
-    Newton step is applied unconditionally).  fd_epsilon scales the
-    finite-difference perturbation as fd_epsilon * max(1, |value|).
+    At most newton_iters Newton updates per step; the iteration stops early
+    once the residual max-norm is <= newton_tol.
     """
 
     dt: float
     newton_iters: int = 1
     newton_tol: float = 1e-10
-    fd_epsilon: float = 1e-7
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -75,8 +74,6 @@ class StepConfig:
             raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not self.newton_tol > 0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if not self.fd_epsilon > 0:
-            raise ValueError(f"fd_epsilon must be positive, got {self.fd_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -108,15 +105,6 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     )
 
 
-def _banded_matvec(ab: np.ndarray, hb: int, x: np.ndarray) -> np.ndarray:
-    """y = A @ x for A stored in band layout ab[hb + i - j, j]."""
-    n = x.size
-    m = max(n, 2 * hb + 1)  # the gbmv wrapper wants m >= 2 * hb + 1
-    if m > n:  # tiny grids: pad with zero columns
-        ab, x = np.pad(ab, ((0, 0), (0, m - n))), np.pad(x, (0, m - n))
-    return blas.dgbmv(m, m, hb, hb, 1.0, ab, x)[:n]
-
-
 @dataclass
 class FdJacobian:
     """Jacobian of the step residual, banded in a bandwidth-reducing order.
@@ -139,28 +127,15 @@ class FdJacobian:
     def n(self) -> int:
         return self.order.size
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _banded_matvec(self.banded, self.half_bandwidth,
-                              x[self.order])[self.gather]
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Banded LU solve with one step of iterative refinement.
-
-        Refinement keeps the exact per-step mass conservation identity of
-        the flux-form divergence intact even when an ill-conditioned first
-        step produces a large Newton update.
-        """
+        """Banded LU solve with partial pivoting, which is backward stable."""
         hb = self.half_bandwidth
         lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
         lu[hb:] = self.banded
         lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {info})")
-        bp = b[self.order]
-        xp, _ = lapack.dgbtrs(lu, hb, hb, bp, piv)
-        fix, _ = lapack.dgbtrs(lu, hb, hb,
-                               _banded_matvec(self.banded, hb, xp) - bp, piv)
-        xp -= fix
+        xp, _ = lapack.dgbtrs(lu, hb, hb, b[self.order], piv)
         if not np.isfinite(xp).all():
             raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
         return xp[self.gather]
@@ -256,7 +231,7 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
 
     base = rhs(variant, state, params, grid)
     fields = np.stack((state.eta, state.gamma))
-    eps = cfg.fd_epsilon * np.maximum(1.0, np.abs(fields))
+    eps = FD_EPSILON * np.maximum(1.0, np.abs(fields))
     probes = np.repeat(fields[:, None, :], pat.n_probes, axis=1)
     probes.reshape(-1)[pat.bump] += eps.reshape(-1)
     batch = State(probes[0], probes[1], state.t)
@@ -275,9 +250,15 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     return FdJacobian(hb, ab, pat.order, pat.gather, base)
 
 
+def _drift(after: float, before: float) -> float:
+    """Relative change of a mass, or the plain change from a zero mass."""
+    change = after - before
+    return change / abs(before) if before else change
+
+
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             params: Params, grid: Grid) -> tuple[State, StepReport]:
-    """One backward-Euler step via cfg.newton_iters Newton updates."""
+    """One backward-Euler step via at most cfg.newton_iters Newton updates."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
@@ -291,7 +272,6 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     # (current - state) / dt is exactly 0, so the first residual is -rhs
     r = -_interleave(jac.base.deta_dt, jac.base.dgamma_dt)
     norm_before = float(np.max(np.abs(r)))
-    iters_used = 0
     for it in range(cfg.newton_iters):
         if it > 0:
             jac = jacobian_fd(current, cfg, variant, params, grid)
@@ -299,18 +279,16 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         # State and the residual's rhs reject a film that breached the floor
         current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
         r = residual(current, state, cfg, variant, params, grid)
-        iters_used += 1
-        if cfg.newton_iters > 1 and np.max(np.abs(r)) <= cfg.newton_tol:
+        norm_after = float(np.max(np.abs(r)))
+        if norm_after <= cfg.newton_tol:
             break
 
-    film_after = film_mass(current, grid)
-    surf_after = surfactant_mass(current, grid)
     report = StepReport(
         residual_norm_before=norm_before,
-        residual_norm_after=float(np.max(np.abs(r))),
-        newton_iters_used=iters_used,
-        film_mass_drift=(film_after - film_before) / max(abs(film_before), 1e-300),
-        surfactant_mass_drift=(surf_after - surf_before) / max(abs(surf_before), 1e-300),
+        residual_norm_after=norm_after,
+        newton_iters_used=it + 1,
+        film_mass_drift=_drift(film_mass(current, grid), film_before),
+        surfactant_mass_drift=_drift(surfactant_mass(current, grid), surf_before),
     )
     return current, report
 
@@ -343,7 +321,8 @@ class SimulationResult:
 def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
                    variant: ModelVariant, params: Params,
                    grid: Grid) -> SimulationResult:
-    """March from t=0 to t_end, recording the requested snapshot times.
+    """March from t=0 to t_end, recording the requested snapshot times and,
+    when t_end > 0, the state at t_end as the last snapshot.
 
     When dt does not divide a snapshot time the preceding step is shortened
     to land on it exactly.  On a solver failure (positivity breach or a
@@ -361,7 +340,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     started = time.perf_counter()
     result = SimulationResult()
     result.snapshots.append(Snapshot(0.0, s0, ZERO_REPORT))
-    pending = sorted({st for st in targets if st > 0.0})
+    pending = sorted({st for st in (*targets, t_end) if st > 0.0})
 
     film0 = film_mass(s0, grid)
     surf0 = surfactant_mass(s0, grid)
@@ -371,7 +350,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     t = 0.0
     state = s0
     while t < t_end - tol:
-        target = pending[0] if pending else t_end
+        target = pending[0]
         dt_step = min(cfg.dt, target - t)
         try:
             state, report = advance(state, replace(cfg, dt=dt_step),
@@ -385,14 +364,14 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
             t = target
         if state.t != t:  # snapped to the target, or s0.t was not 0
             state = State(state.eta, state.gamma, t)
-        film_drift = abs(film_mass(state, grid) - film0) / abs(film0)
-        surf_drift = abs(surfactant_mass(state, grid) - surf0) / abs(surf0)
+        film_drift = abs(_drift(film_mass(state, grid), film0))
+        surf_drift = abs(_drift(surfactant_mass(state, grid), surf0))
         summary.max_film_mass_drift = max(summary.max_film_mass_drift, film_drift)
         summary.max_surfactant_mass_drift = max(
             summary.max_surfactant_mass_drift, surf_drift)
         summary.final_film_mass_drift = film_drift
         summary.final_surfactant_mass_drift = surf_drift
-        if pending and t == pending[0]:
+        if t == target:
             result.snapshots.append(Snapshot(t, state, report))
             pending.pop(0)
 

@@ -31,6 +31,10 @@ def smooth_state(grid: Grid, seed: int = 0, eta_amp: float = 0.15,
     return State(eta, gamma)
 
 
+# values a 17-digit CSV must carry exactly: negatives, a subnormal, huge, nan
+CSV_HARD_VALUES = (-1.0 / 3.0, -0.0, 5e-324, 1e300, -2.5e-300, float("nan"), 0.1)
+
+
 @pytest.fixture
 def noflux_grid():
     return Grid(65, 10.0, BoundaryKind.NO_FLUX_SYMMETRIC)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant
+from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant, run_simulation
 from lubrisim.cli import (
     ComparisonReport,
     ConfigError,
@@ -370,6 +370,21 @@ class TestMain:
                      "--variant", "dewit", "--dt", "2.0", "--t-end", "4.0"])
         assert code == 0
         assert (out / "t0.csv").exists()
+
+    def test_simulate_writes_the_t_end_state(self, tmp_path):
+        # t_end = 1500 lies past fig2's last snapshot time, 1000
+        out = tmp_path / "sim"
+        assert main(["simulate", "--preset", "fig2", "--out", str(out),
+                     "--t-end", "1500"]) == 0
+        assert sorted(os.listdir(out)) == ["report.txt", "t0.csv", "t1.csv", "t10.csv",
+                                           "t100.csv", "t1000.csv", "t1500.csv"]
+        sc = preset("fig2")
+        final = run_simulation(build_initial_state(sc), 1500.0, sc.snapshot_times,
+                               sc.step, sc.variant, sc.params, sc.grid).snapshots[-1]
+        assert final.time == 1500.0
+        data = np.loadtxt(out / "t1500.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 1], final.state.eta)
+        np.testing.assert_array_equal(data[:, 2], final.state.gamma)
 
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert main(["simulate", "--preset", "nope",

@@ -14,6 +14,9 @@ from lubrisim import (
     reference_cgs_inputs,
     surface_tension,
 )
+from lubrisim.core import write_csv
+
+from conftest import CSV_HARD_VALUES
 
 
 class TestNondimensionalize:
@@ -138,3 +141,20 @@ class TestTypes:
     def test_incline_defaults_to_horizontal(self):
         assert Params().incline == 0.0
         assert math.sin(Params().incline) == 0.0
+
+
+class TestWriteCsv:
+    def test_values_round_trip_exactly(self, tmp_path):
+        rows = np.array(CSV_HARD_VALUES).reshape(-1, 1) * [1.0, -1.0]
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b", rows)
+        assert path.read_text().splitlines()[0] == "a,b"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back, rows)
+        signed = ~np.isnan(rows)  # -0.0 keeps its sign; nan is written unsigned
+        np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(rows[signed]))
+
+    def test_none_is_written_as_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b", [(1.5, None)])
+        assert path.read_text() == "a,b\n1.5,nan\n"

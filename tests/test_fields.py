@@ -13,7 +13,9 @@ from lubrisim import (
     reconstruct,
     rhs_breakdown,
 )
-from lubrisim.fields import write_fields_csv
+from lubrisim.fields import FieldGrid, write_fields_csv
+
+from conftest import CSV_HARD_VALUES
 
 
 def wavy_state(grid, amp=0.01, k=0.2, phase=0.7):
@@ -166,3 +168,15 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,zeta,u,v,p"
         assert len(lines) == 1 + 2 * grid.n_nodes
+
+    def test_csv_rows_are_x_major_and_exact(self, tmp_path):
+        x = np.array(CSV_HARD_VALUES)
+        zeta = np.array([0.0, 1.0 / 3.0, 1.0])
+        rng = np.random.default_rng(5)
+        u, v, p = (rng.choice(x, (zeta.size, x.size)) for _ in range(3))
+        path = tmp_path / "fields.csv"
+        write_fields_csv(FieldGrid(x=x, zeta=zeta, u=u, v=v, p=p), path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        want = [(x[i], zeta[m], u[m, i], v[m, i], p[m, i])
+                for i in range(x.size) for m in range(zeta.size)]
+        np.testing.assert_array_equal(back, want)

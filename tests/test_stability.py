@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lubrisim import char_poly_coeffs, dispersion, dispersion_scan, mode_amplitude_ratio
-from lubrisim.stability import write_dispersion_csv
+from lubrisim.stability import DispersionResult, write_dispersion_csv
+
+from conftest import CSV_HARD_VALUES
 
 # oracle: roots of lambda^2 + (4/3) lambda + 1/12 via np.roots
 ORACLE_K1_DS0 = np.sort(np.roots([1.0, 4.0 / 3.0, 1.0 / 12.0]))  # [fast, slow]
@@ -158,3 +160,13 @@ class TestScan:
         assert lines[0] == "k,lambda_slow,lambda_fast,ratio_slow,ratio_fast"
         assert len(lines) == 3
         assert lines[1].startswith("0,0,0,nan,nan")
+
+    def test_csv_values_round_trip_exactly(self, tmp_path):
+        v = CSV_HARD_VALUES
+        results = [DispersionResult(v[i], v[i - 1], v[i - 2], v[i - 3], None)
+                   for i in range(len(v))]
+        path = tmp_path / "disp.csv"
+        write_dispersion_csv(results, path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        want = [(v[i], v[i - 1], v[i - 2], v[i - 3], np.nan) for i in range(len(v))]
+        np.testing.assert_array_equal(back, want)

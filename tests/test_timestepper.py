@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,7 @@ def one_column_oracle(s, cfg, variant, params, grid):
     base_u = interleaved(rhs(variant, s, params, grid))[:n]
     oracle = np.zeros((n, n))
     for k in range(n):
-        eps = cfg.fd_epsilon * max(1.0, abs((s.eta, s.gamma)[k % 2][k // 2]))
+        eps = timestepper.FD_EPSILON * max(1.0, abs((s.eta, s.gamma)[k % 2][k // 2]))
         pert = bump_unknown(s, m, k, eps)
         pert_u = interleaved(rhs(variant, pert, params, grid))[:n]
         oracle[:, k] = -(pert_u - base_u) / eps
@@ -297,23 +300,6 @@ class TestJacobian:
                     ModelVariant.FULL_CM, Params(), g)
         assert len(calls) == 2
 
-    def test_banded_and_sparse_paths_behave_alike(self):
-        # same physics on both boundary kinds: interior rows must agree
-        for boundary in BoundaryKind:
-            g = Grid(33, 10.0, boundary)
-            s = smooth_state(g, seed=24)
-            jac = jacobian_fd(s, StepConfig(dt=1.0), ModelVariant.FULL_CM,
-                              Params(), g)
-            # a node vector in, a node vector out; periodic node N - 1 is
-            # not read and is written as node 0
-            v = np.linspace(-1, 1, 2 * g.n_nodes)
-            y = jac.matvec(v)
-            n = jac.n
-            assert n == 2 * unknown_nodes(g)
-            np.testing.assert_allclose(y[:n], jac.to_dense() @ v[:n],
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(y[n:], y[:y.size - n])
-
 
 SOLVER_GRIDS = pytest.mark.parametrize("n_nodes", [5, 6, 8, 33, 37, 129])
 
@@ -545,6 +531,32 @@ class TestRunSimulation:
         assert len(res.snapshots) == 1
         assert res.snapshots[0].time == 0.0
         assert res.summary.steps == 0
+        res = run_simulation(s, 0.0, (0.0,), StepConfig(dt=1.0),
+                             ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert [snap.time for snap in res.snapshots] == [0.0]
+
+    def test_t_end_is_the_last_snapshot(self, noflux_grid):
+        s = smooth_state(noflux_grid, seed=28)
+        res = run_simulation(s, 10.0, (5.0,), StepConfig(dt=2.0),
+                             ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert [snap.time for snap in res.snapshots] == [0.0, 5.0, 10.0]
+        assert res.snapshots[-1].state.t == res.summary.final_time == 10.0
+
+    def test_zero_surfactant_drifts_are_finite(self, noflux_grid):
+        # a clean film: the surfactant mass starts at exactly 0
+        eta = smooth_state(noflux_grid, seed=38).eta
+        s = State(eta, np.zeros_like(eta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_simulation(s, 3.0, (), StepConfig(dt=1.0),
+                                 ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert res.summary.failure is None and res.summary.steps == 3
+        summary, report = res.summary, res.snapshots[-1].report
+        for drift in (summary.max_film_mass_drift, summary.max_surfactant_mass_drift,
+                      summary.final_surfactant_mass_drift,
+                      report.film_mass_drift, report.surfactant_mass_drift):
+            assert math.isfinite(drift)
+        assert summary.max_film_mass_drift < 1e-12
 
     def test_snapshots_land_exactly(self, noflux_grid):
         s = smooth_state(noflux_grid, seed=28)
@@ -719,5 +731,5 @@ class TestStepConfig:
             StepConfig(dt=1.0, newton_iters=0)
         with pytest.raises(TypeError):  # no such knob: one Jacobian kind
             StepConfig(dt=1.0, jacobian="analytic")
-        with pytest.raises(ValueError):
-            StepConfig(dt=1.0, fd_epsilon=0.0)
+        with pytest.raises(TypeError):  # no such knob: timestepper.FD_EPSILON
+            StepConfig(dt=1.0, fd_epsilon=1e-7)
