@@ -478,6 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _end_time(value: float | None, flag: str) -> float | None:
+    if value is not None and not 0.0 <= value < math.inf:
+        raise ConfigError(f"{flag} must be finite and >= 0, got {value:g}")
+    return value
+
+
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
@@ -490,12 +496,13 @@ def main(argv=None) -> int:
             return cmd_dispersion(args.delta_s, args.k_max, args.n_points, args.out)
         scenario = _scenario_from_args(args)
         if args.command == "simulate":
-            return cmd_simulate(scenario, args.out, t_end=args.t_end)
+            return cmd_simulate(scenario, args.out, _end_time(args.t_end, "--t-end"))
         # compare
         variants = _convert(tuple[ModelVariant, ...],
                             [v.strip() for v in args.variants.split(",")], "--variants")
         peclets = _convert(tuple[float, ...], args.peclet.split(","), "--peclet")
-        outcome = cmd_compare(scenario, variants, peclets, args.t_compare, args.out)
+        outcome = cmd_compare(scenario, variants, peclets,
+                              _end_time(args.t_compare, "--t-compare"), args.out)
         return outcome if isinstance(outcome, int) else 0
     except ConfigError as exc:
         log.error("%s", exc)

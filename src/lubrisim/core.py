@@ -163,7 +163,7 @@ class State:
     lets one ``rhs`` call evaluate many states and is validated once.
     Immutable after construction: the arrays are copied and marked
     read-only, so states can be shared freely across sweep workers; a State
-    hashes and compares by identity, keying the caches of ``rhs`` and masses.
+    hashes and compares by identity, keying the linearisation and mass caches.
     """
 
     eta: np.ndarray

@@ -126,19 +126,11 @@ def reconstruct(state: State, params: Params, grid: Grid,
         raise ValueError("zeta_levels must not be empty")
     if np.any((zeta < 0.0) | (zeta > 1.0)):
         raise ValueError("zeta levels must lie in [0, 1]")
-    u_terms, v_terms, p_terms = _series(state, params, grid)
-    n = grid.n_nodes
-    shape = (zeta.size, n)
-    u = np.zeros(shape)
-    v = np.zeros(shape)
-    p = np.zeros(shape)
-    for m, z in enumerate(zeta):
-        for coef, poly in u_terms:
-            u[m] += coef * _poly_at(poly, z)
-        for coef, poly in v_terms:
-            v[m] += coef * _poly_at(poly, z)
-        for coef, poly in p_terms:
-            p[m] += coef * _poly_at(poly, z)
+    u, v, p = fields = np.zeros((3, zeta.size, grid.n_nodes))
+    for out, terms in zip(fields, _series(state, params, grid)):
+        for m, z in enumerate(zeta):
+            for coef, poly in terms:
+                out[m] += coef * _poly_at(poly, z)
     return FieldGrid(x=grid.x, zeta=zeta, u=u, v=v, p=p)
 
 

@@ -26,7 +26,6 @@ per field, keeping the eta equation conservative to round-off;
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -183,12 +182,11 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         yield "inertia_cross_HRB", e2 * eta_flux, ge * gamma_flux, None
 
 
-@functools.lru_cache(maxsize=1)
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     """Evaluate the selected model's right-hand side on the grid: the parts
     of all groups are summed, then each field takes a single ``div_flux``.
-    ``state`` may be a batch of shape (..., n_nodes); see ``State``.  A repeat
-    of the last call returns its read-only arrays (``__wrapped__`` evaluates)."""
+    ``state`` may be a batch of shape (..., n_nodes); see ``State``.  The
+    arrays are read-only, so rows of a batch can be shared as views."""
     totals = [None, None, None]
     for _, *parts in _groups(variant, state, params, grid):
         # parts are fresh arrays: the first of each kind takes the sum

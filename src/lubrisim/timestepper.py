@@ -15,10 +15,10 @@ columns of one field more than twice its reach apart never feed the same
 row, so they are perturbed together.  Node j takes colour j mod
 (2*reach + 1) on symmetric grids, 7 + 5 = 12 probes; the periodic ring is
 cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
-allows.  All probes are stacked into one batched rhs evaluation next to
-the base one, so an assembly costs two rhs calls on either boundary kind.
-The base rhs is the previous step's closing residual's, which ``rhs``
-remembers, so a one-iteration step evaluates rhs twice, not three times.
+allows.  Each Newton update evaluates its new state stacked over that
+state's probes in one rhs call, which gives both the residual and the next
+Jacobian; the last one is remembered, so a k-iteration step costs k rhs
+calls, on either boundary kind.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -98,7 +98,10 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
     if s_new.n_nodes != s_old.n_nodes:
         raise ValueError("states do not share a grid")
-    r = rhs(variant, s_new, params, grid)
+    return _residual(s_new, s_old, cfg, rhs(variant, s_new, params, grid))
+
+
+def _residual(s_new: State, s_old: State, cfg: StepConfig, r: Rhs) -> np.ndarray:
     return _interleave(
         (s_new.eta - s_old.eta) / cfg.dt - r.deta_dt,
         (s_new.gamma - s_old.gamma) / cfg.dt - r.dgamma_dt,
@@ -110,8 +113,9 @@ class FdJacobian:
     """Jacobian of the step residual, banded in a bandwidth-reducing order.
 
     Row and column p of the stored matrix belong to unknown order[p], an
-    index of the interleaved node vector; ``banded`` holds it in LAPACK
-    band layout, banded[hb + p - q, q] with hb = half_bandwidth.  Node
+    index of the interleaved node vector; ``banded`` holds -d rhs/du
+    (read-only) in LAPACK band layout, banded[hb + p - q, q] with
+    hb = half_bandwidth, and ``shift`` = 1/dt is added on its diagonal.  Node
     vectors are read through ``order`` and written back through
     ``gather``, the band position of each entry (node 0's for periodic
     node N-1).  ``base`` is the rhs at the state the Jacobian was taken at.
@@ -122,6 +126,7 @@ class FdJacobian:
     order: np.ndarray
     gather: np.ndarray
     base: Rhs
+    shift: float
 
     @property
     def n(self) -> int:
@@ -132,6 +137,7 @@ class FdJacobian:
         hb = self.half_bandwidth
         lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
         lu[hb:] = self.banded
+        lu[2 * hb] += self.shift
         lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {info})")
@@ -147,6 +153,7 @@ class FdJacobian:
         dense = np.empty((self.n, self.n))
         dense[np.ix_(self.order, self.order)] = np.where(
             np.abs(band_row - hb) <= hb, self.banded[np.clip(band_row, 0, 2 * hb), p], 0.0)
+        dense[np.diag_indices(self.n)] += self.shift
         return dense
 
 
@@ -154,9 +161,10 @@ class FdJacobian:
 class _ProbePattern:
     """Per-field colourings of the m unknown nodes and their flat indices.
 
-    Probes and rhs differences are (field, probe, node) arrays, holding the
-    (field, node) bumps at flat indices ``bump`` (node N-1 with periodic
-    node 0).  Jacobian entry i is the difference at src[i], a row below m;
+    The state and its probes are a (field, 1 + probe, node) stack holding
+    the (field, node) bumps at flat indices ``bump`` (node N-1 with periodic
+    node 0); rhs differences from the state are (field, probe, node) arrays.
+    Jacobian entry i is the difference at src[i], a row below m;
     it lands at dest[i] of the column-major band, whose position p holds
     unknown order[p], bumped by eps.flat[eps_at[p]].
     """
@@ -189,8 +197,8 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     probe = colors + [[0], [colors[0].max() + 1]]
     n_probes = int(probe.max()) + 1
     grid_node = np.arange(n_nodes)  # node N-1 takes node 0's probe
-    bump = ((np.arange(2)[:, None] * n_probes + probe[:, grid_node % m]) * n_nodes
-            + grid_node).ravel()
+    bump = ((np.arange(2)[:, None] * (n_probes + 1) + 1 + probe[:, grid_node % m])
+            * n_nodes + grid_node).ravel()
 
     # entries: each row node within the column field's reach, both row fields
     src, cols = [], []
@@ -220,34 +228,39 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     return _ProbePattern(*colors, n_probes, bump, src, dest, eps_at, order, gather, hb)
 
 
-def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
-                params: Params, grid: Grid) -> FdJacobian:
-    """Coloured finite-difference Jacobian of the step residual.
-
-    Exactly two rhs calls: the base state, then every colour probe of both
-    fields stacked into one batch.  The base rhs is kept on the result.
-    """
+@functools.lru_cache(maxsize=1)  # a residual's state is the next Jacobian's
+def _linearised(variant: ModelVariant, state: State, params: Params,
+                grid: Grid) -> FdJacobian:
+    """``jacobian_fd`` at state without its 1/dt shift: -d rhs/du and rhs,
+    from one rhs call on the state stacked over its colour probes."""
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
-
-    base = rhs(variant, state, params, grid)
     fields = np.stack((state.eta, state.gamma))
     eps = FD_EPSILON * np.maximum(1.0, np.abs(fields))
-    probes = np.repeat(fields[:, None, :], pat.n_probes, axis=1)
-    probes.reshape(-1)[pat.bump] += eps.reshape(-1)
-    batch = State(probes[0], probes[1], state.t)
-    del probes  # the batch holds its own copy
-    pert = rhs(variant, batch, params, grid)
-    diff = np.empty((2, *pert.deta_dt.shape))
-    np.subtract(pert.deta_dt, base.deta_dt, out=diff[0])
-    np.subtract(pert.dgamma_dt, base.dgamma_dt, out=diff[1])
+    stack = np.repeat(fields[:, None, :], pat.n_probes + 1, axis=1)
+    stack.reshape(-1)[pat.bump] += eps.reshape(-1)
+    batch = State(stack[0], stack[1], state.t)
+    del stack  # the batch holds its own copy
+    out = rhs(variant, batch, params, grid)
+    diff = np.empty((2, pat.n_probes, grid.n_nodes))
+    np.subtract(out.deta_dt[1:], out.deta_dt[0], out=diff[0])
+    np.subtract(out.dgamma_dt[1:], out.dgamma_dt[0], out=diff[1])
 
     hb = pat.half_bandwidth
     ab = np.zeros((2 * hb + 1) * pat.order.size)
     ab[pat.dest] = diff.take(pat.src)
     ab = ab.reshape(2 * hb + 1, -1, order="F")
     ab /= -eps.take(pat.eps_at)  # one bump size per band column
-    ab[hb] += 1.0 / cfg.dt
-    return FdJacobian(hb, ab, pat.order, pat.gather, base)
+    ab.setflags(write=False)
+    return FdJacobian(hb, ab, pat.order, pat.gather,
+                      Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
+
+
+def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
+                params: Params, grid: Grid) -> FdJacobian:
+    """Coloured finite-difference Jacobian of the step residual, with the rhs
+    at state as its base: one rhs call on the state stacked over every
+    colour probe of both fields, none if that state was the last one."""
+    return replace(_linearised(variant, state, params, grid), shift=1.0 / cfg.dt)
 
 
 def _drift(after: float, before: float) -> float:
@@ -268,17 +281,14 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     t_new = state.t + cfg.dt
 
     current = state
-    jac = jacobian_fd(current, cfg, variant, params, grid)
-    # (current - state) / dt is exactly 0, so the first residual is -rhs
-    r = -_interleave(jac.base.deta_dt, jac.base.dgamma_dt)
+    r = _residual(state, state, cfg, _linearised(variant, state, params, grid).base)
     norm_before = float(np.max(np.abs(r)))
     for it in range(cfg.newton_iters):
-        if it > 0:
-            jac = jacobian_fd(current, cfg, variant, params, grid)
-        du = jac.solve(-r)
-        # State and the residual's rhs reject a film that breached the floor
+        du = jacobian_fd(current, cfg, variant, params, grid).solve(-r)
+        # State and the stacked rhs reject a film that breached the floor
         current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
-        r = residual(current, state, cfg, variant, params, grid)
+        r = _residual(current, state, cfg,
+                      _linearised(variant, current, params, grid).base)
         norm_after = float(np.max(np.abs(r)))
         if norm_after <= cfg.newton_tol:
             break
@@ -329,8 +339,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     singular linear solve) the partial results gathered so far are returned
     with the failure recorded in the summary.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
     if targets != sorted(targets):
         raise ValueError("snapshot_times must be sorted ascending")
@@ -349,7 +359,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
 
     t = 0.0
     state = s0
-    while t < t_end - tol:
+    while pending:
         target = pending[0]
         dt_step = min(cfg.dt, target - t)
         try:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lubrisim import BoundaryKind, Grid, State
+from lubrisim import BoundaryKind, Grid, State, timestepper
 
 
 def smooth_state(grid: Grid, seed: int = 0, eta_amp: float = 0.15,
@@ -29,6 +29,20 @@ def smooth_state(grid: Grid, seed: int = 0, eta_amp: float = 0.15,
         eta[-1] = eta[0]
         gamma[-1] = gamma[0]
     return State(eta, gamma)
+
+
+def record_rhs_shapes(monkeypatch) -> list:
+    """The field shape of every rhs call the timestepper makes, in order.
+    Patch before installing a tracer, whose close restores this recorder."""
+    shapes = []
+    real = timestepper.rhs
+
+    def recording_rhs(variant, state, params, grid):
+        shapes.append(state.eta.shape)
+        return real(variant, state, params, grid)
+
+    monkeypatch.setattr(timestepper, "rhs", recording_rhs)
+    return shapes
 
 
 # values a 17-digit CSV must carry exactly: negatives, a subnormal, huge, nan

@@ -1,17 +1,22 @@
 """The benchmark harness in benchmarks/ still reads the solver right.
 
-The harness is imported, not changed: its tracer counts Jacobian probes as
-the rhs calls under ``jacobian_fd`` minus one, and its periodic workload
-hands ``advance`` states built through the CLI.
+The harness is imported, not changed: its tracer counts rhs calls and
+Jacobians per step, and its periodic workload hands ``advance`` states
+built through the CLI.  Its probe count, the rhs calls under
+``jacobian_fd`` minus one, cannot see probes stacked with the state in one
+call, so the stacked shape is recorded here instead.
 """
 
 import importlib.util
 import pathlib
 import sys
+import time
 
 import pytest
 
 from lubrisim import cli, timestepper
+
+from conftest import record_rhs_shapes
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -34,19 +39,41 @@ def workloads():
     return load("workloads")
 
 
-def test_traced_probe_count(tracing, tmp_path):
-    # three steps of the fig2 drop (t = 1, 10, 100): every jacobian_fd makes
-    # its base and its batch call, so each probe covers all 2N columns
+def test_traced_probe_count(tracing, tmp_path, monkeypatch):
+    # three steps of the fig2 drop (t = 1, 10, 100): the start and each
+    # step's new state are stacked over their probes, one rhs call each
     sc = cli.preset("fig2")
+    shapes = record_rhs_shapes(monkeypatch)
     tracer = tracing.Tracer().install(tracing.FULL)
     try:
         assert cli.cmd_simulate(sc, str(tmp_path), t_end=100.0) == 0
     finally:
         tracer.close()
     metrics = tracing.layer_metrics(tracer.spans(), sc.grid.n_nodes)
+    n = sc.grid.n_nodes
+    assert shapes == [(timestepper._probe_pattern(n, False).n_probes + 1, n)] * 4
     assert metrics["timestepper.steps"] == 3
-    assert metrics["timestepper.columns_per_rhs"] == 2 * sc.grid.n_nodes
-    assert metrics["timestepper.rhs_calls_per_step"] == 3.0  # one a cache hit
+    assert metrics["timestepper.newton_iters"] == 1.0
+    assert metrics["timestepper.rhs_calls_per_step"] == 4 / 3
+
+
+def test_traced_slow_mode_loop(tracing, workloads, tmp_path, monkeypatch):
+    # the benchmark's own advance loop, fully traced, passes its gate and
+    # yields every per-layer metric
+    case, s0 = workloads.setup("slowmode-periodic", 0)
+    shapes = record_rhs_shapes(monkeypatch)
+    tracer = tracing.Tracer().install(tracing.FULL)
+    try:
+        outcome = workloads.solve(case, s0, str(tmp_path), None, None,
+                                  time.perf_counter)
+    finally:
+        tracer.close()
+    assert outcome.failures == []
+    steps = workloads.SLOW_STEPS
+    metrics = tracing.layer_metrics(tracer.spans(), case.scenario.grid.n_nodes)
+    assert metrics["timestepper.steps"] == steps
+    assert metrics["timestepper.rhs_calls_per_step"] == (steps + 1) / steps
+    assert shapes == [(15, 129)] * (steps + 1)  # 14 probes on the ring
 
 
 @pytest.mark.parametrize("seed", range(21))

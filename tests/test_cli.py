@@ -193,6 +193,19 @@ def test_malformed_flag_is_config_error(tmp_path, caplog, flags, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--t-end", "-5"),
+    ("simulate", "--t-end", "inf"),
+    ("compare", "--t-compare", "-1"),
+    ("compare", "--t-compare", "nan"),
+])
+def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig2", "--out", str(out), flag, value]) == 2
+    assert f"{flag} must be finite and >= 0" in caplog.text
+    assert not out.exists()
+
+
 class TestPresets:
     def test_names(self):
         assert preset_names() == ["fig2", "fig3", "fig4"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,7 @@ from lubrisim import (
 from lubrisim import cli, discretization, models, timestepper
 from lubrisim.timestepper import GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
-from conftest import smooth_state
+from conftest import record_rhs_shapes, smooth_state
 
 
 def flat_state(n, eta=1.0, gamma=1.0):
@@ -64,6 +65,12 @@ def one_column_oracle(s, cfg, variant, params, grid):
         oracle[:, k] = -(pert_u - base_u) / eps
     oracle[np.arange(n), np.arange(n)] += 1.0 / cfg.dt
     return oracle
+
+
+def batch_shape(grid):
+    """Shape of the stacked rhs call: the state over its colour probes."""
+    pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
+    return (pat.n_probes + 1, grid.n_nodes)
 
 
 def assert_colors_apart(color, separation, periodic):
@@ -286,19 +293,39 @@ class TestJacobian:
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("n_nodes", [33, 129])
-    def test_assembly_makes_two_rhs_calls(self, boundary, n_nodes, monkeypatch):
-        # base state plus one batched probe call, on both boundary kinds
-        calls = []
-
-        def counting_rhs(*args, **kwargs):
-            calls.append(1)
-            return rhs(*args, **kwargs)
-
-        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+    def test_assembly_makes_one_rhs_call(self, boundary, n_nodes, monkeypatch):
+        # the state stacked over its probes, on both boundary kinds; another
+        # dt at the same state reuses that evaluation
         g = Grid(n_nodes, 10.0, boundary)
-        jacobian_fd(smooth_state(g, seed=30), StepConfig(dt=1.0),
-                    ModelVariant.FULL_CM, Params(), g)
-        assert len(calls) == 2
+        shapes = record_rhs_shapes(monkeypatch)
+        s = smooth_state(g, seed=30)
+        for dt in (1.0, 2.0):
+            jacobian_fd(s, StepConfig(dt=dt), ModelVariant.FULL_CM, Params(), g)
+        assert shapes == [batch_shape(g)]
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_linearisation_base_is_rhs(self, boundary):
+        # row 0 of the stacked call is the state itself, bit for bit
+        g = Grid(37, 10.0, boundary)
+        s = smooth_state(g, seed=39)
+        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
+        base = timestepper._linearised(ModelVariant.FULL_CM, s, p, g).base
+        single = rhs(ModelVariant.FULL_CM, s, p, g)
+        np.testing.assert_array_equal(base.deta_dt, single.deta_dt)
+        np.testing.assert_array_equal(base.dgamma_dt, single.dgamma_dt)
+
+    def test_linearisation_breach_reports_the_state_node(self, noflux_grid):
+        # probes only thicken the film, so the stacked call names the node
+        # and value that rhs on the state alone names: the first thinnest
+        eta = np.ones(noflux_grid.n_nodes)
+        eta[[9, 5, 20]] = 4e-9, 4e-9, 6e-9
+        s = State(eta, np.ones_like(eta))
+        errors = []
+        for evaluate in (rhs, timestepper._linearised):
+            with pytest.raises(PositivityError) as err:
+                evaluate(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+            errors.append((err.value.node, err.value.value))
+        assert errors[0] == errors[1] == (5, 4e-9)
 
 
 SOLVER_GRIDS = pytest.mark.parametrize("n_nodes", [5, 6, 8, 33, 37, 129])
@@ -350,29 +377,24 @@ class TestBandedSolver:
     def test_singular_jacobian_raises(self, periodic_grid):
         jac = jacobian_fd(smooth_state(periodic_grid, seed=33), StepConfig(dt=1.0),
                           ModelVariant.FULL_CM, Params(), periodic_grid)
-        jac.banded[:] = 0.0
+        jac = dataclasses.replace(jac, banded=np.zeros_like(jac.banded), shift=0.0)
         with pytest.raises(np.linalg.LinAlgError):
             jac.solve(np.ones(jac.n))
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
-    @pytest.mark.parametrize("iters, expected", [(1, 3), (3, 9)])
-    def test_newton_iteration_makes_three_rhs_calls(self, boundary, iters,
-                                                    expected, monkeypatch):
-        # the first residual reuses the Jacobian's base rhs; an unreachable
-        # tolerance keeps every requested iteration running
-        calls = []
-
-        def counting_rhs(*args, **kwargs):
-            calls.append(1)
-            return rhs(*args, **kwargs)
-
-        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_newton_iteration_makes_one_rhs_call(self, boundary, iters,
+                                                 monkeypatch):
+        # the start state stacked over its probes, then each update's new
+        # state over its own; an unreachable tolerance keeps every requested
+        # iteration running
+        shapes = record_rhs_shapes(monkeypatch)
         g = Grid(33, 10.0, boundary)
         cfg = StepConfig(dt=1.0, newton_iters=iters, newton_tol=1e-300)
         _, rep = advance(smooth_state(g, seed=34), cfg, ModelVariant.FULL_CM,
                          Params(), g)
         assert rep.newton_iters_used == iters
-        assert len(calls) == expected
+        assert shapes == [batch_shape(g)] * (iters + 1)
 
 
 class TestAdvance:
@@ -542,6 +564,19 @@ class TestRunSimulation:
         assert [snap.time for snap in res.snapshots] == [0.0, 5.0, 10.0]
         assert res.snapshots[-1].state.t == res.summary.final_time == 10.0
 
+    @pytest.mark.parametrize("t_end, snapshots, dt, steps", [
+        (1e-10, (), 1.0, 1),
+        (100.0 + 1e-8, (100.0,), 10.0, 11),
+    ])
+    def test_t_end_within_landing_tolerance_is_reached(self, t_end, snapshots,
+                                                       dt, steps):
+        # t_end lies within 1e-9 * max(1, dt) of 0 or of the previous snapshot
+        res = run_simulation(flat_state(33), t_end, snapshots, StepConfig(dt=dt),
+                             ModelVariant.FULL_CM, Params(), Grid(33, 10.0))
+        assert [snap.time for snap in res.snapshots] == [0.0, *snapshots, t_end]
+        assert res.summary.steps == steps
+        assert res.summary.final_time == res.snapshots[-1].state.t == t_end
+
     def test_zero_surfactant_drifts_are_finite(self, noflux_grid):
         # a clean film: the surfactant mass starts at exactly 0
         eta = smooth_state(noflux_grid, seed=38).eta
@@ -566,11 +601,12 @@ class TestRunSimulation:
         assert times == [0.0, 1.0, 10.0, 25.0]
         assert res.snapshots[-1].state.t == 25.0
 
-    @pytest.mark.parametrize("t0,builds", [(0.0, 8), (3.0, 9)])
+    @pytest.mark.parametrize("t0,builds", [(0.0, 9), (3.0, 11)])
     def test_two_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
-        # the probe batch and the Newton iterate; the step loop relabels a
-        # state only when its t differs from the run's clock (here once,
-        # when s0 does not start at t = 0)
+        # the Newton iterate and its stacked probes, 2k + 1 with the start's
+        # stack; the step loop relabels a state only when its t differs from
+        # the run's clock (here once, when s0 does not start at t = 0), and
+        # the relabelled state is stacked afresh
         calls = []
 
         def counting_state(*args, **kwargs):
@@ -607,13 +643,14 @@ class TestRunSimulation:
 
 
 class TestEvaluationReuse:
-    """``rhs`` and the mass integrals remember their last State, so each
-    accepted state is evaluated once: the closing residual's rhs is the
-    next step's Jacobian base, and a step's masses are read again for free."""
+    """The linearisation and the mass integrals remember their last State, so
+    each state is evaluated once: the closing residual's stacked rhs call is
+    the next iteration's or step's Jacobian, and a step's masses are read
+    again for free."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
-        for name in ("rhs", "film_mass", "surfactant_mass"):
+        for name in ("_linearised", "film_mass", "surfactant_mass"):
             monkeypatch.setattr(timestepper, name,
                                 getattr(timestepper, name).__wrapped__)
 
@@ -661,11 +698,11 @@ class TestEvaluationReuse:
             np.testing.assert_array_equal(a.gamma, b.gamma)
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
-    @pytest.mark.parametrize("iters, evaluations", [(1, 3), (3, 7)])
+    @pytest.mark.parametrize("iters, evaluations", [(1, 2), (3, 4)])
     def test_first_step_evaluates_its_start_once(self, boundary, iters,
                                                  evaluations, monkeypatch):
-        # the start state, then a probe batch and a residual per iteration;
-        # each later Jacobian base is the residual just evaluated
+        # the start state, then one stacked call per iteration whose row 0
+        # is the residual and whose probes are the next iteration's Jacobian
         entries = []
         real = models._groups
 
@@ -680,29 +717,25 @@ class TestEvaluationReuse:
         assert len(entries) == evaluations
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
-    def test_two_evaluations_per_step(self, boundary, monkeypatch):
-        # k steps evaluate rhs 2k + 1 times (3k without the cache), while the
-        # timestepper still makes three rhs calls per step, one of them a hit
-        entries, calls = [], []
-        real_groups, real_rhs = models._groups, timestepper.rhs
+    def test_one_evaluation_per_step(self, boundary, monkeypatch):
+        # k one-iteration steps evaluate rhs k + 1 times, each call the
+        # state stacked over its probes: the start, and each step's new state
+        entries = []
+        real_groups = models._groups
 
         def counting_groups(*args):
             entries.append(1)
             return real_groups(*args)
 
-        def counting_rhs(*args):
-            calls.append(1)
-            return real_rhs(*args)
-
         monkeypatch.setattr(models, "_groups", counting_groups)
-        monkeypatch.setattr(timestepper, "rhs", counting_rhs)
+        shapes = record_rhs_shapes(monkeypatch)
         g = Grid(33, 10.0, boundary)
         s = smooth_state(g, seed=36)
         k = 5
         for _ in range(k):
             s, _ = advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), g)
-        assert len(entries) == 2 * k + 1
-        assert len(calls) == 3 * k
+        assert len(entries) == k + 1
+        assert shapes == [batch_shape(g)] * (k + 1)
 
     def test_one_mass_pair_per_step(self, noflux_grid, monkeypatch):
         # film and surfactant mass each integrate once per accepted state:
