@@ -95,8 +95,11 @@ class Scenario:
     snapshot_times: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "snapshot_times",
-                           tuple(float(t) for t in self.snapshot_times))
+        times = tuple(float(t) for t in self.snapshot_times)
+        if not all(0.0 <= t < math.inf for t in times) or list(times) != sorted(times):
+            raise ConfigError("snapshot_times must be finite, >= 0 and ascending, "
+                              f"got {list(times)}")
+        object.__setattr__(self, "snapshot_times", times)
         init, n = self.initial, self.grid.n_nodes
         periodic = self.grid.boundary is BoundaryKind.PERIODIC
         if periodic and init.kind == "corrugated_uniform_surfactant":
@@ -369,14 +372,12 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
     """Run two variants at each Peclet number and difference the profiles.
 
     Returns the ComparisonReport on success (the CLI wrapper turns it into
-    an exit code) or an integer error code on failure.
+    an exit code) or 3 on a solver failure; bad arguments raise ConfigError.
     """
     if len(variants) != 2:
-        log.error("compare needs exactly two variants, got %d", len(variants))
-        return 2
-    if not peclet_list or any(p <= 0 for p in peclet_list):
-        log.error("compare needs positive Peclet numbers")
-        return 2
+        raise ConfigError(f"compare needs exactly two variants, got {len(variants)}")
+    if not peclet_list or not all(p > 0 for p in peclet_list):
+        raise ConfigError(f"compare needs positive Peclet numbers, got {peclet_list}")
     os.makedirs(out_dir, exist_ok=True)
     s0 = build_initial_state(scenario)
     report = ComparisonReport(variants[0].value, variants[1].value, [])

@@ -111,10 +111,6 @@ class Params:
             raise ValueError(f"unknown term-group toggles: {sorted(unknown)}")
         object.__setattr__(self, "toggles", toggles)
 
-    @property
-    def peclet(self) -> float:
-        return math.inf if self.inv_peclet == 0 else 1.0 / self.inv_peclet
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -162,8 +158,8 @@ class State:
     (..., n_nodes) holding a batch of states that share t; the stack form
     lets one ``rhs`` call evaluate many states and is validated once.
     Immutable after construction: the arrays are copied and marked
-    read-only, so states can be shared freely across sweep workers; a State
-    hashes and compares by identity, keying the linearisation and mass caches.
+    read-only, so states can be shared freely; a State hashes and compares
+    by identity, keying the linearisation and mass caches.
     """
 
     eta: np.ndarray

@@ -50,7 +50,8 @@ class FieldGrid:
 
 
 def _series(state: State, params: Params, grid: Grid):
-    """Term tables for u, v, p: lists of (coefficient array, zeta poly)."""
+    """The zeta-coefficient table of u, v, p, of shape (3, 5, n_nodes):
+    entry [f, k] holds the x-dependent coefficient of zeta**k in field f."""
     if not (state.eta >= ETA_FLOOR).all():
         raise PositivityError.at_minimum(state.eta)
 
@@ -70,52 +71,51 @@ def _series(state: State, params: Params, grid: Grid):
     hm = params.hamaker
     on = params.toggles
 
-    u_terms = []
-    v_terms = []
-    p_terms = []
+    table = np.zeros((3, 5, grid.n_nodes))
+    u, v, p = table
+
+    def add(field, coef, poly):
+        for power, c in poly.items():
+            field[power] += c * coef
 
     if "gravity_tangential" in on:
-        u_terms.append((bs * eta**2, _PARABOLIC))
-        u_terms.append((bs * eta**3 * etxx, {1: 2.5, 2: -0.5, 3: -1.0 / 3.0}))
-        v_terms.append((-bs * eta**2 * etx, {2: 0.5}))
-        v_terms.append((-bs * eta**2 * etx**3, {2: 2.5}))
-        v_terms.append((-bs * eta**3 * etx * etxx, {2: 7.5, 3: -0.5}))
-        v_terms.append((-bs * eta**4 * etxxx, {2: 1.25, 3: -1.0 / 6.0, 4: -1.0 / 12.0}))
-        p_terms.append((-bs * eta * etx, {0: 1.0, 1: 1.0}))
-        p_terms.append((-bs * eta * etx**3, {0: 9.0, 1: 5.0}))
-        p_terms.append((-bs * eta**2 * etx * etxx, {0: 13.5, 1: 15.0, 2: -1.5}))
+        add(u, bs * eta**2, _PARABOLIC)
+        add(u, bs * eta**3 * etxx, {1: 2.5, 2: -0.5, 3: -1.0 / 3.0})
+        add(v, -bs * eta**2 * etx, {2: 0.5})
+        add(v, -bs * eta**2 * etx**3, {2: 2.5})
+        add(v, -bs * eta**3 * etx * etxx, {2: 7.5, 3: -0.5})
+        add(v, -bs * eta**4 * etxxx, {2: 1.25, 3: -1.0 / 6.0, 4: -1.0 / 12.0})
+        add(p, -bs * eta * etx, {0: 1.0, 1: 1.0})
+        add(p, -bs * eta * etx**3, {0: 9.0, 1: 5.0})
+        add(p, -bs * eta**2 * etx * etxx, {0: 13.5, 1: 15.0, 2: -1.5})
 
     if "van_der_waals" in on:
-        u_terms.append((hm * etx / eta**2, {1: 3.0, 2: -1.5}))
-        v_terms.append((hm * etx**2 / eta**2, {2: 4.5, 3: -2.0}))
-        v_terms.append((-hm * etxx / eta, {2: 1.5, 3: -0.5}))
-        p_terms.append((hm * etx**2 / eta**3, {0: 3.0, 1: 9.0, 2: -6.0}))
-        p_terms.append((-hm * etxx / eta**2, {0: 1.5, 1: 3.0, 2: -1.5}))
+        add(u, hm * etx / eta**2, {1: 3.0, 2: -1.5})
+        add(v, hm * etx**2 / eta**2, {2: 4.5, 3: -2.0})
+        add(v, -hm * etxx / eta, {2: 1.5, 3: -0.5})
+        add(p, hm * etx**2 / eta**3, {0: 3.0, 1: 9.0, 2: -6.0})
+        add(p, -hm * etxx / eta**2, {0: 1.5, 1: 3.0, 2: -1.5})
 
     if "gravity_normal" in on:
-        u_terms.append((-bc * eta**2 * etx, _PARABOLIC))
-        v_terms.append((bc * eta**2 * etx**2, {2: 0.5}))
-        v_terms.append((bc * eta**3 * etxx, {2: 0.5, 3: -1.0 / 6.0}))
-        p_terms.append((bc * eta, {0: 1.0, 1: -1.0}))
-        p_terms.append((bc * eta * etx**2, {0: 1.0, 1: 1.0}))
-        p_terms.append((bc * eta**2 * etxx, {0: 0.5, 1: 1.0, 2: -0.5}))
+        add(u, -bc * eta**2 * etx, _PARABOLIC)
+        add(v, bc * eta**2 * etx**2, {2: 0.5})
+        add(v, bc * eta**3 * etxx, {2: 0.5, 3: -1.0 / 6.0})
+        add(p, bc * eta, {0: 1.0, 1: -1.0})
+        add(p, bc * eta * etx**2, {0: 1.0, 1: 1.0})
+        add(p, bc * eta**2 * etxx, {0: 0.5, 1: 1.0, 2: -0.5})
 
     if "capillary" in on:
-        u_terms.append((tension * eta**2 * etxxx, _PARABOLIC))
-        p_terms.append((-tension * etxx, {0: 1.0}))
+        add(u, tension * eta**2 * etxxx, _PARABOLIC)
+        add(p, -tension * etxx, {0: 1.0})
 
     if "marangoni" in on:
-        u_terms.append((eta * tension_x, {1: 1.0}))
-        v_terms.append((-eta**2 * tension_xx, {2: 0.5}))
-        p_terms.append((-A * (1.0 - gam) * etxx, {0: 1.0}))
-        p_terms.append((-2.0 * etx * tension_x, {0: 1.0}))
-        p_terms.append((-eta * tension_xx, {0: 1.0, 1: 1.0}))
+        add(u, eta * tension_x, {1: 1.0})
+        add(v, -eta**2 * tension_xx, {2: 0.5})
+        add(p, -A * (1.0 - gam) * etxx, {0: 1.0})
+        add(p, -2.0 * etx * tension_x, {0: 1.0})
+        add(p, -eta * tension_xx, {0: 1.0, 1: 1.0})
 
-    return u_terms, v_terms, p_terms
-
-
-def _poly_at(poly: dict, zeta: float) -> float:
-    return sum(c * zeta**p for p, c in poly.items())
+    return table
 
 
 def reconstruct(state: State, params: Params, grid: Grid,
@@ -126,11 +126,7 @@ def reconstruct(state: State, params: Params, grid: Grid,
         raise ValueError("zeta_levels must not be empty")
     if np.any((zeta < 0.0) | (zeta > 1.0)):
         raise ValueError("zeta levels must lie in [0, 1]")
-    u, v, p = fields = np.zeros((3, zeta.size, grid.n_nodes))
-    for out, terms in zip(fields, _series(state, params, grid)):
-        for m, z in enumerate(zeta):
-            for coef, poly in terms:
-                out[m] += coef * _poly_at(poly, z)
+    u, v, p = (zeta[:, None] ** np.arange(5)) @ _series(state, params, grid)
     return FieldGrid(x=grid.x, zeta=zeta, u=u, v=v, p=p)
 
 
@@ -139,12 +135,7 @@ def depth_flux(state: State, params: Params, grid: Grid) -> np.ndarray:
 
     The u series is polynomial in zeta, so the quadrature is exact.
     """
-    u_terms, _, _ = _series(state, params, grid)
-    q = np.zeros(grid.n_nodes)
-    for coef, poly in u_terms:
-        weight = sum(c / (power + 1.0) for power, c in poly.items())
-        q += coef * weight
-    return q * state.eta
+    return (1 / np.arange(1, 6)) @ _series(state, params, grid)[0] * state.eta
 
 
 def write_fields_csv(fg: FieldGrid, path) -> None:

@@ -31,18 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ETA_FLOOR, Grid, ModelVariant, Params, PositivityError, State
+from .core import (ETA_FLOOR, TERM_GROUPS, Grid, ModelVariant, Params, PositivityError,
+                   State, surface_tension)
 from .discretization import stencil_ops
 
-BREAKDOWN_GROUPS = (
-    "marangoni",
-    "capillary",
-    "gravity_tangential",
-    "gravity_normal",
-    "van_der_waals",
-    "inertia_cross_HRB",
-    "diffusion",
-)
+# The diffusion term is always present (its toggle only selects the
+# slope-corrected form), so its contribution is named after the term.
+BREAKDOWN_GROUPS = tuple("diffusion" if g == "geometric_diffusion" else g
+                         for g in TERM_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
 
     # Capillary: the inner (tension * eta_xx)_x needs a one-node halo.
     if "capillary" in on:
-        tension_h = 1.0 + A * (1.0 - ops.halo(ghost_gam))
+        tension_h = surface_tension(ops.halo(ghost_gam), A)
         curv = ops.d1_center(tension_h * ops.halo_d2(ghost_eta))
         yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
 

@@ -53,10 +53,10 @@ class DispersionResult:
 def _check_inputs(k: float, delta_s: float) -> tuple[float, float]:
     k = float(k)
     delta_s = float(delta_s)
-    if k < 0:
-        raise ValueError(f"wavenumber k must be >= 0, got {k}")
-    if delta_s < 0:
-        raise ValueError(f"delta_s must be >= 0, got {delta_s}")
+    if not 0 <= k < math.inf:
+        raise ValueError(f"wavenumber k must be finite and >= 0, got {k}")
+    if not 0 <= delta_s < math.inf:
+        raise ValueError(f"delta_s must be finite and >= 0, got {delta_s}")
     return k, delta_s
 
 

@@ -157,6 +157,11 @@ MALFORMED_CONFIGS = [
     ("grid: {n_nodes: 5}\n"
      "initial: {kind: custom, eta: [1, 1, .nan, 1, 1], gamma: [1, 1, 1, 1, 1]}",
      ".initial: eta (film thickness) must be positive and finite"),
+    # snapshot times are checked at load, before any output is made
+    ("snapshot_times: [-1.0, 5.0]", "yaml: snapshot_times must be finite, >= 0"),
+    ("snapshot_times: [5.0, 2.0]", "yaml: snapshot_times must be finite, >= 0 and ascending"),
+    ("snapshot_times: [.nan, 5.0]", "yaml: snapshot_times must be finite"),
+    ("snapshot_times: [.inf]", "yaml: snapshot_times must be finite"),
 ]
 
 
@@ -169,6 +174,7 @@ def test_malformed_config_is_config_error(tmp_path, caplog, text, where):
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert where in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags,where", [
@@ -203,6 +209,21 @@ def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
     out = tmp_path / "out"
     assert main([command, "--preset", "fig2", "--out", str(out), flag, value]) == 2
     assert f"{flag} must be finite and >= 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compare", "--preset", "fig3", "--peclet", "nan"], "needs positive Peclet numbers"),
+    (["compare", "--preset", "fig3", "--peclet", "0"], "needs positive Peclet numbers"),
+    (["compare", "--preset", "fig3", "--variants", "full"], "needs exactly two variants"),
+    (["dispersion", "--delta-s", "nan"], "delta_s must be finite"),
+    (["dispersion", "--delta-s", "inf"], "delta_s must be finite"),
+    (["dispersion", "--k-max", "inf"], "k must be finite"),
+])
+def test_bad_argument_exits_2_without_output(tmp_path, caplog, args, message):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in caplog.text
     assert not out.exists()
 
 

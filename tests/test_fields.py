@@ -142,6 +142,18 @@ class TestDepthFlux:
             "gravity_tangential"].deta_dt
         assert np.max(np.abs(got - ref)) <= 0.05 * np.max(np.abs(ref))
 
+    def test_flux_is_gauss_legendre_integral_of_u(self):
+        # u has degree <= 3 in zeta, so the 2-point Gauss-Legendre rule
+        # integrates it exactly: both read the same coefficient table
+        grid = Grid(129, 10 * np.pi, BoundaryKind.PERIODIC)
+        s = wavy_state(grid, amp=0.05)
+        p = Params(bond=0.3, hamaker=0.01, incline=0.5)
+        nodes = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+        u = reconstruct(s, p, grid, nodes).u
+        q = depth_flux(s, p, grid)
+        np.testing.assert_allclose(q, 0.5 * (u[0] + u[1]) * s.eta,
+                                   rtol=0, atol=1e-14 * np.max(np.abs(q)))
+
     def test_all_toggles_off_zero_flux(self, low_slope):
         grid, s = low_slope
         q = depth_flux(s, Params(toggles=frozenset()), grid)

@@ -21,6 +21,7 @@ from lubrisim import (
     rhs,
     rhs_breakdown,
 )
+from lubrisim.models import BREAKDOWN_GROUPS
 
 from conftest import smooth_state
 
@@ -124,6 +125,16 @@ class TestBreakdown:
                     scale = max(np.max(np.abs(r.deta_dt)), np.max(np.abs(r.dgamma_dt)))
                     assert np.max(np.abs(total.deta_dt - r.deta_dt)) <= 1e-14 * scale
                     assert np.max(np.abs(total.dgamma_dt - r.dgamma_dt)) <= 1e-14 * scale
+
+    def test_group_names_follow_term_groups(self, noflux_grid):
+        # the breakdown reports the always-present diffusion term under its
+        # own name; every other group is named as its toggle
+        s = smooth_state(noflux_grid, seed=3)
+        names = [g.replace("geometric_diffusion", "diffusion") for g in TERM_GROUPS]
+        assert list(BREAKDOWN_GROUPS) == names
+        for variant in VARIANTS:
+            bd = rhs_breakdown(variant, s, Params(), noflux_grid)
+            assert list(bd.contributions) == names
 
     def test_leading_groups_match_low_order_model(self, noflux_grid):
         # FullCM restricted to marangoni+capillary+geometric_diffusion is the

@@ -89,6 +89,9 @@ class TestDispersion:
             dispersion(0.5, -1e-4)
         with pytest.raises(ValueError):
             mode_amplitude_ratio(0.0, -0.1)
+        for k, delta_s in ((np.nan, 1e-4), (np.inf, 1e-4), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                dispersion(k, delta_s)
 
 
 class TestGeneralTensionSlope:
@@ -152,6 +155,9 @@ class TestScan:
             dispersion_scan(0.0, 0.0, 10, 1e-4)
         with pytest.raises(ValueError):
             dispersion_scan(0.0, 2.0, 1, 1e-4)
+        # an infinite range fails at its first point, 0 * inf = nan
+        with pytest.raises(ValueError, match="k must be finite"):
+            dispersion_scan(0.0, np.inf, 11, 1e-4)
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "disp.csv"
