@@ -50,21 +50,22 @@ class DispersionResult:
     amp_ratio_fast: float | None
 
 
-def _check_inputs(k: float, delta_s: float) -> tuple[float, float]:
-    k = float(k)
-    delta_s = float(delta_s)
+def _check_inputs(k: float, delta_s: float,
+                  tension_slope: float) -> tuple[float, float, float]:
+    k, delta_s, tension_slope = float(k), float(delta_s), float(tension_slope)
     if not 0 <= k < math.inf:
         raise ValueError(f"wavenumber k must be finite and >= 0, got {k}")
     if not 0 <= delta_s < math.inf:
         raise ValueError(f"delta_s must be finite and >= 0, got {delta_s}")
-    return k, delta_s
+    if not math.isfinite(tension_slope):
+        raise ValueError(f"tension_slope must be finite, got {tension_slope}")
+    return k, delta_s, tension_slope
 
 
 def char_poly_coeffs(k: float, delta_s: float,
                      tension_slope: float = 1.0) -> tuple[float, float]:
     """Coefficients (c1, c0) of lambda^2 + c1*lambda + c0 = 0."""
-    k, delta_s = _check_inputs(k, delta_s)
-    A = float(tension_slope)
+    k, delta_s, A = _check_inputs(k, delta_s, tension_slope)
     c1 = A * k**2 + delta_s * k**2 + k**4 / 3.0
     c0 = A * k**6 / 12.0 + delta_s * k**6 / 3.0
     return c1, c0

@@ -15,10 +15,18 @@ columns of one field more than twice its reach apart never feed the same
 row, so they are perturbed together.  Node j takes colour j mod
 (2*reach + 1) on symmetric grids, 7 + 5 = 12 probes; the periodic ring is
 cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
-allows.  Each Newton update evaluates its new state stacked over that
-state's probes in one rhs call, which gives both the residual and the next
-Jacobian; the last one is remembered, so a k-iteration step costs k rhs
-calls, on either boundary kind.
+allows.  Each Newton update evaluates its new state in one rhs call, which
+gives the residual and, stacked over the state's probes where a fresh
+Jacobian is taken next, that Jacobian; the last call is remembered, so a
+k-iteration step costs k rhs calls, on either boundary kind.
+
+``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
+keeps its last one factorised and solves a later step's first update with
+gbtrs alone: linearly implicit Euler stays first order with an approximate
+Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  It refreshes on a
+run's first step, when dt changes (landing steps too), after JAC_MAX_AGE
+steps, and to retry once a held step that raised PositivityError or
+LinAlgError; its results move past round-off.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -53,6 +61,7 @@ STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
 GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
                    # only through gamma, gamma_x and the halo tension
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
+JAC_MAX_AGE = 10   # steps one factorised Jacobian serves in run_simulation
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,9 @@ class FdJacobian:
     def n(self) -> int:
         return self.order.size
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Banded LU solve with partial pivoting, which is backward stable."""
+    @functools.cached_property
+    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """gbtrf's banded LU and pivots, made by the first solve and kept."""
         hb = self.half_bandwidth
         lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
         lu[hb:] = self.banded
@@ -141,6 +151,12 @@ class FdJacobian:
         lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {info})")
+        return lu, piv
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Banded LU solve with partial pivoting, which is backward stable."""
+        hb = self.half_bandwidth
+        lu, piv = self._lu
         xp, _ = lapack.dgbtrs(lu, hb, hb, b[self.order], piv)
         if not np.isfinite(xp).all():
             raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
@@ -263,6 +279,24 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     return replace(_linearised(variant, state, params, grid), shift=1.0 / cfg.dt)
 
 
+@functools.lru_cache(maxsize=1)  # a held step's end state is the next one's start
+def _rhs_at(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
+    return rhs(variant, state, params, grid)
+
+
+@dataclass
+class _Held:
+    """A run's factorised Jacobian, the steps it served, the next step's dt."""
+
+    jac: FdJacobian | None = None
+    age: int = 0
+    dt_next: float | None = None  # None after a run's last step, or outside a run
+
+    def serves(self, dt: float | None) -> bool:
+        return (self.jac is not None and dt is not None
+                and self.jac.shift == 1.0 / dt and self.age < JAC_MAX_AGE)
+
+
 def _drift(after: float, before: float) -> float:
     """Relative change of a mass, or the plain change from a zero mass."""
     change = after - before
@@ -270,28 +304,57 @@ def _drift(after: float, before: float) -> float:
 
 
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
-            params: Params, grid: Grid) -> tuple[State, StepReport]:
-    """One backward-Euler step via at most cfg.newton_iters Newton updates."""
+            params: Params, grid: Grid, *, _held: _Held | None = None
+            ) -> tuple[State, StepReport]:
+    """One backward-Euler step via at most cfg.newton_iters Newton updates,
+    each with a fresh Jacobian, unless run_simulation's ``_held`` one serves
+    the first (see the module docstring)."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
     film_before = film_mass(state, grid)
     surf_before = surfactant_mass(state, grid)
-    t_new = state.t + cfg.dt
+    held = _Held() if _held is None else _held
+    reuse = held.serves(cfg.dt)
+    if reuse:
+        jac, base = held.jac, _rhs_at(variant, state, params, grid)
+        held.age += 1
+    else:
+        base = _linearised(variant, state, params, grid).base
+        jac = held.jac = jacobian_fd(state, cfg, variant, params, grid)
+        held.age = 1
+    # an iterate is stacked over its probes where a fresh Jacobian may be
+    # taken: by a later update, or by the next step, which then holds none
+    probe_last = not held.serves(held.dt_next)
+    if probe_last:
+        held.jac = None
 
+    t_new = state.t + cfg.dt
     current = state
-    r = _residual(state, state, cfg, _linearised(variant, state, params, grid).base)
+    r = _residual(state, state, cfg, base)
     norm_before = float(np.max(np.abs(r)))
-    for it in range(cfg.newton_iters):
-        du = jacobian_fd(current, cfg, variant, params, grid).solve(-r)
-        # State and the stacked rhs reject a film that breached the floor
-        current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
-        r = _residual(current, state, cfg,
-                      _linearised(variant, current, params, grid).base)
-        norm_after = float(np.max(np.abs(r)))
-        if norm_after <= cfg.newton_tol:
-            break
+    try:
+        for it in range(cfg.newton_iters):
+            if it:
+                jac = jacobian_fd(current, cfg, variant, params, grid)
+            du = jac.solve(-r)
+            del jac  # an LU nobody holds is freed before the stacked rhs call
+            # State and the stacked rhs reject a film that breached the floor
+            current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
+            if probe_last or it + 1 < cfg.newton_iters:
+                base = _linearised(variant, current, params, grid).base
+            else:
+                base = _rhs_at(variant, current, params, grid)
+            r = _residual(current, state, cfg, base)
+            norm_after = float(np.max(np.abs(r)))
+            if norm_after <= cfg.newton_tol:
+                break
+    except (PositivityError, np.linalg.LinAlgError):
+        if not reuse:
+            raise
+        held.jac = None  # retry once, with a fresh Jacobian
+        return advance(state, cfg, variant, params, grid, _held=held)
 
     report = StepReport(
         residual_norm_before=norm_before,
@@ -335,9 +398,10 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     when t_end > 0, the state at t_end as the last snapshot.
 
     When dt does not divide a snapshot time the preceding step is shortened
-    to land on it exactly.  On a solver failure (positivity breach or a
-    singular linear solve) the partial results gathered so far are returned
-    with the failure recorded in the summary.
+    to land on it exactly.  Steps share a held factorised Jacobian (see the
+    module docstring).  On a solver failure (positivity breach or a singular
+    linear solve) with a fresh Jacobian the partial results gathered so far
+    are returned with the failure recorded in the summary.
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -359,19 +423,21 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
 
     t = 0.0
     state = s0
+    held = _Held(dt_next=min(cfg.dt, pending[0]) if pending else None)
     while pending:
         target = pending[0]
-        dt_step = min(cfg.dt, target - t)
+        dt_step = held.dt_next
+        t_step = target if abs(t + dt_step - target) <= tol else t + dt_step
+        ahead = pending[1:] if t_step == target else pending
+        held.dt_next = min(cfg.dt, ahead[0] - t_step) if ahead else None
         try:
             state, report = advance(state, replace(cfg, dt=dt_step),
-                                    variant, params, grid)
+                                    variant, params, grid, _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
             summary.failure = f"{type(exc).__name__}: {exc}"
             break
         summary.steps += 1
-        t += dt_step
-        if abs(t - target) <= tol:
-            t = target
+        t = t_step
         if state.t != t:  # snapped to the target, or s0.t was not 0
             state = State(state.eta, state.gamma, t)
         film_drift = abs(_drift(film_mass(state, grid), film0))

@@ -57,6 +57,22 @@ def test_traced_probe_count(tracing, tmp_path, monkeypatch):
     assert metrics["timestepper.rhs_calls_per_step"] == 4 / 3
 
 
+def test_traced_reuse_run(tracing, tmp_path):
+    # fig4 (N = 97) to t = 300: a fresh Jacobian every JAC_MAX_AGE steps,
+    # and every rhs call, stacked or single-row, inside a step's span
+    sc = cli.preset("fig4")
+    tracer = tracing.Tracer().install(tracing.FULL)
+    try:
+        assert cli.cmd_simulate(sc, str(tmp_path)) == 0
+    finally:
+        tracer.close()
+    metrics = tracing.layer_metrics(tracer.spans(), sc.grid.n_nodes)
+    steps = metrics["timestepper.steps"]
+    assert steps == 300
+    assert metrics["timestepper.rhs_calls_per_step"] == (steps + 1) / steps
+    assert metrics["timestepper.newton_iters"] == 1 / timestepper.JAC_MAX_AGE
+
+
 def test_traced_slow_mode_loop(tracing, workloads, tmp_path, monkeypatch):
     # the benchmark's own advance loop, fully traced, passes its gate and
     # yields every per-layer metric

@@ -93,6 +93,17 @@ class TestDispersion:
             with pytest.raises(ValueError, match="must be finite"):
                 dispersion(k, delta_s)
 
+    @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tension_slope(self, slope):
+        # used to give all-nan eigenvalues (nan) or -inf with nan ratios (inf)
+        match = "tension_slope must be finite"
+        with pytest.raises(ValueError, match=match):
+            char_poly_coeffs(1.0, 1e-4, tension_slope=slope)
+        with pytest.raises(ValueError, match=match):
+            dispersion(1.0, 1e-4, tension_slope=slope)
+        with pytest.raises(ValueError, match=match):
+            dispersion_scan(0.0, 2.0, 11, 1e-4, tension_slope=slope)
+
 
 class TestGeneralTensionSlope:
     def test_coefficients_scale_with_slope(self):

@@ -601,12 +601,13 @@ class TestRunSimulation:
         assert times == [0.0, 1.0, 10.0, 25.0]
         assert res.snapshots[-1].state.t == 25.0
 
-    @pytest.mark.parametrize("t0,builds", [(0.0, 9), (3.0, 11)])
-    def test_two_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
-        # the Newton iterate and its stacked probes, 2k + 1 with the start's
-        # stack; the step loop relabels a state only when its t differs from
-        # the run's clock (here once, when s0 does not start at t = 0), and
-        # the relabelled state is stacked afresh
+    @pytest.mark.parametrize("t0,builds", [(0.0, 6), (3.0, 7)])
+    def test_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
+        # the Newton iterate of each step, plus a stack of probes at the
+        # start and at the run's end: steps 2-4 reuse step 1's held
+        # Jacobian, so no step in between takes a fresh one; the step loop
+        # relabels a state only when its t differs from the run's clock
+        # (here once, when s0 does not start at t = 0)
         calls = []
 
         def counting_state(*args, **kwargs):
@@ -643,14 +644,19 @@ class TestRunSimulation:
 
 
 class TestEvaluationReuse:
-    """The linearisation and the mass integrals remember their last State, so
-    each state is evaluated once: the closing residual's stacked rhs call is
-    the next iteration's or step's Jacobian, and a step's masses are read
-    again for free."""
+    """The linearisation, the single-row rhs and the mass integrals remember
+    their last State, so each state is evaluated once: the closing
+    residual's rhs call is the next iteration's or step's start, stacked
+    over its probes when a fresh Jacobian is taken there, and a step's
+    masses are read again for free.  ``run_simulation`` holds the factorised
+    Jacobian of its last refresh and takes a fresh one only on the run's
+    first step, when dt changes, after JAC_MAX_AGE steps, or to retry a held
+    step that failed; its results move from fresh-Jacobian steps past
+    round-off, while ``advance`` alone always takes a fresh one."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
-        for name in ("_linearised", "film_mass", "surfactant_mass"):
+        for name in ("_linearised", "_rhs_at", "film_mass", "surfactant_mass"):
             monkeypatch.setattr(timestepper, name,
                                 getattr(timestepper, name).__wrapped__)
 
@@ -754,6 +760,95 @@ class TestEvaluationReuse:
                              noflux_grid)
         assert res.summary.steps == k
         assert len(integrals) == 2 * (k + 1)
+
+
+class TestHeldJacobian:
+    """run_simulation solves with the factorised Jacobian of its last
+    refresh; a fresh one is taken on the first step, when dt changes, after
+    JAC_MAX_AGE steps, and to retry a held step that failed."""
+
+    @staticmethod
+    def record_refreshes(monkeypatch) -> list:
+        """The state time of every fresh Jacobian the timestepper takes."""
+        times = []
+        real = timestepper.jacobian_fd
+
+        def recording(state, *args):
+            times.append(state.t)
+            return real(state, *args)
+
+        monkeypatch.setattr(timestepper, "jacobian_fd", recording)
+        return times
+
+    def test_probes_only_where_a_fresh_jacobian_is_taken(self, monkeypatch):
+        # fig4 (N = 97, dt = 1) to t = 30: one rhs call per step, stacked
+        # over the probes only before a refresh and at the run's end
+        sc = cli.preset("fig4")
+        shapes = record_rhs_shapes(monkeypatch)
+        refreshes = self.record_refreshes(monkeypatch)
+        res = run_simulation(cli.build_initial_state(sc), 30.0, (), sc.step,
+                             sc.variant, sc.params, sc.grid)
+        assert res.summary.steps == 30 and res.summary.failure is None
+        assert refreshes == [0.0, 10.0, 20.0]
+        batch, row = batch_shape(sc.grid), (sc.grid.n_nodes,)
+        held = [row] * (timestepper.JAC_MAX_AGE - 1)
+        assert shapes == [batch] + (held + [batch]) * 3
+
+    def test_dt_change_takes_a_fresh_jacobian(self, noflux_grid, monkeypatch):
+        # dt = 1, 1, 0.5, 1, 1, 0.5: the landing steps 2 -> 2.5 and
+        # 4.5 -> 5, and the full step after the first, change dt
+        refreshes = self.record_refreshes(monkeypatch)
+        res = run_simulation(smooth_state(noflux_grid, seed=40), 5.0, (2.5,),
+                             StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
+                             noflux_grid)
+        assert res.summary.steps == 6
+        assert refreshes == [0.0, 2.0, 2.5, 4.5]
+
+    def test_failed_held_step_is_retried_fresh(self, noflux_grid, monkeypatch):
+        # the first solve with the held Jacobian (step 2) raises; the step is
+        # retried with a fresh Jacobian and equals advance from its start
+        args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), noflux_grid)
+        s0 = smooth_state(noflux_grid, seed=41)
+        held = run_simulation(s0, 2.0, (1.0,), *args).snapshots[2].state
+        solved, raised = [], []
+        real = timestepper.FdJacobian.solve
+
+        def failing_solve(jac, b):
+            if any(jac is j for j in solved) and not raised:
+                raised.append(jac)
+                raise PositivityError(0, 0.0)
+            solved.append(jac)
+            return real(jac, b)
+
+        monkeypatch.setattr(timestepper.FdJacobian, "solve", failing_solve)
+        res = run_simulation(s0, 2.0, (1.0,), *args)
+        monkeypatch.undo()
+        assert len(raised) == 1 and res.summary.failure is None
+        fresh, report = advance(res.snapshots[1].state, *args)
+        assert res.snapshots[2].report == report
+        np.testing.assert_array_equal(res.snapshots[2].state.eta, fresh.eta)
+        np.testing.assert_array_equal(res.snapshots[2].state.gamma, fresh.gamma)
+        assert not np.array_equal(held.eta, fresh.eta)  # the retry is visible
+
+    def test_film_mass_conserved_over_a_reuse_run(self, monkeypatch):
+        # fig2 to t = 1e4: 102 steps, all but the first three at dt = 100
+        sc = cli.preset("fig2")
+        refreshes = self.record_refreshes(monkeypatch)
+        res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
+                             sc.step, sc.variant, sc.params, sc.grid)
+        assert res.summary.steps == 102 and res.summary.failure is None
+        assert len(refreshes) == 13
+        assert res.summary.max_film_mass_drift < 1e-10
+
+    def test_advance_keeps_nothing_from_a_run(self, noflux_grid):
+        args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), noflux_grid)
+        s = smooth_state(noflux_grid, seed=42)
+        before, report_before = advance(s, *args)
+        run_simulation(s, 5.0, (), *args)
+        after, report_after = advance(s, *args)
+        assert report_before == report_after
+        np.testing.assert_array_equal(before.eta, after.eta)
+        np.testing.assert_array_equal(before.gamma, after.gamma)
 
 
 class TestStepConfig:
