@@ -40,6 +40,7 @@ from .timestepper import SimulationResult, StepConfig, run_simulation
 log = logging.getLogger("lubrisim")
 
 INITIAL_KINDS = ("flat_with_surfactant_drop", "corrugated_uniform_surfactant", "custom")
+_SNAPSHOT_CSV = "t{:g}.csv"  # one file per name, so snapshot times must differ in it
 
 
 class ConfigError(ValueError):
@@ -99,6 +100,8 @@ class Scenario:
         if not all(0.0 <= t < math.inf for t in times) or list(times) != sorted(times):
             raise ConfigError("snapshot_times must be finite, >= 0 and ascending, "
                               f"got {list(times)}")
+        if len({_SNAPSHOT_CSV.format(t) for t in times}) < len(set(times)):  # a repeat is one file
+            raise ConfigError(f"snapshot_times must differ in {_SNAPSHOT_CSV}, got {list(times)}")
         object.__setattr__(self, "snapshot_times", times)
         init, n = self.initial, self.grid.n_nodes
         periodic = self.grid.boundary is BoundaryKind.PERIODIC
@@ -233,6 +236,8 @@ def _convert(tp, value, where: str, current=None):
     try:
         origin = typing.get_origin(tp)
         if origin in (tuple, frozenset):
+            if isinstance(value, (str, dict)):  # iterating would read "19" as 1, 9
+                raise ValueError(f"expected a list, got {value!r}")
             return origin(map(typing.get_args(tp)[0], value))
         if tp is int:  # int() would truncate 97.9 and read true as 1
             if isinstance(value, bool) or not float(value).is_integer():
@@ -334,17 +339,20 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
 # --- commands ----------------------------------------------------------------
 
 def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    s0 = build_initial_state(scenario)
     snaps = scenario.snapshot_times
     end = t_end if t_end is not None else (max(snaps) if snaps else 0.0)
     snaps = tuple(st for st in snaps if st <= end)
+    written = {0.0, *snaps, end}  # the times whose snapshots are written
+    if len(set(map(_SNAPSHOT_CSV.format, written))) < len(written):
+        raise ConfigError(f"--t-end {end!r} names the file of another snapshot time")
+    os.makedirs(out_dir, exist_ok=True)
+    s0 = build_initial_state(scenario)
     log.info("simulate %s: variant=%s N=%d t_end=%g",
              scenario.name, scenario.variant.value, scenario.grid.n_nodes, end)
     result = run_simulation(s0, end, snaps, scenario.step, scenario.variant,
                             scenario.params, scenario.grid)
     for snap in result.snapshots:
-        write_csv(os.path.join(out_dir, f"t{snap.time:g}.csv"), "x,eta,gamma",
+        write_csv(os.path.join(out_dir, _SNAPSHOT_CSV.format(snap.time)), "x,eta,gamma",
                   np.column_stack((scenario.grid.x, snap.state.eta, snap.state.gamma)))
     _write_run_report(os.path.join(out_dir, "report.txt"), scenario, result)
     if result.summary.failure:

@@ -17,16 +17,17 @@ row, so they are perturbed together.  Node j takes colour j mod
 cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
 allows.  Each Newton update evaluates its new state in one rhs call, which
 gives the residual and, stacked over the state's probes where a fresh
-Jacobian is taken next, that Jacobian; the last call is remembered, so a
-k-iteration step costs k rhs calls, on either boundary kind.
+Jacobian certainly follows, that Jacobian; the last call is remembered, so
+a k-iteration step costs k rhs calls, on either boundary kind.
 
 ``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
 keeps its last one factorised and solves a later step's first update with
 gbtrs alone: linearly implicit Euler stays first order with an approximate
 Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  It refreshes on a
-run's first step, when dt changes (landing steps too), after JAC_MAX_AGE
-steps, and to retry once a held step that raised PositivityError or
-LinAlgError; its results move past round-off.
+run's first step, when dt changes (landing steps too, with one more
+stacked call at the step's start), after JAC_MAX_AGE steps, and to retry
+once a held step that raised PositivityError or LinAlgError; its results
+move past round-off.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -286,15 +287,10 @@ def _rhs_at(variant: ModelVariant, state: State, params: Params, grid: Grid) -> 
 
 @dataclass
 class _Held:
-    """A run's factorised Jacobian, the steps it served, the next step's dt."""
+    """A run's factorised Jacobian and the steps it has served."""
 
     jac: FdJacobian | None = None
     age: int = 0
-    dt_next: float | None = None  # None after a run's last step, or outside a run
-
-    def serves(self, dt: float | None) -> bool:
-        return (self.jac is not None and dt is not None
-                and self.jac.shift == 1.0 / dt and self.age < JAC_MAX_AGE)
 
 
 def _drift(after: float, before: float) -> float:
@@ -308,7 +304,9 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             ) -> tuple[State, StepReport]:
     """One backward-Euler step via at most cfg.newton_iters Newton updates,
     each with a fresh Jacobian, unless run_simulation's ``_held`` one serves
-    the first (see the module docstring)."""
+    the first; the closing rhs call is stacked over the probes only when a
+    fresh Jacobian certainly follows: a later update, a hold that has
+    served JAC_MAX_AGE steps, or a call without ``_held``."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
@@ -316,19 +314,17 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     film_before = film_mass(state, grid)
     surf_before = surfactant_mass(state, grid)
     held = _Held() if _held is None else _held
-    reuse = held.serves(cfg.dt)
+    reuse = (held.jac is not None and held.jac.shift == 1.0 / cfg.dt
+             and held.age < JAC_MAX_AGE)
     if reuse:
         jac, base = held.jac, _rhs_at(variant, state, params, grid)
-        held.age += 1
     else:
+        held.jac, held.age = None, 0  # a stale LU is freed before the stacked rhs call
         base = _linearised(variant, state, params, grid).base
-        jac = held.jac = jacobian_fd(state, cfg, variant, params, grid)
-        held.age = 1
-    # an iterate is stacked over its probes where a fresh Jacobian may be
-    # taken: by a later update, or by the next step, which then holds none
-    probe_last = not held.serves(held.dt_next)
-    if probe_last:
-        held.jac = None
+        jac = jacobian_fd(state, cfg, variant, params, grid)
+    held.age += 1
+    probe_last = _held is None or held.age >= JAC_MAX_AGE
+    held.jac = None if probe_last else jac  # kept only where a step may reuse it
 
     t_new = state.t + cfg.dt
     current = state
@@ -397,11 +393,11 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     """March from t=0 to t_end, recording the requested snapshot times and,
     when t_end > 0, the state at t_end as the last snapshot.
 
-    When dt does not divide a snapshot time the preceding step is shortened
-    to land on it exactly.  Steps share a held factorised Jacobian (see the
-    module docstring).  On a solver failure (positivity breach or a singular
-    linear solve) with a fresh Jacobian the partial results gathered so far
-    are returned with the failure recorded in the summary.
+    Each step takes cfg.dt, shortened to land exactly on the next snapshot
+    time, and shares a held factorised Jacobian (see ``advance``).  On a
+    solver failure (positivity breach or a singular linear solve) with a
+    fresh Jacobian the partial results gathered so far are returned with
+    the failure recorded in the summary.
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -421,15 +417,10 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     summary = result.summary
     tol = 1e-9 * max(1.0, cfg.dt)
 
-    t = 0.0
-    state = s0
-    held = _Held(dt_next=min(cfg.dt, pending[0]) if pending else None)
+    t, state, held = 0.0, s0, _Held()
     while pending:
         target = pending[0]
-        dt_step = held.dt_next
-        t_step = target if abs(t + dt_step - target) <= tol else t + dt_step
-        ahead = pending[1:] if t_step == target else pending
-        held.dt_next = min(cfg.dt, ahead[0] - t_step) if ahead else None
+        dt_step = min(cfg.dt, target - t)
         try:
             state, report = advance(state, replace(cfg, dt=dt_step),
                                     variant, params, grid, _held=held)
@@ -437,7 +428,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
             summary.failure = f"{type(exc).__name__}: {exc}"
             break
         summary.steps += 1
-        t = t_step
+        t = target if abs(t + dt_step - target) <= tol else t + dt_step
         if state.t != t:  # snapped to the target, or s0.t was not 0
             state = State(state.eta, state.gamma, t)
         film_drift = abs(_drift(film_mass(state, grid), film0))

@@ -162,6 +162,11 @@ MALFORMED_CONFIGS = [
     ("snapshot_times: [5.0, 2.0]", "yaml: snapshot_times must be finite, >= 0 and ascending"),
     ("snapshot_times: [.nan, 5.0]", "yaml: snapshot_times must be finite"),
     ("snapshot_times: [.inf]", "yaml: snapshot_times must be finite"),
+    # each snapshot is written to t{time:g}.csv, so times must differ in it
+    ("snapshot_times: [1, 1.0000001, 10]", "yaml: snapshot_times must differ in t{:g}.csv"),
+    # a list field given a string or a mapping is not iterated as one
+    ('snapshot_times: "19"', ".snapshot_times: expected a list, got '19'"),
+    ("params: {toggles: capillary}", ".params.toggles: expected a list"),
 ]
 
 
@@ -219,6 +224,9 @@ def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
     (["dispersion", "--delta-s", "nan"], "delta_s must be finite"),
     (["dispersion", "--delta-s", "inf"], "delta_s must be finite"),
     (["dispersion", "--k-max", "inf"], "k must be finite"),
+    # t1000.csv is the fig2 preset's last snapshot
+    (["simulate", "--preset", "fig2", "--t-end", "1000.0000004"],
+     "--t-end 1000.0000004 names the file of another snapshot time"),
 ])
 def test_bad_argument_exits_2_without_output(tmp_path, caplog, args, message):
     out = tmp_path / "out"
@@ -298,6 +306,14 @@ class TestCommands:
         assert len(lines) == 1 + sc.grid.n_nodes
         report = (out / "report.txt").read_text()
         assert "max_film_mass_drift" in report
+
+    def test_repeated_snapshot_time_is_one_file(self, tmp_path):
+        # a repeated time is one snapshot, so its name collides with nothing
+        data = scenario_to_dict(preset("fig3"))
+        data["snapshot_times"] = [15.0, 15.0]
+        out = tmp_path / "run"
+        assert cmd_simulate(scenario_from_dict(data), out) == 0
+        assert sorted(os.listdir(out)) == ["report.txt", "t0.csv", "t15.csv"]
 
     def test_simulate_solver_failure_exit_code(self, tmp_path):
         sc = default_scenario()

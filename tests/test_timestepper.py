@@ -601,13 +601,13 @@ class TestRunSimulation:
         assert times == [0.0, 1.0, 10.0, 25.0]
         assert res.snapshots[-1].state.t == 25.0
 
-    @pytest.mark.parametrize("t0,builds", [(0.0, 6), (3.0, 7)])
+    @pytest.mark.parametrize("t0,builds", [(0.0, 5), (3.0, 6)])
     def test_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
         # the Newton iterate of each step, plus a stack of probes at the
-        # start and at the run's end: steps 2-4 reuse step 1's held
-        # Jacobian, so no step in between takes a fresh one; the step loop
-        # relabels a state only when its t differs from the run's clock
-        # (here once, when s0 does not start at t = 0)
+        # start: steps 2-4 reuse step 1's held Jacobian, and the run ends
+        # before it expires, so no step stacks its new state over probes;
+        # the step loop relabels a state only when its t differs from the
+        # run's clock (here once, when s0 does not start at t = 0)
         calls = []
 
         def counting_state(*args, **kwargs):
@@ -647,8 +647,9 @@ class TestEvaluationReuse:
     """The linearisation, the single-row rhs and the mass integrals remember
     their last State, so each state is evaluated once: the closing
     residual's rhs call is the next iteration's or step's start, stacked
-    over its probes when a fresh Jacobian is taken there, and a step's
-    masses are read again for free.  ``run_simulation`` holds the factorised
+    over its probes when a fresh Jacobian certainly follows, and a step's
+    masses are read again for free; a step whose dt changed stacks its
+    start once more.  ``run_simulation`` holds the factorised
     Jacobian of its last refresh and takes a fresh one only on the run's
     first step, when dt changes, after JAC_MAX_AGE steps, or to retry a held
     step that failed; its results move from fresh-Jacobian steps past
@@ -782,7 +783,7 @@ class TestHeldJacobian:
 
     def test_probes_only_where_a_fresh_jacobian_is_taken(self, monkeypatch):
         # fig4 (N = 97, dt = 1) to t = 30: one rhs call per step, stacked
-        # over the probes only before a refresh and at the run's end
+        # over the probes only where a hold expires (steps 10, 20 and 30)
         sc = cli.preset("fig4")
         shapes = record_rhs_shapes(monkeypatch)
         refreshes = self.record_refreshes(monkeypatch)
@@ -839,6 +840,34 @@ class TestHeldJacobian:
         assert res.summary.steps == 102 and res.summary.failure is None
         assert len(refreshes) == 13
         assert res.summary.max_film_mass_drift < 1e-10
+
+    @pytest.mark.parametrize("case", ["fig2", "periodic"])
+    def test_unheld_run_is_a_loop_of_advance(self, monkeypatch, case):
+        # with JAC_MAX_AGE = 1 no Jacobian outlives its step, so the run is
+        # standalone advance calls over its dt sequence, landing steps too
+        if case == "fig2":  # 0 -> 1 -> 4 -> 7 -> 10 -> ... -> 19 -> 20
+            sc = cli.preset("fig2")
+            t_end, times, dt = 20.0, (1.0, 10.0), 3.0
+            dts, at = [1.0] + [3.0] * 6 + [1.0], (1, 4, 8)
+        else:  # one corrugation wave on a ring, 0 -> 1 -> 2 -> 2.5 -> ... -> 5
+            sc = dataclasses.replace(cli.preset("fig4"),
+                                     grid=Grid(65, 4.0 * np.pi, BoundaryKind.PERIODIC))
+            t_end, times, dt = 5.0, (2.5,), 1.0
+            dts, at = [1.0, 1.0, 0.5] * 2, (3, 6)
+        s0 = cli.build_initial_state(sc)
+        args = (sc.variant, sc.params, sc.grid)
+        steps = [(s0, None)]
+        for step_dt in dts:
+            steps.append(advance(steps[-1][0], StepConfig(dt=step_dt), *args))
+        monkeypatch.setattr(timestepper, "JAC_MAX_AGE", 1)
+        res = run_simulation(s0, t_end, times, StepConfig(dt=dt), *args)
+        assert res.summary.steps == len(dts) and res.summary.failure is None
+        assert [snap.time for snap in res.snapshots] == [0.0, *times, t_end]
+        for snap, i in zip(res.snapshots[1:], at, strict=True):
+            state, report = steps[i]
+            assert snap.report == report
+            np.testing.assert_array_equal(snap.state.eta, state.eta)
+            np.testing.assert_array_equal(snap.state.gamma, state.gamma)
 
     def test_advance_keeps_nothing_from_a_run(self, noflux_grid):
         args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), noflux_grid)
