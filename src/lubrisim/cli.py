@@ -41,6 +41,7 @@ log = logging.getLogger("lubrisim")
 
 INITIAL_KINDS = ("flat_with_surfactant_drop", "corrugated_uniform_surfactant", "custom")
 _SNAPSHOT_CSV = "t{:g}.csv"  # one file per name, so snapshot times must differ in it
+_DIFF_CSV = "diff_P{:g}.csv"  # one file per name, so Peclet numbers must differ in it
 
 
 class ConfigError(ValueError):
@@ -386,6 +387,8 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
         raise ConfigError(f"compare needs exactly two variants, got {len(variants)}")
     if not peclet_list or not all(p > 0 for p in peclet_list):
         raise ConfigError(f"compare needs positive Peclet numbers, got {peclet_list}")
+    if len({_DIFF_CSV.format(pe) for pe in peclet_list}) < len(set(peclet_list)):
+        raise ConfigError(f"--peclet values must differ in {_DIFF_CSV}, got {list(peclet_list)}")
     os.makedirs(out_dir, exist_ok=True)
     s0 = build_initial_state(scenario)
     report = ComparisonReport(variants[0].value, variants[1].value, [])
@@ -411,7 +414,7 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             linf_gamma=float(np.max(np.abs(d_gamma))),
             l2_gamma=float(np.sqrt(dx * np.sum(d_gamma**2))),
         ))
-        write_csv(os.path.join(out_dir, f"diff_P{pe:g}.csv"), "x,d_eta,d_gamma",
+        write_csv(os.path.join(out_dir, _DIFF_CSV.format(pe)), "x,d_eta,d_gamma",
                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
     write_csv(os.path.join(out_dir, "compare_summary.csv"),
               "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma",

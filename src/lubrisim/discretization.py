@@ -6,9 +6,10 @@ exactly at the wall nodes; periodic grids carry a duplicated endpoint
 (node 0 and node N-1 are the same physical point) and wrap around it.
 
 ``div_flux`` is the conservative outer derivative used for every flux
-group of the evolution equations.  Its ghost rule for a flux array F is
-F[-1] = 2*F[0] - F[1] (antisymmetric about the boundary value), which
-makes the trapezoidal grid sum of div_flux(F) telescope exactly to
+group of the evolution equations.  On periodic grids a flux wraps like a
+field, so div_flux is d1.  On symmetric grids its ghost rule for a flux
+array F is F[-1] = 2*F[0] - F[1] (antisymmetric about the boundary value).
+Either way the trapezoidal grid sum of div_flux(F) telescopes exactly to
 F[N-1] - F[0]: zero for wall-vanishing fluxes and for periodic fluxes,
 while a constant F still differentiates to exactly zero everywhere.
 """
@@ -100,13 +101,11 @@ class StencilOps:
 
     def div_flux(self, flux) -> np.ndarray:
         """Conservative d/dx of a nodal flux array (see module docstring)."""
+        if self.grid.boundary is BoundaryKind.PERIODIC:
+            return self.d1(flux)  # a periodic flux wraps like a field
         flux = self._check(flux)
-        if self.grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
-            left = 2.0 * flux[..., :1] - flux[..., 1:2]
-            right = 2.0 * flux[..., -1:] - flux[..., -2:-1]
-        else:
-            left = flux[..., -2:-1]
-            right = flux[..., 1:2]
+        left = 2.0 * flux[..., :1] - flux[..., 1:2]
+        right = 2.0 * flux[..., -1:] - flux[..., -2:-1]
         ext = np.concatenate((left, flux, right), axis=-1)
         return (ext[..., 2:] - ext[..., :-2]) / (2.0 * self.dx)
 

@@ -11,9 +11,9 @@ unit so that individual physical effects can be switched off at runtime:
   inertia_cross_HRB    H*R*B cross groups (inertia / gravity / vdW coupling)
   diffusion            surface diffusion of surfactant, scaled by inv_peclet
 
-The low-order model keeps only the leading flux of each gravity/vdW group;
-the de Wit baseline additionally drops the gravity and HRB groups entirely
-and always uses the plain (uncorrected) diffusion form.
+The low-order model keeps the leading flux of each gravity/vdW group and
+no HRB group; the de Wit baseline is the low-order model minus
+DE_WIT_DELETES: both gravity groups and the diffusion slope correction.
 
 Each group is written in flux form: a nodal eta flux, a nodal gamma flux
 and its non-divergence gamma terms as a pointwise source (surface diffusion
@@ -39,6 +39,8 @@ from .discretization import stencil_ops
 # slope-corrected form), so its contribution is named after the term.
 BREAKDOWN_GROUPS = tuple("diffusion" if g == "geometric_diffusion" else g
                          for g in TERM_GROUPS)
+
+DE_WIT_DELETES = frozenset({"gravity_tangential", "gravity_normal", "geometric_diffusion"})
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     ops = stencil_ops(grid)
     eta, gam = state.eta, state.gamma
 
-    on = params.toggles
+    on = params.toggles - DE_WIT_DELETES if variant is ModelVariant.DE_WIT else params.toggles
     A = params.tension_slope
     sin_t, cos_t = math.sin(params.incline), math.cos(params.incline)
     bs, bc = params.bond * sin_t, params.bond * cos_t
@@ -83,12 +85,11 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     ds = params.inv_peclet
 
     full = variant is ModelVariant.FULL_CM
-    dewit = variant is ModelVariant.DE_WIT
-    tangential = "gravity_tangential" in on and not dewit and bs != 0.0
-    normal = "gravity_normal" in on and not dewit and bc != 0.0
+    tangential = "gravity_tangential" in on and bs != 0.0
+    normal = "gravity_normal" in on and bc != 0.0
     vdw = "van_der_waals" in on and hm != 0.0
     cross = "inertia_cross_HRB" in on and full and hrb != 0.0
-    geometric = ds != 0.0 and not dewit and "geometric_diffusion" in on
+    geometric = ds != 0.0 and "geometric_diffusion" in on
 
     ghost_eta, ghost_gam = ops.ghosted(eta), ops.ghosted(gam)  # one gather each
     etx, gmx = ops.d1(ghost_eta), ops.d1(ghost_gam)

@@ -38,7 +38,7 @@ __all__ = [
 class DispersionResult:
     """Eigenvalue pair and mode-shape ratios b/a at one wavenumber.
 
-    ``amp_ratio_*`` are None at k = 0 where the ratio is undefined.
+    ``amp_ratio_*`` are None where undefined: at k = 0 and tension_slope = 0.
     For a complex-conjugate pair (possible only for exotic tension slopes)
     the lambda fields hold the common real part.
     """
@@ -100,13 +100,10 @@ def dispersion(k: float, delta_s: float,
         slow, fast = max(r1, r2), min(r1, r2)
     else:
         slow = fast = -0.5 * c1
-    return DispersionResult(
-        k=k,
-        lambda_slow=slow,
-        lambda_fast=fast,
-        amp_ratio_slow=mode_amplitude_ratio(k, slow, tension_slope),
-        amp_ratio_fast=mode_amplitude_ratio(k, fast, tension_slope),
-    )
+    if tension_slope == 0.0:  # decoupled modes, -k^4/3 and -delta_s k^2
+        return DispersionResult(k, slow, fast, None, None)
+    return DispersionResult(k, slow, fast, mode_amplitude_ratio(k, slow, tension_slope),
+                            mode_amplitude_ratio(k, fast, tension_slope))
 
 
 def dispersion_scan(k_min: float, k_max: float, n_points: int, delta_s: float,

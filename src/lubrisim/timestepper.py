@@ -17,17 +17,19 @@ row, so they are perturbed together.  Node j takes colour j mod
 cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
 allows.  Each Newton update evaluates its new state in one rhs call, which
 gives the residual and, stacked over the state's probes where a fresh
-Jacobian certainly follows, that Jacobian; the last call is remembered, so
-a k-iteration step costs k rhs calls, on either boundary kind.
+Jacobian certainly follows, that Jacobian; ``_linearised``'s cache hands
+it to the next update or standalone ``advance``, ``_Held`` to a run's next
+step, so a k-iteration step costs k rhs calls, on either boundary kind.
 
 ``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
-keeps its last one factorised and solves a later step's first update with
-gbtrs alone: linearly implicit Euler stays first order with an approximate
-Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  It refreshes on a
-run's first step, when dt changes (landing steps too, with one more
-stacked call at the step's start), after JAC_MAX_AGE steps, and to retry
-once a held step that raised PositivityError or LinAlgError; its results
-move past round-off.
+holds its last one factorised in ``_Held``, with the step's end state and
+closing rhs, and solves a later step's first update with gbtrs alone:
+linearly implicit Euler stays first order with an approximate Jacobian
+(Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  It refreshes on a run's
+first step, when dt changes (landing steps too, with one more stacked
+call at the step's start), after JAC_MAX_AGE steps, and to retry once a
+held step that raised PositivityError or LinAlgError; its results move
+past round-off.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -122,30 +124,28 @@ def _residual(s_new: State, s_old: State, cfg: StepConfig, r: Rhs) -> np.ndarray
 class FdJacobian:
     """Jacobian of the step residual, banded in a bandwidth-reducing order.
 
-    Row and column p of the stored matrix belong to unknown order[p], an
-    index of the interleaved node vector; ``banded`` holds -d rhs/du
-    (read-only) in LAPACK band layout, banded[hb + p - q, q] with
-    hb = half_bandwidth, and ``shift`` = 1/dt is added on its diagonal.  Node
-    vectors are read through ``order`` and written back through
-    ``gather``, the band position of each entry (node 0's for periodic
-    node N-1).  ``base`` is the rhs at the state the Jacobian was taken at.
+    Row and column p of the stored matrix belong to unknown order[p] of its
+    ``pattern``, an index of the interleaved node vector; ``banded`` holds
+    -d rhs/du (read-only) in LAPACK band layout, banded[hb + p - q, q] with
+    hb = pattern.half_bandwidth, and ``shift`` = 1/dt is added on its
+    diagonal.  Node vectors are read through order and written back through
+    gather, the band position of each entry (node 0's for periodic node
+    N-1).  ``base`` is the rhs at the state the Jacobian was taken at.
     """
 
-    half_bandwidth: int
+    pattern: _ProbePattern
     banded: np.ndarray
-    order: np.ndarray
-    gather: np.ndarray
     base: Rhs
     shift: float
 
     @property
     def n(self) -> int:
-        return self.order.size
+        return self.pattern.order.size
 
     @functools.cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
         """gbtrf's banded LU and pivots, made by the first solve and kept."""
-        hb = self.half_bandwidth
+        hb = self.pattern.half_bandwidth
         lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
         lu[hb:] = self.banded
         lu[2 * hb] += self.shift
@@ -156,19 +156,19 @@ class FdJacobian:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Banded LU solve with partial pivoting, which is backward stable."""
-        hb = self.half_bandwidth
+        hb = self.pattern.half_bandwidth
         lu, piv = self._lu
-        xp, _ = lapack.dgbtrs(lu, hb, hb, b[self.order], piv)
+        xp, _ = lapack.dgbtrs(lu, hb, hb, b[self.pattern.order], piv)
         if not np.isfinite(xp).all():
             raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
-        return xp[self.gather]
+        return xp[self.pattern.gather]
 
     def to_dense(self) -> np.ndarray:
-        hb = self.half_bandwidth
+        hb, order = self.pattern.half_bandwidth, self.pattern.order
         p = np.arange(self.n)
         band_row = hb + p[:, None] - p
         dense = np.empty((self.n, self.n))
-        dense[np.ix_(self.order, self.order)] = np.where(
+        dense[np.ix_(order, order)] = np.where(
             np.abs(band_row - hb) <= hb, self.banded[np.clip(band_row, 0, 2 * hb), p], 0.0)
         dense[np.diag_indices(self.n)] += self.shift
         return dense
@@ -268,8 +268,7 @@ def _linearised(variant: ModelVariant, state: State, params: Params,
     ab = ab.reshape(2 * hb + 1, -1, order="F")
     ab /= -eps.take(pat.eps_at)  # one bump size per band column
     ab.setflags(write=False)
-    return FdJacobian(hb, ab, pat.order, pat.gather,
-                      Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
+    return FdJacobian(pat, ab, Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -280,17 +279,17 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     return replace(_linearised(variant, state, params, grid), shift=1.0 / cfg.dt)
 
 
-@functools.lru_cache(maxsize=1)  # a held step's end state is the next one's start
-def _rhs_at(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
-    return rhs(variant, state, params, grid)
-
-
 @dataclass
 class _Held:
-    """A run's factorised Jacobian and the steps it has served."""
+    """The factorised Jacobian a step hands on, for ``left`` more of the
+    ``serves`` steps it serves from a refresh (None once none is left), and
+    the ``end`` state of the last step with its ``closing`` rhs."""
 
+    serves: int = 1
     jac: FdJacobian | None = None
-    age: int = 0
+    left: int = 0
+    end: State | None = None
+    closing: Rhs | None = None
 
 
 def _drift(after: float, before: float) -> float:
@@ -305,8 +304,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     """One backward-Euler step via at most cfg.newton_iters Newton updates,
     each with a fresh Jacobian, unless run_simulation's ``_held`` one serves
     the first; the closing rhs call is stacked over the probes only when a
-    fresh Jacobian certainly follows: a later update, a hold that has
-    served JAC_MAX_AGE steps, or a call without ``_held``."""
+    fresh Jacobian certainly follows: a later update, or the last step a
+    hold serves, which every call without ``_held`` is."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
@@ -314,17 +313,17 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     film_before = film_mass(state, grid)
     surf_before = surfactant_mass(state, grid)
     held = _Held() if _held is None else _held
-    reuse = (held.jac is not None and held.jac.shift == 1.0 / cfg.dt
-             and held.age < JAC_MAX_AGE)
+    reuse = held.jac is not None and held.jac.shift == 1.0 / cfg.dt
     if reuse:
-        jac, base = held.jac, _rhs_at(variant, state, params, grid)
+        jac = held.jac
+        base = held.closing if held.end is state else rhs(variant, state, params, grid)
     else:
-        held.jac, held.age = None, 0  # a stale LU is freed before the stacked rhs call
+        held.jac = None  # a stale LU is freed before the stacked rhs call
         base = _linearised(variant, state, params, grid).base
         jac = jacobian_fd(state, cfg, variant, params, grid)
-    held.age += 1
-    probe_last = _held is None or held.age >= JAC_MAX_AGE
-    held.jac = None if probe_last else jac  # kept only where a step may reuse it
+        held.left = held.serves
+    held.left -= 1
+    held.jac = jac if held.left else None  # kept only where a later step may reuse it
 
     t_new = state.t + cfg.dt
     current = state
@@ -338,10 +337,10 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             del jac  # an LU nobody holds is freed before the stacked rhs call
             # State and the stacked rhs reject a film that breached the floor
             current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
-            if probe_last or it + 1 < cfg.newton_iters:
+            if held.jac is None or it + 1 < cfg.newton_iters:
                 base = _linearised(variant, current, params, grid).base
             else:
-                base = _rhs_at(variant, current, params, grid)
+                base = rhs(variant, current, params, grid)
             r = _residual(current, state, cfg, base)
             norm_after = float(np.max(np.abs(r)))
             if norm_after <= cfg.newton_tol:
@@ -352,14 +351,14 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         held.jac = None  # retry once, with a fresh Jacobian
         return advance(state, cfg, variant, params, grid, _held=held)
 
-    report = StepReport(
+    held.end, held.closing = current, base
+    return current, StepReport(
         residual_norm_before=norm_before,
         residual_norm_after=norm_after,
         newton_iters_used=it + 1,
         film_mass_drift=_drift(film_mass(current, grid), film_before),
         surfactant_mass_drift=_drift(surfactant_mass(current, grid), surf_before),
     )
-    return current, report
 
 
 @dataclass(frozen=True)
@@ -417,7 +416,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     summary = result.summary
     tol = 1e-9 * max(1.0, cfg.dt)
 
-    t, state, held = 0.0, s0, _Held()
+    t, state, held = 0.0, s0, _Held(JAC_MAX_AGE)
     while pending:
         target = pending[0]
         dt_step = min(cfg.dt, target - t)

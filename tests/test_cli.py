@@ -122,6 +122,8 @@ MALFORMED_CONFIGS = [
     ("params: {toggles: 5}", ".params.toggles"),
     ("initial: {kind: custom, eta: abc, gamma: [1.0]}", ".initial.eta"),
     ("initial: {width: 0}", ".initial: width"),
+    ("initial: {kind: bogus}", ".initial: kind must be one of"),
+    ("initial: {kind: custom}", ".initial: kind 'custom' requires eta and gamma arrays"),
     ("step: {jacobian: finite_difference}", ".step: jacobian"),
     ("grid: {n_nodes: 5}\n"
      "initial: {kind: custom, eta: [1, 1, 1, 1], gamma: [1, 1, 1, 1]}",
@@ -221,6 +223,9 @@ def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
     (["compare", "--preset", "fig3", "--peclet", "nan"], "needs positive Peclet numbers"),
     (["compare", "--preset", "fig3", "--peclet", "0"], "needs positive Peclet numbers"),
     (["compare", "--preset", "fig3", "--variants", "full"], "needs exactly two variants"),
+    # each Peclet number is written to diff_P{pe:g}.csv
+    (["compare", "--preset", "fig3", "--peclet", "3,3.0000001", "--t-compare", "1"],
+     "--peclet values must differ in diff_P{:g}.csv"),
     (["dispersion", "--delta-s", "nan"], "delta_s must be finite"),
     (["dispersion", "--delta-s", "inf"], "delta_s must be finite"),
     (["dispersion", "--k-max", "inf"], "k must be finite"),

@@ -5,6 +5,7 @@ import pytest
 
 from lubrisim import (
     ALL_TOGGLES,
+    BoundaryKind,
     Grid,
     Params,
     PositivityError,
@@ -116,6 +117,7 @@ class TestTypes:
         g = Grid(11, 5.0)
         assert g.dx == pytest.approx(0.5)
         assert g.x[0] == 0.0 and g.x[-1] == 5.0
+        assert Grid(9, 1.0, "periodic").boundary is BoundaryKind.PERIODIC
 
     def test_state_validation(self):
         with pytest.raises(PositivityError):
@@ -124,6 +126,8 @@ class TestTypes:
             State(np.ones(5), np.ones(6))
         with pytest.raises(ValueError):
             State(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.ones(5))
+        with pytest.raises(ValueError, match="must be an array of nodal values"):
+            State(1.0, 1.0)
 
     def test_state_immutable(self):
         s = State(np.ones(5), np.ones(5))

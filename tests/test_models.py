@@ -21,7 +21,7 @@ from lubrisim import (
     rhs,
     rhs_breakdown,
 )
-from lubrisim.models import BREAKDOWN_GROUPS
+from lubrisim.models import BREAKDOWN_GROUPS, DE_WIT_DELETES
 
 from conftest import smooth_state
 
@@ -205,13 +205,14 @@ class TestInvariants:
         assert np.max(np.abs(r_ref.dgamma_dt - r.dgamma_dt[::-1])) <= 1e-12 * scale
 
     def test_dewit_subset_identity(self, noflux_grid, periodic_grid):
-        # low-order model with plain diffusion and B=H=0 is exactly de Wit
-        toggles = ALL_TOGGLES - {"geometric_diffusion"}
-        p = Params(bond=0.0, hamaker=0.0, toggles=toggles)
-        for g in (noflux_grid, periodic_grid):
-            for seed in range(10):
+        # de Wit is the low-order model minus DE_WIT_DELETES, bit for bit:
+        # with B = H = 0 and plain diffusion, and with every group switched on
+        for p in (Params(bond=0.0, hamaker=0.0, toggles=ALL_TOGGLES - {"geometric_diffusion"}),
+                  Params(bond=0.3, hamaker=0.01, incline=0.4)):
+            p_low = dataclasses.replace(p, toggles=p.toggles - DE_WIT_DELETES)
+            for g, seed in itertools.product((noflux_grid, periodic_grid), range(10)):
                 s = smooth_state(g, seed=seed)
-                r_low = rhs(ModelVariant.LOW_ORDER_CM, s, p, g)
+                r_low = rhs(ModelVariant.LOW_ORDER_CM, s, p_low, g)
                 r_dw = rhs(ModelVariant.DE_WIT, s, p, g)
                 np.testing.assert_array_equal(r_low.deta_dt, r_dw.deta_dt)
                 np.testing.assert_array_equal(r_low.dgamma_dt, r_dw.dgamma_dt)

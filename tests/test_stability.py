@@ -89,9 +89,34 @@ class TestDispersion:
             dispersion(0.5, -1e-4)
         with pytest.raises(ValueError):
             mode_amplitude_ratio(0.0, -0.1)
+        with pytest.raises(ValueError, match="undefined for tension_slope = 0"):
+            mode_amplitude_ratio(0.5, -0.1, tension_slope=0.0)
         for k, delta_s in ((np.nan, 1e-4), (np.inf, 1e-4), (1.0, np.nan), (1.0, np.inf)):
             with pytest.raises(ValueError, match="must be finite"):
                 dispersion(k, delta_s)
+
+    def test_clean_film_modes_decouple(self, tmp_path):
+        # A = 0: capillary levelling -k^4/3 and surface diffusion -ds k^2,
+        # with no mode shape b/a from the first row
+        k, ds = 0.5, 1e-4
+        d = dispersion(k, ds, tension_slope=0.0)
+        assert d.lambda_slow == pytest.approx(-ds * k**2, rel=1e-14)
+        assert d.lambda_fast == pytest.approx(-k**4 / 3.0, rel=1e-14)
+        assert d.amp_ratio_slow is None and d.amp_ratio_fast is None
+        scan = dispersion_scan(0.0, 2.0, 5, ds, tension_slope=0.0)
+        assert all(r.amp_ratio_slow is None and r.amp_ratio_fast is None for r in scan)
+        write_dispersion_csv(scan, tmp_path / "disp.csv")
+        back = np.loadtxt(tmp_path / "disp.csv", delimiter=",", skiprows=1)
+        assert np.isnan(back[:, 3:]).all()
+
+    def test_complex_pair_holds_the_real_part(self):
+        # A = -1, ds = 1, k = 1: lambda^2 + lambda/3 + 1/4 has roots
+        # -1/6 +- i sqrt(2)/3
+        d = dispersion(1.0, 1.0, tension_slope=-1.0)
+        roots = np.roots([1.0, 1.0 / 3.0, 0.25])
+        assert np.all(roots.imag != 0.0)
+        assert d.lambda_slow == d.lambda_fast == -1.0 / 6.0
+        assert d.lambda_slow == pytest.approx(roots.real[0], rel=1e-14)
 
     @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
     def test_non_finite_tension_slope(self, slope):

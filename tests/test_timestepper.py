@@ -343,10 +343,10 @@ class TestBandedSolver:
         jac = jacobian_fd(s, StepConfig(dt=2.0), ModelVariant.FULL_CM, p, g)
         m = unknown_nodes(g)
         n = 2 * m
-        np.testing.assert_array_equal(np.sort(jac.order), np.arange(n))
+        np.testing.assert_array_equal(np.sort(jac.pattern.order), np.arange(n))
         position = np.empty(n, dtype=int)
-        position[jac.order] = np.arange(n)
-        hb = jac.half_bandwidth
+        position[jac.pattern.order] = np.arange(n)
+        hb = jac.pattern.half_bandwidth
         assert hb <= min(13 if boundary is BoundaryKind.PERIODIC else 7, n - 1)
         base = interleaved(rhs(ModelVariant.FULL_CM, s, p, g))[:n]
         for k in range(n):
@@ -380,6 +380,19 @@ class TestBandedSolver:
         jac = dataclasses.replace(jac, banded=np.zeros_like(jac.banded), shift=0.0)
         with pytest.raises(np.linalg.LinAlgError):
             jac.solve(np.ones(jac.n))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("scale, b", [(np.nan, 1.0), (1e300, 1e300)])
+    def test_non_finite_solution_raises(self, boundary, scale, b):
+        # gbtrf sees no zero pivot, but the solve is nan, or overflows in
+        # the back substitution of a band scaled by 1e300
+        g = Grid(33, 10.0, boundary)
+        jac = jacobian_fd(smooth_state(g, seed=43), StepConfig(dt=1.0),
+                          ModelVariant.FULL_CM, Params(), g)
+        jac = dataclasses.replace(jac, banded=jac.banded * scale)
+        with np.errstate(all="ignore"), pytest.raises(
+                np.linalg.LinAlgError, match="non-finite solution"):
+            jac.solve(np.full(jac.n, b))
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("iters", [1, 3])
@@ -633,6 +646,13 @@ class TestRunSimulation:
         assert "PositivityError" in res.summary.failure
         assert len(res.snapshots) == 1  # initial snapshot preserved
 
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])
+    def test_t_end_validation(self, noflux_grid, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+            run_simulation(flat_state(noflux_grid.n_nodes), t_end, (),
+                           StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
+                           noflux_grid)
+
     def test_snapshot_validation(self, noflux_grid):
         s = flat_state(noflux_grid.n_nodes)
         with pytest.raises(ValueError):
@@ -644,20 +664,21 @@ class TestRunSimulation:
 
 
 class TestEvaluationReuse:
-    """The linearisation, the single-row rhs and the mass integrals remember
-    their last State, so each state is evaluated once: the closing
-    residual's rhs call is the next iteration's or step's start, stacked
-    over its probes when a fresh Jacobian certainly follows, and a step's
-    masses are read again for free; a step whose dt changed stacks its
-    start once more.  ``run_simulation`` holds the factorised
-    Jacobian of its last refresh and takes a fresh one only on the run's
-    first step, when dt changes, after JAC_MAX_AGE steps, or to retry a held
-    step that failed; its results move from fresh-Jacobian steps past
-    round-off, while ``advance`` alone always takes a fresh one."""
+    """Each state is evaluated once: the closing residual's rhs call is the
+    next iteration's or step's start, stacked over its probes when a fresh
+    Jacobian certainly follows, and handed on by the linearisation cache,
+    or in a run by ``_Held`` with the step's end State; the mass integrals
+    remember their last State, so a step's masses are read again for free;
+    a step whose dt changed stacks its start once more.  ``run_simulation``
+    holds the factorised Jacobian of its last refresh and takes a fresh one
+    only on the run's first step, when dt changes, after JAC_MAX_AGE steps,
+    or to retry a held step that failed; its results move from
+    fresh-Jacobian steps past round-off, while ``advance`` alone always
+    takes a fresh one."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
-        for name in ("_linearised", "_rhs_at", "film_mass", "surfactant_mass"):
+        for name in ("_linearised", "film_mass", "surfactant_mass"):
             monkeypatch.setattr(timestepper, name,
                                 getattr(timestepper, name).__wrapped__)
 
