@@ -5,7 +5,9 @@ files are YAML; the full schema with defaults is documented in README.md.
 The schema is the Scenario dataclass tree: one walk over its fields loads
 a YAML document, writes one back, and applies the command-line overrides,
 so keys, defaults and checks are stated once, on the dataclasses.
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Every ``cmd_*`` function checks all of its own arguments, raising
+ConfigError before it writes anything, and returns its exit code: 0 on
+success, 3 on a solver failure.  ``main`` maps ConfigError to exit code 2.
 Set LUBRISIM_LOG={quiet|info|debug} to control chattiness.
 """
 
@@ -30,7 +32,6 @@ from .core import (
     Grid,
     ModelVariant,
     Params,
-    PositivityError,
     State,
     write_csv,
 )
@@ -120,23 +121,6 @@ class Scenario:
         if periodic and (init.eta[0] != init.eta[-1] or init.gamma[0] != init.gamma[-1]):
             raise ConfigError("custom initial eta and gamma on a periodic grid "
                               "must have node N-1 equal to node 0")
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    peclet: float
-    time: float
-    linf_eta: float
-    l2_eta: float
-    linf_gamma: float
-    l2_gamma: float
-
-
-@dataclass
-class ComparisonReport:
-    variant_a: str
-    variant_b: str
-    rows: list
 
 
 def build_initial_state(scenario: Scenario) -> State:
@@ -340,6 +324,8 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
 # --- commands ----------------------------------------------------------------
 
 def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int:
+    if t_end is not None and not 0.0 <= t_end < math.inf:
+        raise ConfigError(f"--t-end must be finite and >= 0, got {t_end:g}")
     snaps = scenario.snapshot_times
     end = t_end if t_end is not None else (max(snaps) if snaps else 0.0)
     snaps = tuple(st for st in snaps if st <= end)
@@ -369,31 +355,32 @@ def cmd_dispersion(delta_s: float, k_max: float, n_points: int, out_path) -> int
     try:
         results = dispersion_scan(0.0, k_max, n_points, delta_s)
     except ValueError as exc:
-        log.error("dispersion: %s", exc)
-        return 2
+        raise ConfigError(f"dispersion: {exc}") from None
     write_dispersion_csv(results, out_path)
     log.info("dispersion curve with %d points written to %s", n_points, out_path)
     return 0
 
 
 def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
-                out_dir) -> ComparisonReport | int:
-    """Run two variants at each Peclet number and difference the profiles.
-
-    Returns the ComparisonReport on success (the CLI wrapper turns it into
-    an exit code) or 3 on a solver failure; bad arguments raise ConfigError.
+                out_dir) -> int:
+    """Run two variants at each distinct Peclet number, in first-seen order,
+    and write their final differences: one diff_P<value>.csv per number and
+    a compare_summary.csv row of its L-inf and L2 norms.
     """
     if len(variants) != 2:
         raise ConfigError(f"compare needs exactly two variants, got {len(variants)}")
     if not peclet_list or not all(p > 0 for p in peclet_list):
         raise ConfigError(f"compare needs positive Peclet numbers, got {peclet_list}")
-    if len({_DIFF_CSV.format(pe) for pe in peclet_list}) < len(set(peclet_list)):
+    peclets = tuple(dict.fromkeys(peclet_list))  # a repeated number is solved once
+    if len({_DIFF_CSV.format(pe) for pe in peclets}) < len(peclets):
         raise ConfigError(f"--peclet values must differ in {_DIFF_CSV}, got {list(peclet_list)}")
+    if not 0.0 <= t_compare < math.inf:
+        raise ConfigError(f"--t-compare must be finite and >= 0, got {t_compare:g}")
     os.makedirs(out_dir, exist_ok=True)
     s0 = build_initial_state(scenario)
-    report = ComparisonReport(variants[0].value, variants[1].value, [])
     dx = scenario.grid.dx
-    for pe in peclet_list:
+    rows = []
+    for pe in peclets:
         params = dataclasses.replace(scenario.params, inv_peclet=1.0 / pe)
         finals = []
         for variant in variants:
@@ -406,22 +393,15 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             finals.append(result.snapshots[-1].state)
         d_eta = finals[0].eta - finals[1].eta
         d_gamma = finals[0].gamma - finals[1].gamma
-        report.rows.append(ComparisonRow(
-            peclet=pe,
-            time=t_compare,
-            linf_eta=float(np.max(np.abs(d_eta))),
-            l2_eta=float(np.sqrt(dx * np.sum(d_eta**2))),
-            linf_gamma=float(np.max(np.abs(d_gamma))),
-            l2_gamma=float(np.sqrt(dx * np.sum(d_gamma**2))),
-        ))
+        rows.append((pe, t_compare, np.max(np.abs(d_eta)), np.sqrt(dx * np.sum(d_eta**2)),
+                     np.max(np.abs(d_gamma)), np.sqrt(dx * np.sum(d_gamma**2))))
         write_csv(os.path.join(out_dir, _DIFF_CSV.format(pe)), "x,d_eta,d_gamma",
                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
     write_csv(os.path.join(out_dir, "compare_summary.csv"),
-              "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma",
-              [dataclasses.astuple(row) for row in report.rows])
+              "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma", rows)
     log.info("comparison (%s vs %s) written to %s", variants[0].value,
              variants[1].value, out_dir)
-    return report
+    return 0
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -457,8 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_flags(p):
-        p.add_argument("--config", help="YAML scenario file")
-        p.add_argument("--preset", help="built-in scenario name")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="YAML scenario file")
+        source.add_argument("--preset", help="built-in scenario name")
         p.add_argument("--variant", choices=[v.value for v in ModelVariant])
         p.add_argument("--nodes", type=int, help="override grid.n_nodes")
         p.add_argument("--dt", type=float, help="override time step")
@@ -490,12 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _end_time(value: float | None, flag: str) -> float | None:
-    if value is not None and not 0.0 <= value < math.inf:
-        raise ConfigError(f"{flag} must be finite and >= 0, got {value:g}")
-    return value
-
-
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
@@ -508,20 +483,14 @@ def main(argv=None) -> int:
             return cmd_dispersion(args.delta_s, args.k_max, args.n_points, args.out)
         scenario = _scenario_from_args(args)
         if args.command == "simulate":
-            return cmd_simulate(scenario, args.out, _end_time(args.t_end, "--t-end"))
-        # compare
+            return cmd_simulate(scenario, args.out, args.t_end)
         variants = _convert(tuple[ModelVariant, ...],
                             [v.strip() for v in args.variants.split(",")], "--variants")
         peclets = _convert(tuple[float, ...], args.peclet.split(","), "--peclet")
-        outcome = cmd_compare(scenario, variants, peclets,
-                              _end_time(args.t_compare, "--t-compare"), args.out)
-        return outcome if isinstance(outcome, int) else 0
+        return cmd_compare(scenario, variants, peclets, args.t_compare, args.out)
     except ConfigError as exc:
         log.error("%s", exc)
         return 2
-    except (PositivityError, np.linalg.LinAlgError) as exc:
-        log.error("solver failure: %s", exc)
-        return 3
 
 
 if __name__ == "__main__":

@@ -124,8 +124,8 @@ def reconstruct(state: State, params: Params, grid: Grid,
     zeta = np.asarray(list(zeta_levels), dtype=float)
     if zeta.size == 0:
         raise ValueError("zeta_levels must not be empty")
-    if np.any((zeta < 0.0) | (zeta > 1.0)):
-        raise ValueError("zeta levels must lie in [0, 1]")
+    if not np.all((zeta >= 0.0) & (zeta <= 1.0)):  # nan fails both
+        raise ValueError(f"zeta_levels must lie in [0, 1], got {zeta.tolist()}")
     u, v, p = (zeta[:, None] ** np.arange(5)) @ _series(state, params, grid)
     return FieldGrid(x=grid.x, zeta=zeta, u=u, v=v, p=p)
 

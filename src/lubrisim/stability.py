@@ -20,6 +20,7 @@ A = 1 is the conventional normalisation and the default everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass
 
 from .core import write_csv
@@ -38,7 +39,9 @@ __all__ = [
 class DispersionResult:
     """Eigenvalue pair and mode-shape ratios b/a at one wavenumber.
 
-    ``amp_ratio_*`` are None where undefined: at k = 0 and tension_slope = 0.
+    ``amp_ratio_*`` are None where undefined: at k = 0, and at tension_slope
+    = 0 for the -delta_s k^2 mode (a = 0), so for both modes where
+    delta_s k^2 = k^4/3.
     For a complex-conjugate pair (possible only for exotic tension slopes)
     the lambda fields hold the common real part.
     """
@@ -100,8 +103,11 @@ def dispersion(k: float, delta_s: float,
         slow, fast = max(r1, r2), min(r1, r2)
     else:
         slow = fast = -0.5 * c1
-    if tension_slope == 0.0:  # decoupled modes, -k^4/3 and -delta_s k^2
-        return DispersionResult(k, slow, fast, None, None)
+    if tension_slope == 0.0:  # decoupled modes; b/a of -k^4/3 from the second row
+        gap = delta_s * k**2 - k**4 / 3.0  # > 0: -k^4/3 is the slow mode
+        ratio = -(k**4 / 2.0) / gap if gap else None
+        return DispersionResult(k, slow, fast, ratio if gap > 0 else None,
+                                ratio if gap < 0 else None)
     return DispersionResult(k, slow, fast, mode_amplitude_ratio(k, slow, tension_slope),
                             mode_amplitude_ratio(k, fast, tension_slope))
 
@@ -111,8 +117,8 @@ def dispersion_scan(k_min: float, k_max: float, n_points: int, delta_s: float,
     """Uniformly sampled dispersion curve on [k_min, k_max]."""
     if not 0 <= k_min < k_max:
         raise ValueError(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     step = (k_max - k_min) / (n_points - 1)
     return [dispersion(k_min + i * step, delta_s, tension_slope)
             for i in range(n_points)]

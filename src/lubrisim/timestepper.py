@@ -42,6 +42,7 @@ positions apart: half-bandwidth 13, or less on grids too small for it.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -82,8 +83,8 @@ class StepConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.newton_iters < 1:
-            raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters}")
+        if not isinstance(self.newton_iters, numbers.Integral) or self.newton_iters < 1:
+            raise ValueError(f"newton_iters must be an integer >= 1, got {self.newton_iters!r}")
         if not self.newton_tol > 0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
 

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ import yaml
 
 from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant, run_simulation
 from lubrisim.cli import (
-    ComparisonReport,
+    _YAML_NAMES,
     ConfigError,
+    Scenario,
     build_initial_state,
     cmd_compare,
     cmd_dispersion,
@@ -105,14 +108,30 @@ class TestLoadConfig:
         assert scenario_from_dict(scenario_to_dict(sc2)) == sc2
 
     def test_readme_schema_loads(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-        sc = scenario_from_dict(yaml.safe_load(block), source="README.md")
+        sc = scenario_from_dict(yaml.safe_load(readme_yaml()), source="README.md")
         assert sc.name == "my-run"
         assert sc.grid.length == pytest.approx(default_scenario().grid.length)
         assert sc.initial.drop_center == pytest.approx(sc.grid.length / 2)
         assert sc.params.toggles == ALL_TOGGLES
         assert sc.step == default_scenario().step
+
+    def test_readme_schema_names_every_key(self):
+        # every YAML key of the Scenario tree, commented out or not
+        def keys(cls):
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                yield _YAML_NAMES.get(f.name, f.name)
+                if dataclasses.is_dataclass(hints[f.name]):
+                    yield from keys(hints[f.name])
+
+        block = readme_yaml()
+        missing = [k for k in keys(Scenario) if not re.search(rf"\b{k}:", block)]
+        assert not missing, f"README YAML schema lacks {missing}"
+
+
+def readme_yaml() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
 
 
 MALFORMED_CONFIGS = [
@@ -219,6 +238,18 @@ def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [-5.0, math.inf, math.nan])
+def test_commands_check_their_end_time(tmp_path, value):
+    # called directly, not only through main, and before the directory is made
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="--t-end must be finite and >= 0"):
+        cmd_simulate(preset("fig2"), out, t_end=value)
+    with pytest.raises(ConfigError, match="--t-compare must be finite and >= 0"):
+        cmd_compare(preset("fig3"), (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
+                    (3.0,), value, out)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["compare", "--preset", "fig3", "--peclet", "nan"], "needs positive Peclet numbers"),
     (["compare", "--preset", "fig3", "--peclet", "0"], "needs positive Peclet numbers"),
@@ -237,6 +268,18 @@ def test_bad_argument_exits_2_without_output(tmp_path, caplog, args, message):
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 2
     assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_config_and_preset_exclude_each_other(tmp_path, capsys, command):
+    config = tmp_path / "fig4.yaml"
+    save_config(preset("fig4"), config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(config), "--preset", "fig2", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -329,6 +372,12 @@ class TestCommands:
         data["snapshot_times"] = [1.0]
         sc_bad = scenario_from_dict(data)
         assert cmd_simulate(sc_bad, tmp_path / "fail") == 3
+        # through main too: run_simulation reports the failure in its summary
+        save_config(sc_bad, tmp_path / "thin.yaml")
+        out = tmp_path / "main"
+        assert main(["simulate", "--config", str(tmp_path / "thin.yaml"),
+                     "--out", str(out)]) == 3
+        assert "FAILED:" in (out / "report.txt").read_text()
 
     def test_dispersion_command(self, tmp_path):
         out = tmp_path / "disp.csv"
@@ -340,7 +389,9 @@ class TestCommands:
         assert np.all(data["lambda_fast"] <= 0)
 
     def test_dispersion_invalid_kmax(self, tmp_path):
-        assert cmd_dispersion(1e-4, 0.0, 10, tmp_path / "x.csv") == 2
+        with pytest.raises(ConfigError, match="dispersion: need 0 <= k_min < k_max"):
+            cmd_dispersion(1e-4, 0.0, 10, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_dispersion_two_rows(self, tmp_path):
         out = tmp_path / "two.csv"
@@ -370,29 +421,50 @@ class TestCommands:
         assert cmd_simulate(preset(name), out, t_end=t_end) == 0
         assert sorted(os.listdir(out)) == expected
 
+    @staticmethod
+    def summary(out):
+        return np.loadtxt(out / "compare_summary.csv", delimiter=",", skiprows=1, ndmin=2)
+
     def test_compare_identical_variants_zero_difference(self, tmp_path):
         sc = preset("fig3")
-        report = cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.FULL_CM),
-                             (3.0,), 5.0, tmp_path / "cmp")
-        assert isinstance(report, ComparisonReport)
-        assert report.rows[0].linf_eta == 0.0
-        assert report.rows[0].linf_gamma == 0.0
+        out = tmp_path / "cmp"
+        assert cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.FULL_CM),
+                           (3.0,), 5.0, out) == 0
+        np.testing.assert_array_equal(self.summary(out)[:, 2:], 0.0)
 
     def test_compare_t_zero_shared_initial_state(self, tmp_path):
         sc = preset("fig3")
-        report = cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
-                             (3.0,), 0.0, tmp_path / "cmp0")
-        assert report.rows[0].linf_eta == 0.0
-        assert report.rows[0].linf_gamma == 0.0
+        out = tmp_path / "cmp0"
+        assert cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
+                           (3.0,), 0.0, out) == 0
+        np.testing.assert_array_equal(self.summary(out)[:, 2:], 0.0)
 
     def test_compare_writes_outputs(self, tmp_path):
         sc = preset("fig3")
         out = tmp_path / "cmp2"
-        report = cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
-                             (3.0, 30.0), 5.0, out)
-        assert isinstance(report, ComparisonReport)
+        assert cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
+                           (3.0, 30.0), 5.0, out) == 0
         files = sorted(os.listdir(out))
         assert files == ["compare_summary.csv", "diff_P3.csv", "diff_P30.csv"]
+        summary = self.summary(out)
+        np.testing.assert_array_equal(summary[:, :2], [[3.0, 5.0], [30.0, 5.0]])
+        assert np.all(summary[:, 2:] > 0.0)
+
+    def test_compare_solves_a_repeated_peclet_number_once(self, tmp_path, monkeypatch):
+        import lubrisim.cli as cli
+        calls = []
+
+        def counted(*args):
+            calls.append(args[5].inv_peclet)
+            return run_simulation(*args)
+
+        monkeypatch.setattr(cli, "run_simulation", counted)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--preset", "fig3", "--peclet", "3,3,30,3.0",
+                     "--t-compare", "1", "--out", str(out)]) == 0
+        assert calls == [1 / 3.0] * 2 + [1 / 30.0] * 2
+        assert sorted(os.listdir(out)) == ["compare_summary.csv", "diff_P3.csv", "diff_P30.csv"]
+        np.testing.assert_array_equal(self.summary(out)[:, 0], [3.0, 30.0])
 
 
 class TestMain:

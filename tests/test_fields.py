@@ -98,6 +98,9 @@ class TestReconstruct:
             reconstruct(s, Params(), grid, [0.0, 1.5])
         with pytest.raises(ValueError):
             reconstruct(s, Params(), grid, [])
+        for level in (np.nan, np.inf, -np.inf):  # nan used to give nan fields
+            with pytest.raises(ValueError, match="zeta_levels must lie in"):
+                reconstruct(s, Params(), grid, [0.5, level])
         eta = np.ones(grid.n_nodes)
         eta[0] = 1e-9
         bad = State(eta, np.ones(grid.n_nodes))

@@ -96,18 +96,40 @@ class TestDispersion:
                 dispersion(k, delta_s)
 
     def test_clean_film_modes_decouple(self, tmp_path):
-        # A = 0: capillary levelling -k^4/3 and surface diffusion -ds k^2,
-        # with no mode shape b/a from the first row
+        # A = 0: capillary levelling -k^4/3 and surface diffusion -ds k^2;
+        # only the diffusion mode (a = 0) has no mode shape b/a
         k, ds = 0.5, 1e-4
         d = dispersion(k, ds, tension_slope=0.0)
         assert d.lambda_slow == pytest.approx(-ds * k**2, rel=1e-14)
         assert d.lambda_fast == pytest.approx(-k**4 / 3.0, rel=1e-14)
-        assert d.amp_ratio_slow is None and d.amp_ratio_fast is None
+        assert d.amp_ratio_slow is None and d.amp_ratio_fast is not None
         scan = dispersion_scan(0.0, 2.0, 5, ds, tension_slope=0.0)
-        assert all(r.amp_ratio_slow is None and r.amp_ratio_fast is None for r in scan)
+        assert all(r.amp_ratio_slow is None for r in scan)
+        assert [r.amp_ratio_fast is None for r in scan] == [True] + [False] * 4
         write_dispersion_csv(scan, tmp_path / "disp.csv")
         back = np.loadtxt(tmp_path / "disp.csv", delimiter=",", skiprows=1)
-        assert np.isnan(back[:, 3:]).all()
+        assert np.isnan(back[:, 3]).all()
+        assert np.isnan(back[:, 4]).tolist() == [True] + [False] * 4
+
+    def test_clean_film_capillary_mode_shape(self):
+        # second row at lambda = -k^4/3: b/a = -(k^4/2) / (ds k^2 - k^4/3)
+        k, ds = 0.5, 1e-3
+        d = dispersion(k, ds, tension_slope=0.0)
+        assert d.lambda_fast == pytest.approx(-k**4 / 3.0, rel=1e-14)
+        want = -(k**4 / 2.0) / (ds * k**2 - k**4 / 3.0)
+        assert d.amp_ratio_fast == pytest.approx(want, rel=1e-14)
+        assert d.amp_ratio_slow is None
+        # ds k^2 > k^4/3: the capillary mode is the slow one
+        d = dispersion(0.1, 0.1, tension_slope=0.0)
+        assert d.lambda_slow == pytest.approx(-0.1**4 / 3.0, rel=1e-14)
+        assert d.amp_ratio_slow == pytest.approx(-(0.1**4 / 2) / (0.1**3 - 0.1**4 / 3),
+                                                 rel=1e-14)
+        assert d.amp_ratio_fast is None
+        # a double root, ds k^2 = k^4/3: no mode shape for either
+        d = dispersion(1.0, 1.0 / 3.0, tension_slope=0.0)
+        assert d.amp_ratio_slow is None and d.amp_ratio_fast is None
+        with pytest.raises(ValueError, match="tension_slope = 0"):
+            mode_amplitude_ratio(k, d.lambda_fast, tension_slope=0.0)
 
     def test_complex_pair_holds_the_real_part(self):
         # A = -1, ds = 1, k = 1: lambda^2 + lambda/3 + 1/4 has roots
@@ -191,6 +213,9 @@ class TestScan:
             dispersion_scan(0.0, 0.0, 10, 1e-4)
         with pytest.raises(ValueError):
             dispersion_scan(0.0, 2.0, 1, 1e-4)
+        for n_points in (2.5, 5.0, "5"):  # range() would raise TypeError
+            with pytest.raises(ValueError, match="n_points must be an integer"):
+                dispersion_scan(0.0, 1.0, n_points, 1e-3)
         # an infinite range fails at its first point, 0 * inf = nan
         with pytest.raises(ValueError, match="k must be finite"):
             dispersion_scan(0.0, np.inf, 11, 1e-4)

@@ -907,6 +907,10 @@ class TestStepConfig:
             StepConfig(dt=0.0)
         with pytest.raises(ValueError):
             StepConfig(dt=1.0, newton_iters=0)
+        for iters in (2.5, 2.0, "2"):  # advance would fail in range()
+            with pytest.raises(ValueError, match="newton_iters must be an integer"):
+                StepConfig(dt=1.0, newton_iters=iters)
+        assert StepConfig(dt=1.0, newton_iters=np.int64(2)).newton_iters == 2
         with pytest.raises(TypeError):  # no such knob: one Jacobian kind
             StepConfig(dt=1.0, jacobian="analytic")
         with pytest.raises(TypeError):  # no such knob: timestepper.FD_EPSILON
