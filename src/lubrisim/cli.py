@@ -365,7 +365,8 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
                 out_dir) -> int:
     """Run two variants at each distinct Peclet number, in first-seen order,
     and write their final differences: one diff_P<value>.csv per number and
-    a compare_summary.csv row of its L-inf and L2 norms.
+    a compare_summary.csv row of its L-inf and L2 norms.  A solver failure
+    ends the sweep with a row of nan norms for its number and returns 3.
     """
     if len(variants) != 2:
         raise ConfigError(f"compare needs exactly two variants, got {len(variants)}")
@@ -379,7 +380,7 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
     os.makedirs(out_dir, exist_ok=True)
     s0 = build_initial_state(scenario)
     dx = scenario.grid.dx
-    rows = []
+    rows, failed = [], False
     for pe in peclets:
         params = dataclasses.replace(scenario.params, inv_peclet=1.0 / pe)
         finals = []
@@ -389,8 +390,12 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             if result.summary.failure:
                 log.error("solver failure at P=%g (%s): %s", pe, variant.value,
                           result.summary.failure)
-                return 3
+                failed = True
+                break
             finals.append(result.snapshots[-1].state)
+        if failed:
+            rows.append((pe, t_compare, None, None, None, None))
+            break
         d_eta = finals[0].eta - finals[1].eta
         d_gamma = finals[0].gamma - finals[1].gamma
         rows.append((pe, t_compare, np.max(np.abs(d_eta)), np.sqrt(dx * np.sum(d_eta**2)),
@@ -399,6 +404,8 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
     write_csv(os.path.join(out_dir, "compare_summary.csv"),
               "peclet,time,linf_eta,l2_eta,linf_gamma,l2_gamma", rows)
+    if failed:
+        return 3
     log.info("comparison (%s vs %s) written to %s", variants[0].value,
              variants[1].value, out_dir)
     return 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant, run_simulation
+from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant, State, run_simulation
 from lubrisim.cli import (
     _YAML_NAMES,
     ConfigError,
@@ -465,6 +465,30 @@ class TestCommands:
         assert calls == [1 / 3.0] * 2 + [1 / 30.0] * 2
         assert sorted(os.listdir(out)) == ["compare_summary.csv", "diff_P3.csv", "diff_P30.csv"]
         np.testing.assert_array_equal(self.summary(out)[:, 0], [3.0, 30.0])
+
+    def test_compare_failure_keeps_the_rows_already_compared(self, tmp_path,
+                                                             monkeypatch, caplog):
+        # P = 3 compares the fig2 drop; at P = 30 de Wit starts from a film
+        # of 5e-9 at one node, which fails its first step
+        import lubrisim.cli as cli
+        eta = np.ones(97)
+        eta[48] = 5e-9
+        thin = State(eta, np.ones(97))
+
+        def failing_at_p30(s0, t_end, times, step, variant, params, grid):
+            if params.inv_peclet == 1 / 30.0 and variant is ModelVariant.DE_WIT:
+                s0 = thin
+            return run_simulation(s0, t_end, times, step, variant, params, grid)
+
+        monkeypatch.setattr(cli, "run_simulation", failing_at_p30)
+        out = tmp_path / "cmp"
+        assert cmd_compare(preset("fig2"), (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
+                           (3.0, 30.0, 300.0), 1.0, out) == 3
+        assert sorted(os.listdir(out)) == ["compare_summary.csv", "diff_P3.csv"]
+        summary = self.summary(out)
+        np.testing.assert_array_equal(summary[:, :2], [[3.0, 1.0], [30.0, 1.0]])
+        assert np.all(summary[0, 2:] > 0.0) and np.all(np.isnan(summary[1, 2:]))
+        assert "solver failure at P=30 (dewit): PositivityError" in caplog.text
 
 
 class TestMain:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lubrisim import (
     BoundaryKind,
@@ -672,9 +674,9 @@ class TestEvaluationReuse:
     a step whose dt changed stacks its start once more.  ``run_simulation``
     holds the factorised Jacobian of its last refresh and takes a fresh one
     only on the run's first step, when dt changes, after JAC_MAX_AGE steps,
-    or to retry a held step that failed; its results move from
-    fresh-Jacobian steps past round-off, while ``advance`` alone always
-    takes a fresh one."""
+    or to retry a held step that failed or stopped contracting; its
+    results move from fresh-Jacobian steps past round-off, while
+    ``advance`` alone always takes a fresh one."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
@@ -787,7 +789,8 @@ class TestEvaluationReuse:
 class TestHeldJacobian:
     """run_simulation solves with the factorised Jacobian of its last
     refresh; a fresh one is taken on the first step, when dt changes, after
-    JAC_MAX_AGE steps, and to retry a held step that failed."""
+    JAC_MAX_AGE steps, and to retry a held step that failed or whose first
+    update contracted far worse than the step that opened the hold."""
 
     @staticmethod
     def record_refreshes(monkeypatch) -> list:
@@ -802,19 +805,46 @@ class TestHeldJacobian:
         monkeypatch.setattr(timestepper, "jacobian_fd", recording)
         return times
 
+    @staticmethod
+    def count_advance_calls(monkeypatch) -> list:
+        """One entry per advance call, a retry's nested call included."""
+        calls = []
+        real = timestepper.advance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "advance", counting)
+        return calls
+
     def test_probes_only_where_a_fresh_jacobian_is_taken(self, monkeypatch):
-        # fig4 (N = 97, dt = 1) to t = 30: one rhs call per step, stacked
-        # over the probes only where a hold expires (steps 10, 20 and 30)
+        # fig4 (N = 97, dt = 1) for three holds: one rhs call per step,
+        # stacked over the probes only where a hold expires
         sc = cli.preset("fig4")
+        age = timestepper.JAC_MAX_AGE
         shapes = record_rhs_shapes(monkeypatch)
         refreshes = self.record_refreshes(monkeypatch)
-        res = run_simulation(cli.build_initial_state(sc), 30.0, (), sc.step,
+        res = run_simulation(cli.build_initial_state(sc), 3.0 * age, (), sc.step,
                              sc.variant, sc.params, sc.grid)
-        assert res.summary.steps == 30 and res.summary.failure is None
-        assert refreshes == [0.0, 10.0, 20.0]
+        assert res.summary.steps == 3 * age and res.summary.failure is None
+        assert refreshes == [0.0, float(age), 2.0 * age]
         batch, row = batch_shape(sc.grid), (sc.grid.n_nodes,)
-        held = [row] * (timestepper.JAC_MAX_AGE - 1)
+        held = [row] * (age - 1)
         assert shapes == [batch] + (held + [batch]) * 3
+
+    def test_quiet_run_refreshes_every_jac_max_age_steps(self, monkeypatch):
+        # fig4 refined to N = 769, to t = 300 at dt = 1: the film levels
+        # slowly, so no held step trips the guard and the clock alone refreshes
+        sc = cli.preset("fig4")
+        grid = Grid(769, sc.grid.length)
+        s0 = cli.build_initial_state(dataclasses.replace(sc, grid=grid))
+        refreshes = self.record_refreshes(monkeypatch)
+        calls = self.count_advance_calls(monkeypatch)
+        res = run_simulation(s0, 300.0, sc.snapshot_times, sc.step, sc.variant,
+                             sc.params, grid)
+        assert res.summary.steps == len(calls) == 300 and res.summary.failure is None
+        assert refreshes == [float(t) for t in range(0, 300, timestepper.JAC_MAX_AGE)]
 
     def test_dt_change_takes_a_fresh_jacobian(self, noflux_grid, monkeypatch):
         # dt = 1, 1, 0.5, 1, 1, 0.5: the landing steps 2 -> 2.5 and
@@ -852,15 +882,67 @@ class TestHeldJacobian:
         np.testing.assert_array_equal(res.snapshots[2].state.gamma, fresh.gamma)
         assert not np.array_equal(held.eta, fresh.eta)  # the retry is visible
 
+    def test_stale_held_jacobian_is_retried_fresh(self, monkeypatch):
+        # the fig2 drop's t = 0 Jacobian at dt = 100, held into t = 100,
+        # contracts worse than 10 times its own first step: the guard
+        # rejects the update and the step equals advance from its start
+        sc = cli.preset("fig2")
+        args = (sc.step, sc.variant, sc.params, sc.grid)
+        s0 = cli.build_initial_state(sc)
+        start = run_simulation(s0, 100.0, (), *args).snapshots[-1].state
+        hold = timestepper._Held(timestepper.JAC_MAX_AGE)
+        advance(s0, *args, _held=hold)
+        assert hold.jac is not None and hold.left == timestepper.JAC_MAX_AGE - 1
+        refreshes = self.record_refreshes(monkeypatch)
+        calls = self.count_advance_calls(monkeypatch)
+        retried, report = advance(start, *args, _held=hold)
+        monkeypatch.undo()
+        assert refreshes == [100.0] and len(calls) == 1  # the retry's own call
+        assert hold.left == timestepper.JAC_MAX_AGE - 1  # the retry opened a hold
+        fresh, fresh_report = advance(start, *args)
+        assert report == fresh_report
+        np.testing.assert_array_equal(retried.eta, fresh.eta)
+        np.testing.assert_array_equal(retried.gamma, fresh.gamma)
+
     def test_film_mass_conserved_over_a_reuse_run(self, monkeypatch):
-        # fig2 to t = 1e4: 102 steps, all but the first three at dt = 100
+        # fig2 to t = 1e4: 102 steps, all but the first three at dt = 100;
+        # 6 refreshes on the clock or a dt change, 7 guard retries from
+        # t = 6600 on
         sc = cli.preset("fig2")
         refreshes = self.record_refreshes(monkeypatch)
+        calls = self.count_advance_calls(monkeypatch)
         res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
                              sc.step, sc.variant, sc.params, sc.grid)
         assert res.summary.steps == 102 and res.summary.failure is None
-        assert len(refreshes) == 13
+        assert len(refreshes) == 13 and len(calls) - res.summary.steps == 7
         assert res.summary.max_film_mass_drift < 1e-10
+
+    def test_constant_dt_run_keeps_film_mass(self):
+        # the fig2 drop at dt = 100 throughout (no snapshot lands a step):
+        # only the guard ends a hold before its 30 steps; on the clock alone
+        # stale holds drift the film and breach positivity at t = 1000
+        sc = cli.preset("fig2")
+        res = run_simulation(cli.build_initial_state(sc), 3000.0, (), sc.step,
+                             sc.variant, sc.params, sc.grid)
+        assert res.summary.failure is None and res.summary.steps == 30
+        assert res.summary.max_film_mass_drift < 1e-8
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.01, 0.3),
+           boundary=st.sampled_from(list(BoundaryKind)))
+    def test_held_runs_conserve_film_mass(self, seed, amp, boundary):
+        # 40 steps of held Jacobians from a random smooth state: every
+        # accepted step keeps the film, and a flat state stays flat exactly
+        grid = Grid(33, 10.0, boundary)
+        args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), grid)
+        s0 = smooth_state(grid, seed=seed, eta_amp=amp, gamma_amp=2 * amp)
+        res = run_simulation(s0, 40.0, (), *args)
+        assert res.summary.failure is None and res.summary.steps == 40
+        assert res.summary.max_film_mass_drift < 1e-10
+        flat = flat_state(grid.n_nodes, eta=1.0 + amp, gamma=1.0 - amp)
+        end = run_simulation(flat, 40.0, (), *args).snapshots[-1].state
+        np.testing.assert_array_equal(end.eta, flat.eta)
+        np.testing.assert_array_equal(end.gamma, flat.gamma)
 
     @pytest.mark.parametrize("case", ["fig2", "periodic"])
     def test_unheld_run_is_a_loop_of_advance(self, monkeypatch, case):
