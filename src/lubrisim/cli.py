@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import functools
 import logging
 import math
 import os
@@ -28,6 +27,7 @@ import numpy as np
 import yaml
 
 from .core import (
+    ETA_FLOOR,
     BoundaryKind,
     Grid,
     ModelVariant,
@@ -69,9 +69,10 @@ class InitialCondition:
             raise ConfigError(f"width must be positive and finite, got {self.drop_width}")
         if not -1.0 <= self.drop_excess < math.inf:  # the drop centre holds 1 + excess
             raise ConfigError(f"excess must be finite and >= -1, got {self.drop_excess}")
-        if not abs(self.corrugation_amplitude) < 1.0:  # eta = 1 + a*cos(kx) > 0
-            raise ConfigError("amplitude must lie in (-1, 1), "
-                              f"got {self.corrugation_amplitude}")
+        # eta = 1 + a*cos(kx) >= 1 - |a| in floating point too
+        if not 1.0 - abs(self.corrugation_amplitude) >= ETA_FLOOR:
+            raise ConfigError(f"amplitude must lie in (-1, 1), with 1 - |amplitude| >= "
+                              f"{ETA_FLOOR:g}, got {self.corrugation_amplitude}")
         if self.drop_center is not None and not math.isfinite(self.drop_center):
             raise ConfigError(f"center must be finite, got {self.drop_center}")
         if not math.isfinite(self.corrugation_wavenumber):
@@ -79,8 +80,9 @@ class InitialCondition:
                               f"got {self.corrugation_wavenumber}")
         if self.eta is not None:
             object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
-            if not all(0.0 < v < math.inf for v in self.eta):
-                raise ConfigError("eta (film thickness) must be positive and finite")
+            if not all(ETA_FLOOR <= v < math.inf for v in self.eta):
+                raise ConfigError("eta (film thickness) must be positive and finite, "
+                                  f"at least {ETA_FLOOR:g}")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
             if not all(0.0 <= v < math.inf for v in self.gamma):
@@ -202,8 +204,6 @@ def preset_names() -> list:
 # YAML keys that differ from the dataclass field names.
 _YAML_NAMES = {"drop_center": "center", "drop_width": "width", "drop_excess": "excess",
                "corrugation_amplitude": "amplitude", "corrugation_wavenumber": "wavenumber"}
-# annotations are strings (PEP 563): resolve each class's hints once, not per load
-_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _convert(tp, value, where: str, current=None):
@@ -250,7 +250,7 @@ def _from_dict(base, data, where: str):
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
-    hints = _type_hints(type(base))
+    hints = typing.get_type_hints(type(base))
     changes = {}
     for key, value in data.items():
         name = fields[key]

@@ -30,8 +30,9 @@ TERM_GROUPS = (
 )
 ALL_TOGGLES = frozenset(TERM_GROUPS)
 
-# Film thickness guard: below this the 1/eta van der Waals terms are
-# meaningless and evaluation aborts instead of continuing past the blow-up.
+# Film thickness floor, a State invariant: below it the 1/eta van der Waals
+# terms are meaningless, so no State holds a thinner node and rhs and
+# reconstruct evaluate every State they are given.
 ETA_FLOOR = 1e-8
 
 STANDARD_GRAVITY_CGS = 981.0
@@ -44,7 +45,9 @@ PRESET_BOND_NUMBER = 3.0e-11
 
 
 class PositivityError(ValueError):
-    """Film thickness at some node is not acceptably positive."""
+    """Film thickness at some node lies below ETA_FLOOR.  Raised where a
+    State is built, so a Newton update that thins the film past the floor
+    stops its step there."""
 
     def __init__(self, node: int, value: float):
         super().__init__(
@@ -156,7 +159,9 @@ class State:
 
     The fields are 1-D arrays over the nodes, or stacks of shape
     (..., n_nodes) holding a batch of states that share t; the stack form
-    lets one ``rhs`` call evaluate many states and is validated once.
+    lets one ``rhs`` call evaluate many states and is validated once:
+    finite, with every film thickness at least ETA_FLOOR, else
+    PositivityError names the first thinnest node within its row.
     Immutable after construction: the arrays are copied and marked
     read-only, so states can be shared freely; a State hashes and compares
     by identity, keying the linearisation and mass caches.
@@ -173,7 +178,7 @@ class State:
             raise ValueError(
                 f"eta and gamma must have equal shapes, got {eta.shape} vs {gamma.shape}"
             )
-        if not (eta > 0.0).all():
+        if not (eta >= ETA_FLOOR).all():
             raise PositivityError.at_minimum(eta)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma", gamma)

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ETA_FLOOR,
-    Grid,
-    Params,
-    PositivityError,
-    State,
-    surface_tension,
-    write_csv,
-)
+from .core import Grid, Params, State, surface_tension, write_csv
 from .discretization import stencil_ops
 
 __all__ = ["FieldGrid", "reconstruct", "depth_flux", "write_fields_csv"]
@@ -52,9 +44,6 @@ class FieldGrid:
 def _series(state: State, params: Params, grid: Grid):
     """The zeta-coefficient table of u, v, p, of shape (3, 5, n_nodes):
     entry [f, k] holds the x-dependent coefficient of zeta**k in field f."""
-    if not (state.eta >= ETA_FLOOR).all():
-        raise PositivityError.at_minimum(state.eta)
-
     ops = stencil_ops(grid)
     eta = state.eta
     gam = state.gamma

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ETA_FLOOR, TERM_GROUPS, Grid, ModelVariant, Params, PositivityError,
-                   State, surface_tension)
+from .core import TERM_GROUPS, Grid, ModelVariant, Params, State, surface_tension
 from .discretization import stencil_ops
 
 # The diffusion term is always present (its toggle only selects the
@@ -70,8 +69,6 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     to evaluating that row alone.  A state of the wrong length fails in the
     first stencil with ValueError.
     """
-    if not (state.eta >= ETA_FLOOR).all():
-        raise PositivityError.at_minimum(state.eta)
     ops = stencil_ops(grid)
     eta, gam = state.eta, state.gamma
 

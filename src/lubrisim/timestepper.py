@@ -47,6 +47,7 @@ positions apart: half-bandwidth 13, or less on grids too small for it.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -89,8 +90,8 @@ class StepConfig:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not isinstance(self.newton_iters, numbers.Integral) or self.newton_iters < 1:
             raise ValueError(f"newton_iters must be an integer >= 1, got {self.newton_iters!r}")
         if not self.newton_tol > 0:
@@ -333,6 +334,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         base = held.closing if held.end is state else rhs(variant, state, params, grid)
     else:
         held.jac = None  # a stale LU is freed before the stacked rhs call
+        # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
+        # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
         base = _linearised(variant, state, params, grid).base
         jac = jacobian_fd(state, cfg, variant, params, grid)
         held.left = held.serves
@@ -349,7 +352,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
                 jac = jacobian_fd(current, cfg, variant, params, grid)
             du = jac.solve(-r)
             del jac  # an LU nobody holds is freed before the stacked rhs call
-            # State and the stacked rhs reject a film that breached the floor
+            # State rejects a film that breached the floor, before any rhs call
             current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
             if held.jac is None or it + 1 < cfg.newton_iters:
                 base = _linearised(variant, current, params, grid).base

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lubrisim import ALL_TOGGLES, BoundaryKind, ModelVariant, State, run_simulation
+from lubrisim import (ALL_TOGGLES, ETA_FLOOR, BoundaryKind, ModelVariant, State,
+                      run_simulation)
 from lubrisim.cli import (
     _YAML_NAMES,
     ConfigError,
@@ -178,6 +179,15 @@ MALFORMED_CONFIGS = [
     ("grid: {n_nodes: 5}\n"
      "initial: {kind: custom, eta: [1, 1, .nan, 1, 1], gamma: [1, 1, 1, 1, 1]}",
      ".initial: eta (film thickness) must be positive and finite"),
+    # a film below the floor would start from a State that cannot be built
+    ("grid: {n_nodes: 5}\n"
+     "initial: {kind: custom, eta: [1, 1, 5e-9, 1, 1], gamma: [1, 1, 1, 1, 1]}",
+     ".initial: eta (film thickness) must be positive and finite, at least 1e-08"),
+    # fig4's grid has a node at kx = pi, where eta = 1 - amplitude = 1e-9
+    ("grid: {length: 12.566370614359172}\n"
+     "initial: {kind: corrugated_uniform_surfactant, amplitude: 0.999999999}",
+     ".initial: amplitude must lie in (-1, 1), with 1 - |amplitude| >= 1e-08"),
+    ("step: {dt: .inf}", ".step: dt must be positive and finite"),
     # snapshot times are checked at load, before any output is made
     ("snapshot_times: [-1.0, 5.0]", "yaml: snapshot_times must be finite, >= 0"),
     ("snapshot_times: [5.0, 2.0]", "yaml: snapshot_times must be finite, >= 0 and ascending"),
@@ -206,6 +216,7 @@ def test_malformed_config_is_config_error(tmp_path, caplog, text, where):
 @pytest.mark.parametrize("flags,where", [
     (["--dt", "0"], "command line.step: dt"),
     (["--dt", "-1"], "command line.step: dt"),
+    (["--dt", "inf"], "command line.step: dt must be positive and finite"),
     (["--nodes", "3"], "command line.grid: n_nodes"),
     (["--delta-s", "-1"], "command line.params: inv_peclet"),
     (["--nodes", "33", "--config", "{periodic}"], "command line: custom initial"),
@@ -223,6 +234,19 @@ def test_malformed_flag_is_config_error(tmp_path, caplog, flags, where):
                  "--t-end", "1", *flags]) == 2
     assert where in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "corrugated_uniform_surfactant", "amplitude": 1.0 - ETA_FLOOR},
+    {"kind": "corrugated_uniform_surfactant", "amplitude": ETA_FLOOR - 1.0},
+    {"kind": "custom", "eta": [1.0, 1.0, ETA_FLOOR, 1.0, 1.0], "gamma": [1.0] * 5},
+])
+def test_film_at_the_floor_builds_its_state(initial):
+    # what the schema accepts builds its initial State, down to the floor
+    # (fig4's grid has nodes at kx = 0 and pi)
+    grid = {"n_nodes": 5} if initial["kind"] == "custom" else {"length": 4.0 * math.pi}
+    s = build_initial_state(scenario_from_dict({"grid": grid, "initial": initial}))
+    assert ETA_FLOOR <= s.eta.min() < 1.01 * ETA_FLOOR
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -367,9 +391,9 @@ class TestCommands:
         sc = default_scenario()
         data = scenario_to_dict(sc)
         eta = [1.0] * 97
-        eta[48] = 5e-9  # valid state, immediately breaches the rhs floor
+        eta[48] = 2e-8  # valid state, thinned through the floor by its first step
         data["initial"] = {"kind": "custom", "eta": eta, "gamma": [1.0] * 97}
-        data["snapshot_times"] = [1.0]
+        data["snapshot_times"] = [10.0]
         sc_bad = scenario_from_dict(data)
         assert cmd_simulate(sc_bad, tmp_path / "fail") == 3
         # through main too: run_simulation reports the failure in its summary
@@ -469,10 +493,10 @@ class TestCommands:
     def test_compare_failure_keeps_the_rows_already_compared(self, tmp_path,
                                                              monkeypatch, caplog):
         # P = 3 compares the fig2 drop; at P = 30 de Wit starts from a film
-        # of 5e-9 at one node, which fails its first step
+        # of 2e-8 at one node, which fails its first step
         import lubrisim.cli as cli
         eta = np.ones(97)
-        eta[48] = 5e-9
+        eta[48] = 2e-8
         thin = State(eta, np.ones(97))
 
         def failing_at_p30(s0, t_end, times, step, variant, params, grid):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lubrisim import (
     ALL_TOGGLES,
+    ETA_FLOOR,
     BoundaryKind,
     Grid,
     Params,
@@ -128,6 +132,20 @@ class TestTypes:
             State(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.ones(5))
         with pytest.raises(ValueError, match="must be an array of nodal values"):
             State(1.0, 1.0)
+
+    @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                  elements=st.one_of(st.floats(-1.0, 2.0), st.sampled_from(
+                      [ETA_FLOOR, math.nextafter(ETA_FLOOR, 0.0),
+                       math.nextafter(ETA_FLOOR, 1.0), 5e-9, 0.0, -0.0]))))
+    def test_state_holds_exactly_the_films_at_or_above_the_floor(self, eta):
+        thinnest = eta.min()
+        if thinnest >= ETA_FLOOR:
+            np.testing.assert_array_equal(State(eta, np.ones_like(eta)).eta, eta)
+            return
+        with pytest.raises(PositivityError) as err:
+            State(eta, np.ones_like(eta))
+        _, node = np.argwhere(eta == thinnest)[0]  # the first, row by row
+        assert (err.value.node, err.value.value) == (node, thinnest)
 
     def test_state_immutable(self):
         s = State(np.ones(5), np.ones(5))

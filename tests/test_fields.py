@@ -101,11 +101,12 @@ class TestReconstruct:
         for level in (np.nan, np.inf, -np.inf):  # nan used to give nan fields
             with pytest.raises(ValueError, match="zeta_levels must lie in"):
                 reconstruct(s, Params(), grid, [0.5, level])
+        # no State holds a film below the floor, so reconstruct never sees one
         eta = np.ones(grid.n_nodes)
         eta[0] = 1e-9
-        bad = State(eta, np.ones(grid.n_nodes))
-        with pytest.raises(PositivityError):
-            reconstruct(bad, Params(), grid, [0.5])
+        with pytest.raises(PositivityError) as err:
+            State(eta, np.ones(grid.n_nodes))
+        assert err.value.node == 0
 
     def test_grid_mismatch(self, low_slope):
         # the first stencil rejects a state that does not fit the grid

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from lubrisim import (
     ALL_TOGGLES,
+    ETA_FLOOR,
     TERM_GROUPS,
     BoundaryKind,
     Grid,
@@ -237,12 +238,14 @@ class TestCache:
         np.testing.assert_array_equal(again.dgamma_dt, first.dgamma_dt)
 
     def test_failed_state_is_checked_on_every_call(self, noflux_grid):
+        # the floor is a State invariant: a sub-floor film is refused on
+        # every build, so no call of rhs ever sees one
         eta = np.ones(noflux_grid.n_nodes)
         eta[4] = 1e-9
-        s = State(eta, np.ones_like(eta))
-        for _ in range(2):  # exceptions are not cached
-            with pytest.raises(PositivityError):
-                rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+        for _ in range(2):
+            with pytest.raises(PositivityError) as err:
+                State(eta, np.ones_like(eta))
+            assert (err.value.node, err.value.value) == (4, 1e-9)
 
 
 class TestBatch:
@@ -265,9 +268,8 @@ class TestBatch:
     def test_positivity_guard_reports_node_within_row(self, noflux_grid):
         eta = np.ones((3, noflux_grid.n_nodes))
         eta[2, 7] = 1e-9
-        s = State(eta, np.ones_like(eta))
         with pytest.raises(PositivityError) as err:
-            rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+            State(eta, np.ones_like(eta))
         assert err.value.node == 7
 
 
@@ -433,12 +435,16 @@ class TestFactoredGroups:
 
 class TestErrors:
     def test_positivity_guard(self, noflux_grid):
+        # State refuses a film below the floor; rhs evaluates one at it
         eta = np.ones(noflux_grid.n_nodes)
-        eta[3] = 1e-9  # valid state, below the rhs evaluation floor
-        s = State(eta, np.ones(noflux_grid.n_nodes))
+        eta[3] = 1e-9
         with pytest.raises(PositivityError) as err:
-            rhs(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+            State(eta, np.ones(noflux_grid.n_nodes))
         assert err.value.node == 3
+        eta[3] = ETA_FLOOR
+        r = rhs(ModelVariant.FULL_CM, State(eta, np.ones(noflux_grid.n_nodes)),
+                Params(), noflux_grid)
+        assert np.isfinite(r.deta_dt).all() and np.isfinite(r.dgamma_dt).all()
 
     def test_nan_input_rejected_at_state(self):
         gamma = np.ones(8)

@@ -22,7 +22,7 @@ from lubrisim import (
     run_simulation,
 )
 from lubrisim import cli, discretization, models, timestepper
-from lubrisim.timestepper import GAMMA_REACH, STENCIL_REACH, _probe_pattern
+from lubrisim.timestepper import FD_EPSILON, GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
 from conftest import record_rhs_shapes, smooth_state
 
@@ -317,15 +317,17 @@ class TestJacobian:
         np.testing.assert_array_equal(base.dgamma_dt, single.dgamma_dt)
 
     def test_linearisation_breach_reports_the_state_node(self, noflux_grid):
-        # probes only thicken the film, so the stacked call names the node
-        # and value that rhs on the state alone names: the first thinnest
+        # probes only thicken the film, so a stack of the state and its
+        # probes names the node and value the state alone names: the first
+        # thinnest
         eta = np.ones(noflux_grid.n_nodes)
         eta[[9, 5, 20]] = 4e-9, 4e-9, 6e-9
-        s = State(eta, np.ones_like(eta))
+        probes = np.repeat(eta[None], 3, axis=0)
+        probes[[1, 2], [5, 9]] += FD_EPSILON
         errors = []
-        for evaluate in (rhs, timestepper._linearised):
+        for fields in (eta, probes):
             with pytest.raises(PositivityError) as err:
-                evaluate(ModelVariant.FULL_CM, s, Params(), noflux_grid)
+                State(fields, np.ones_like(fields))
             errors.append((err.value.node, err.value.value))
         assert errors[0] == errors[1] == (5, 4e-9)
 
@@ -527,8 +529,9 @@ class TestAdvance:
         assert rep.residual_norm_after < 0.1 * rep.residual_norm_before
 
     def test_positivity_breach_reports_node(self, noflux_grid):
+        # a film at twice the floor is thinned through it by its first update
         eta = np.ones(noflux_grid.n_nodes)
-        eta[5] = 1e-9
+        eta[5] = 2e-8
         s = State(eta, np.ones(noflux_grid.n_nodes))
         with pytest.raises(PositivityError) as err:
             advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
@@ -539,17 +542,21 @@ class TestAdvance:
     def test_newton_update_breach_reports_node(self, noflux_grid, thickness,
                                                monkeypatch):
         # an update that thins node 5 of a flat film below the floor, past
-        # zero or not, stops the step with that node
+        # zero or not, stops the step with that node when its State is
+        # built, before the closing rhs call
         def thinning_solve(jac, b):
             delta = np.zeros(jac.n)
             delta[2 * 5] = thickness - 1.0
             return delta
 
         monkeypatch.setattr(timestepper.FdJacobian, "solve", thinning_solve)
+        shapes = record_rhs_shapes(monkeypatch)
         with pytest.raises(PositivityError) as err:
             advance(flat_state(noflux_grid.n_nodes), StepConfig(dt=1.0),
                     ModelVariant.FULL_CM, Params(), noflux_grid)
         assert err.value.node == 5
+        n = noflux_grid.n_nodes
+        assert shapes == [(_probe_pattern(n, False).n_probes + 1, n)]  # the start only
 
     def test_determinism(self, noflux_grid):
         s = smooth_state(noflux_grid, seed=27)
@@ -640,7 +647,7 @@ class TestRunSimulation:
 
     def test_partial_results_on_positivity_failure(self, noflux_grid):
         eta = np.ones(noflux_grid.n_nodes)
-        eta[5] = 2e-9  # valid state, fails in the first rhs evaluation
+        eta[5] = 2e-8  # valid state, thinned through the floor by its first step
         s = State(eta, np.ones(noflux_grid.n_nodes))
         res = run_simulation(s, 10.0, (5.0,), StepConfig(dt=1.0),
                              ModelVariant.FULL_CM, Params(), noflux_grid)
@@ -987,6 +994,9 @@ class TestStepConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             StepConfig(dt=0.0)
+        for dt in (math.inf, math.nan):  # an infinite step would end in t = inf
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                StepConfig(dt=dt)
         with pytest.raises(ValueError):
             StepConfig(dt=1.0, newton_iters=0)
         for iters in (2.5, 2.0, "2"):  # advance would fail in range()
