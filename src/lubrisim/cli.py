@@ -321,6 +321,13 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
+def _make_out_dir(out_dir) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make directory {out_dir}: {exc}") from None
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int:
@@ -332,7 +339,7 @@ def cmd_simulate(scenario: Scenario, out_dir, t_end: float | None = None) -> int
     written = {0.0, *snaps, end}  # the times whose snapshots are written
     if len(set(map(_SNAPSHOT_CSV.format, written))) < len(written):
         raise ConfigError(f"--t-end {end!r} names the file of another snapshot time")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     s0 = build_initial_state(scenario)
     log.info("simulate %s: variant=%s N=%d t_end=%g",
              scenario.name, scenario.variant.value, scenario.grid.n_nodes, end)
@@ -356,7 +363,10 @@ def cmd_dispersion(delta_s: float, k_max: float, n_points: int, out_path) -> int
         results = dispersion_scan(0.0, k_max, n_points, delta_s)
     except ValueError as exc:
         raise ConfigError(f"dispersion: {exc}") from None
-    write_dispersion_csv(results, out_path)
+    try:
+        write_dispersion_csv(results, out_path)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out_path}: {exc}") from None
     log.info("dispersion curve with %d points written to %s", n_points, out_path)
     return 0
 
@@ -377,7 +387,7 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
         raise ConfigError(f"--peclet values must differ in {_DIFF_CSV}, got {list(peclet_list)}")
     if not 0.0 <= t_compare < math.inf:
         raise ConfigError(f"--t-compare must be finite and >= 0, got {t_compare:g}")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     s0 = build_initial_state(scenario)
     dx = scenario.grid.dx
     rows, failed = [], False

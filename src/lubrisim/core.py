@@ -164,7 +164,7 @@ class State:
     PositivityError names the first thinnest node within its row.
     Immutable after construction: the arrays are copied and marked
     read-only, so states can be shared freely; a State hashes and compares
-    by identity, keying the linearisation and mass caches.
+    by identity, keying the linearisation cache.
     """
 
     eta: np.ndarray

@@ -119,13 +119,11 @@ class StencilOps:
 stencil_ops = functools.lru_cache(maxsize=16)(StencilOps)
 
 
-@functools.lru_cache(maxsize=1)  # a step's masses are read again by its caller
 def film_mass(state: State, grid: Grid) -> float:
     """Total film volume: trapezoidal integral of eta."""
     return stencil_ops(grid).integrate(state.eta)
 
 
-@functools.lru_cache(maxsize=1)
 def surfactant_mass(state: State, grid: Grid) -> float:
     """Total surfactant: integral of gamma * sqrt(1 + eta_x^2).
 

@@ -94,20 +94,20 @@ class StepConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not isinstance(self.newton_iters, numbers.Integral) or self.newton_iters < 1:
             raise ValueError(f"newton_iters must be an integer >= 1, got {self.newton_iters!r}")
-        if not self.newton_tol > 0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
 
 
 @dataclass(frozen=True)
 class StepReport:
+    """One step's Newton residuals and updates, and the film and surfactant
+    mass of the state it ends in (a run's t = 0 snapshot: of s0, no updates)."""
+
     residual_norm_before: float
     residual_norm_after: float
     newton_iters_used: int
-    film_mass_drift: float
-    surfactant_mass_drift: float
-
-
-ZERO_REPORT = StepReport(0.0, 0.0, 0, 0.0, 0.0)
+    film_mass: float
+    surfactant_mass: float
 
 
 def _interleave(eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class _ProbePattern:
     node 0); rhs differences from the state are (field, probe, node) arrays.
     Jacobian entry i is the difference at src[i], a row below m;
     it lands at dest[i] of the column-major band, whose position p holds
-    unknown order[p], bumped by eps.flat[eps_at[p]].
+    interleaved unknown order[p].
     """
 
     color: np.ndarray
@@ -202,7 +202,6 @@ class _ProbePattern:
     bump: np.ndarray
     src: np.ndarray
     dest: np.ndarray
-    eps_at: np.ndarray
     order: np.ndarray
     gather: np.ndarray
     half_bandwidth: int
@@ -248,11 +247,10 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     pcol = position[np.concatenate(cols)]
     hb = int(np.abs(prow - pcol).max())
     dest = (hb + prow - pcol) + (2 * hb + 1) * pcol
-    eps_at = order % 2 * n_nodes + order // 2
     gather = position[np.arange(2 * n_nodes) % (2 * m)]
-    for arr in (colors, bump, src, dest, eps_at, order, gather):
+    for arr in (colors, bump, src, dest, order, gather):
         arr.setflags(write=False)
-    return _ProbePattern(*colors, n_probes, bump, src, dest, eps_at, order, gather, hb)
+    return _ProbePattern(*colors, n_probes, bump, src, dest, order, gather, hb)
 
 
 @functools.lru_cache(maxsize=1)  # a residual's state is the next Jacobian's
@@ -276,7 +274,7 @@ def _linearised(variant: ModelVariant, state: State, params: Params,
     ab = np.zeros((2 * hb + 1) * pat.order.size)
     ab[pat.dest] = diff.take(pat.src)
     ab = ab.reshape(2 * hb + 1, -1, order="F")
-    ab /= -eps.take(pat.eps_at)  # one bump size per band column
+    ab /= -_interleave(*eps)[pat.order]  # one bump size per band column
     ab.setflags(write=False)
     return FdJacobian(pat, ab, Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
 
@@ -325,8 +323,6 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
-    film_before = film_mass(state, grid)
-    surf_before = surfactant_mass(state, grid)
     held = _Held() if _held is None else _held
     reuse = held.jac is not None and held.jac.shift == 1.0 / cfg.dt
     if reuse:
@@ -374,13 +370,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
         return advance(state, cfg, variant, params, grid, _held=held)
 
     held.end, held.closing = current, base
-    return current, StepReport(
-        residual_norm_before=norm_before,
-        residual_norm_after=norm_after,
-        newton_iters_used=it + 1,
-        film_mass_drift=_drift(film_mass(current, grid), film_before),
-        surfactant_mass_drift=_drift(surfactant_mass(current, grid), surf_before),
-    )
+    return current, StepReport(norm_before, norm_after, it + 1,
+                               film_mass(current, grid), surfactant_mass(current, grid))
 
 
 @dataclass(frozen=True)
@@ -430,11 +421,9 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
 
     started = time.perf_counter()
     result = SimulationResult()
-    result.snapshots.append(Snapshot(0.0, s0, ZERO_REPORT))
+    film0, surf0 = film_mass(s0, grid), surfactant_mass(s0, grid)
+    result.snapshots.append(Snapshot(0.0, s0, StepReport(0.0, 0.0, 0, film0, surf0)))
     pending = sorted({st for st in (*targets, t_end) if st > 0.0})
-
-    film0 = film_mass(s0, grid)
-    surf0 = surfactant_mass(s0, grid)
     summary = result.summary
     tol = 1e-9 * max(1.0, cfg.dt)
 
@@ -452,8 +441,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         t = target if abs(t + dt_step - target) <= tol else t + dt_step
         if state.t != t:  # snapped to the target, or s0.t was not 0
             state = State(state.eta, state.gamma, t)
-        film_drift = abs(_drift(film_mass(state, grid), film0))
-        surf_drift = abs(_drift(surfactant_mass(state, grid), surf0))
+        film_drift = abs(_drift(report.film_mass, film0))
+        surf_drift = abs(_drift(report.surfactant_mass, surf0))
         summary.max_film_mass_drift = max(summary.max_film_mass_drift, film_drift)
         summary.max_surfactant_mass_drift = max(
             summary.max_surfactant_mass_drift, surf_drift)

@@ -188,6 +188,8 @@ MALFORMED_CONFIGS = [
      "initial: {kind: corrugated_uniform_surfactant, amplitude: 0.999999999}",
      ".initial: amplitude must lie in (-1, 1), with 1 - |amplitude| >= 1e-08"),
     ("step: {dt: .inf}", ".step: dt must be positive and finite"),
+    # an infinite tolerance would accept every held step unchecked
+    ("step: {newton_tol: .inf}", ".step: newton_tol must be positive and finite"),
     # snapshot times are checked at load, before any output is made
     ("snapshot_times: [-1.0, 5.0]", "yaml: snapshot_times must be finite, >= 0"),
     ("snapshot_times: [5.0, 2.0]", "yaml: snapshot_times must be finite, >= 0 and ascending"),
@@ -260,6 +262,20 @@ def test_bad_end_time_is_config_error(tmp_path, caplog, command, flag, value):
     assert main([command, "--preset", "fig2", "--out", str(out), flag, value]) == 2
     assert f"{flag} must be finite and >= 0" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["simulate", "--preset", "fig3", "--t-end", "1"], "a_file"),
+    (["compare", "--preset", "fig3", "--t-compare", "1"], "a_file/out"),
+    (["dispersion", "--n-points", "3"], "missing/d.csv"),
+])
+def test_unusable_out_is_config_error(tmp_path, caplog, argv, out):
+    # a directory where a file stands, or a CSV in a directory that is missing
+    (tmp_path / "a_file").write_text("kept")
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    assert "--out" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept"
 
 
 @pytest.mark.parametrize("value", [-5.0, math.inf, math.nan])

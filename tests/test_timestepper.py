@@ -16,10 +16,12 @@ from lubrisim import (
     State,
     StepConfig,
     advance,
+    film_mass,
     jacobian_fd,
     residual,
     rhs,
     run_simulation,
+    surfactant_mass,
 )
 from lubrisim import cli, discretization, models, timestepper
 from lubrisim.timestepper import FD_EPSILON, GAMMA_REACH, STENCIL_REACH, _probe_pattern
@@ -427,15 +429,16 @@ class TestAdvance:
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_film_mass_conserved_per_step(self, variant, noflux_grid,
                                           periodic_grid):
-        s = smooth_state(noflux_grid, seed=25, eta_amp=0.08, gamma_amp=0.15)
-        _, rep = advance(s, StepConfig(dt=1.0), variant, Params(), noflux_grid)
-        assert abs(rep.film_mass_drift) < 1e-12
+        def drift(grid):
+            s = smooth_state(grid, seed=25, eta_amp=0.08, gamma_amp=0.15)
+            _, rep = advance(s, StepConfig(dt=1.0), variant, Params(), grid)
+            return (rep.film_mass - film_mass(s, grid)) / film_mass(s, grid)
+
+        assert abs(drift(noflux_grid)) < 1e-12
         # the periodic full model drifts by 3.07e-12 here, with or without
         # node N - 1 as an unknown of its own: linear-solver round-off of
         # this state, not the duplicated endpoint
-        s = smooth_state(periodic_grid, seed=25, eta_amp=0.08, gamma_amp=0.15)
-        _, rep = advance(s, StepConfig(dt=1.0), variant, Params(), periodic_grid)
-        assert abs(rep.film_mass_drift) < 1e-11
+        assert abs(drift(periodic_grid)) < 1e-11
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_periodic_twin_stays_exact(self, variant, periodic_grid):
@@ -609,11 +612,47 @@ class TestRunSimulation:
                                  ModelVariant.FULL_CM, Params(), noflux_grid)
         assert res.summary.failure is None and res.summary.steps == 3
         summary, report = res.summary, res.snapshots[-1].report
-        for drift in (summary.max_film_mass_drift, summary.max_surfactant_mass_drift,
+        for value in (summary.max_film_mass_drift, summary.max_surfactant_mass_drift,
                       summary.final_surfactant_mass_drift,
-                      report.film_mass_drift, report.surfactant_mass_drift):
-            assert math.isfinite(drift)
+                      report.film_mass, report.surfactant_mass):
+            assert math.isfinite(value)
         assert summary.max_film_mass_drift < 1e-12
+
+    @pytest.mark.parametrize("case", ["fig2", "periodic"])
+    def test_reports_carry_their_states_masses(self, periodic_grid, case):
+        # every snapshot, t = 0 included; fig2 shortens three steps to land
+        if case == "fig2":
+            sc = cli.preset("fig2")
+            s0, cfg, grid = cli.build_initial_state(sc), sc.step, sc.grid
+            times = (1.0, 10.0, 100.0, 1000.0, 1800.0)
+        else:
+            s0, cfg = smooth_state(periodic_grid, seed=43), StepConfig(dt=1.0)
+            grid = periodic_grid
+            times = tuple(map(float, range(1, 11)))
+        res = run_simulation(s0, times[-1], times, cfg, ModelVariant.FULL_CM,
+                             Params(), grid)
+        assert res.summary.failure is None
+        assert [snap.time for snap in res.snapshots] == [0.0, *times]
+        for snap in res.snapshots:
+            assert snap.report.film_mass == film_mass(snap.state, grid)
+            assert snap.report.surfactant_mass == surfactant_mass(snap.state, grid)
+
+    def test_summary_drifts_come_from_the_reports(self, noflux_grid):
+        # every step is a snapshot, so every report is kept
+        s = smooth_state(noflux_grid, seed=44)
+        res = run_simulation(s, 8.0, tuple(map(float, range(1, 9))), StepConfig(dt=1.0),
+                             ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert res.summary.steps == len(res.snapshots) - 1 == 8
+        first = res.snapshots[0].report
+        film = [abs((snap.report.film_mass - first.film_mass) / abs(first.film_mass))
+                for snap in res.snapshots[1:]]
+        surf = [abs((snap.report.surfactant_mass - first.surfactant_mass)
+                    / abs(first.surfactant_mass)) for snap in res.snapshots[1:]]
+        summary = res.summary
+        assert summary.max_film_mass_drift == max(film)
+        assert summary.final_film_mass_drift == film[-1]
+        assert summary.max_surfactant_mass_drift == max(surf)
+        assert summary.final_surfactant_mass_drift == surf[-1]
 
     def test_snapshots_land_exactly(self, noflux_grid):
         s = smooth_state(noflux_grid, seed=28)
@@ -676,8 +715,8 @@ class TestEvaluationReuse:
     """Each state is evaluated once: the closing residual's rhs call is the
     next iteration's or step's start, stacked over its probes when a fresh
     Jacobian certainly follows, and handed on by the linearisation cache,
-    or in a run by ``_Held`` with the step's end State; the mass integrals
-    remember their last State, so a step's masses are read again for free;
+    or in a run by ``_Held`` with the step's end State; a step's report
+    carries the masses of its end state, so no state is integrated twice;
     a step whose dt changed stacks its start once more.  ``run_simulation``
     holds the factorised Jacobian of its last refresh and takes a fresh one
     only on the run's first step, when dt changes, after JAC_MAX_AGE steps,
@@ -687,9 +726,9 @@ class TestEvaluationReuse:
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
-        for name in ("_linearised", "film_mass", "surfactant_mass"):
-            monkeypatch.setattr(timestepper, name,
-                                getattr(timestepper, name).__wrapped__)
+        """Unwrap the linearisation cache, the only one keyed on a State."""
+        monkeypatch.setattr(timestepper, "_linearised",
+                            timestepper._linearised.__wrapped__)
 
     def test_fig2_run_is_bit_identical(self, monkeypatch):
         # 20 steps, three of them shortened to land on a snapshot
@@ -773,6 +812,20 @@ class TestEvaluationReuse:
             s, _ = advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), g)
         assert len(entries) == k + 1
         assert shapes == [batch_shape(g)] * (k + 1)
+
+    def test_advance_integrates_only_its_end_state(self, noflux_grid, monkeypatch):
+        # one film and one surfactant integral, of the state the step returns
+        integrals = []
+        real = discretization.StencilOps.integrate
+
+        def counting_integrate(self, f):
+            integrals.append(1)
+            return real(self, f)
+
+        monkeypatch.setattr(discretization.StencilOps, "integrate", counting_integrate)
+        advance(smooth_state(noflux_grid, seed=45), StepConfig(dt=1.0),
+                ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert len(integrals) == 2
 
     def test_one_mass_pair_per_step(self, noflux_grid, monkeypatch):
         # film and surfactant mass each integrate once per accepted state:
@@ -999,6 +1052,9 @@ class TestStepConfig:
                 StepConfig(dt=dt)
         with pytest.raises(ValueError):
             StepConfig(dt=1.0, newton_iters=0)
+        for tol in (math.inf, math.nan):  # an infinite one accepts every held step
+            with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+                StepConfig(dt=1.0, newton_tol=tol)
         for iters in (2.5, 2.0, "2"):  # advance would fail in range()
             with pytest.raises(ValueError, match="newton_iters must be an integer"):
                 StepConfig(dt=1.0, newton_iters=iters)
