@@ -218,17 +218,17 @@ def _convert(tp, value, where: str, current=None):
         if value is None:
             return None
         tp = args[0]
-    try:
-        origin = typing.get_origin(tp)
-        if origin in (tuple, frozenset):
-            if isinstance(value, (str, dict)):  # iterating would read "19" as 1, 9
-                raise ValueError(f"expected a list, got {value!r}")
-            return origin(map(typing.get_args(tp)[0], value))
-        if tp is int:  # int() would truncate 97.9 and read true as 1
-            if isinstance(value, bool) or not float(value).is_integer():
-                raise ValueError(f"expected an integer, got {value!r}")
-            return int(float(value))
-        return tp(value)
+    origin = typing.get_origin(tp)
+    if origin in (tuple, frozenset):  # iterating a string would read "19" as 1, 9
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return origin(_convert(typing.get_args(tp)[0], v, where) for v in value)
+    try:  # int() would truncate 97.9, and int() and float() read true as 1
+        if tp is int and (isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if tp is float and isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
+        return int(float(value)) if tp is int else tp(value)
     except (TypeError, ValueError) as exc:
         if isinstance(tp, type) and issubclass(tp, enum.Enum):
             raise ConfigError(f"{where} must be one of {[m.value for m in tp]}, "

@@ -160,6 +160,9 @@ MALFORMED_CONFIGS = [
     ("grid: {n_nodes: 97.9}", ".grid.n_nodes: expected an integer"),
     ("step: {newton_iters: 2.5}", ".step.newton_iters: expected an integer"),
     ("step: {newton_iters: true}", ".step.newton_iters: expected an integer"),
+    # float() would read a YAML bool as 1.0, in a field or a list
+    ("step: {dt: true}", ".step.dt: expected a number, got True"),
+    ("snapshot_times: [true]", ".snapshot_times: expected a number, got True"),
     ("grid: {n_nodes: abc}", ".grid.n_nodes"),
     # initial conditions that would start from a non-physical state
     ("initial: {excess: -1.5}", ".initial: excess must be finite and >= -1"),
