@@ -19,9 +19,10 @@ Each group is written in flux form: a nodal eta flux, a nodal gamma flux
 and its non-divergence gamma terms as a pointwise source (surface diffusion
 keeps its inner derivative there), factored over products shared between
 groups, each computed only when a switched-on group reads it.  ``div_flux``
-is linear, so ``rhs`` sums the fluxes of all groups and takes one divergence
-per field, keeping the eta equation conservative to round-off;
-``rhs_breakdown`` takes the divergence per group.
+is linear and works row by row, so ``rhs`` sums the fluxes of all groups
+and makes one ``div_flux`` call on the stacked (eta flux, gamma flux) pair,
+keeping the eta equation conservative to round-off; ``rhs_breakdown`` takes
+the divergence per group.
 """
 
 from __future__ import annotations
@@ -99,14 +100,19 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         agx = A * gmx
         yield "marangoni", 0.5 * e2 * agx, ge * agx, None
 
+    corrections = full and (tangential or normal or vdw or cross)
+    if "capillary" in on or corrections:  # eta_xx on nodes -1..N; d2 is its interior
+        etxx_h = ops.halo_d2(ghost_eta)
+        etxx = etxx_h[..., 1:-1]
+
     # Capillary: the inner (tension * eta_xx)_x needs a one-node halo.
     if "capillary" in on:
         tension_h = surface_tension(ops.halo(ghost_gam), A)
-        curv = ops.d1_center(tension_h * ops.halo_d2(ghost_eta))
+        curv = ops.d1_center(tension_h * etxx_h)
         yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
 
     # Surface diffusion of surfactant (x1s = eta_x^2 serves the corrections too)
-    if geometric or (full and (tangential or normal or vdw or cross)):
+    if geometric or corrections:
         x1s = etx * etx
     if ds != 0.0:
         if geometric:
@@ -118,8 +124,6 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
 
     # Products shared by the corrections below (x1, x2, x3 = eta_x, eta_xx,
     # eta_xxx), each computed only when a switched-on group reads it
-    if full and (tangential or normal or vdw or cross):
-        etxx = ops.d2(ghost_eta)
     if full and (normal or vdw or cross):
         etxxx = ops.d3(ghost_eta)
         x1c = x1s * etx
@@ -178,18 +182,18 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
 
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     """Evaluate the selected model's right-hand side on the grid: the parts
-    of all groups are summed, then each field takes a single ``div_flux``.
+    of all groups are summed, then one ``div_flux`` takes both fluxes.
     ``state`` may be a batch of shape (..., n_nodes); see ``State``.  The
     arrays are read-only, so rows of a batch can be shared as views."""
     totals = [None, None, None]
-    for _, *parts in _groups(variant, state, params, grid):
-        # parts are fresh arrays: the first of each kind takes the sum
-        totals = [t if p is None else p if t is None else np.add(t, p, out=t)
-                  for t, p in zip(totals, parts)]
+    for group in _groups(variant, state, params, grid):
+        for i, part in enumerate(group[1:]):
+            if part is not None:  # parts are fresh: the first of each kind takes the sum
+                totals[i] = part if totals[i] is None else np.add(totals[i], part, out=totals[i])
     eta_flux, gamma_flux, source = (np.zeros(state.eta.shape) if t is None else t
                                     for t in totals)
-    ops = stencil_ops(grid)
-    out = Rhs(ops.div_flux(eta_flux), ops.div_flux(gamma_flux) + source)
+    div = stencil_ops(grid).div_flux(np.array((eta_flux, gamma_flux)))
+    out = Rhs(div[0], div[1] + source)
     out.deta_dt.flags.writeable = out.dgamma_dt.flags.writeable = False
     return out
 

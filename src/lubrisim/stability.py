@@ -115,8 +115,8 @@ def dispersion(k: float, delta_s: float,
 def dispersion_scan(k_min: float, k_max: float, n_points: int, delta_s: float,
                     tension_slope: float = 1.0) -> list[DispersionResult]:
     """Uniformly sampled dispersion curve on [k_min, k_max]."""
-    if not 0 <= k_min < k_max:
-        raise ValueError(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
+    if not 0 <= k_min < k_max < math.inf:
+        raise ValueError(f"need 0 <= k_min < k_max < inf, got [{k_min}, {k_max}]")
     if not isinstance(n_points, numbers.Integral) or n_points < 2:
         raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     step = (k_max - k_min) / (n_points - 1)

@@ -23,18 +23,20 @@ step, so a k-iteration step costs k rhs calls, on either boundary kind.
 
 ``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
 holds its last one factorised in ``_Held``, with the step's end state and
-closing rhs, and solves a later step's first update with gbtrs alone:
-linearly implicit Euler stays first order with an approximate Jacobian
-(Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  It refreshes on a run's
-first step, when dt changes (landing steps too, with one more stacked
-call at the step's start), after JAC_MAX_AGE steps, and to retry once a
-held step that raised PositivityError or LinAlgError or did not contract:
-as stiff integrators keep a Jacobian only while Newton contracts, and a
-contraction factor of 1 or more means divergence (Hairer & Wanner, Solving
-ODEs II, IV.8; ode15s, Shampine & Reichelt, SIAM J. Sci. Comput. 18,
-1997), a held step is rejected when its update leaves a residual above
-both newton_tol and the residual it started from.  Its results move past
-round-off.
+closing rhs, whose negation is the next step's first residual (u_new =
+u_old opens a step), and solves a later step's first update with gbtrs
+alone: linearly implicit Euler stays first order with an approximate
+Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  A held step's
+work is one rhs call, one gbtrs and the two masses of its end state.  The
+hold refreshes on a run's first step, when dt changes (landing steps too,
+with one more stacked call at the step's start), after JAC_MAX_AGE steps,
+and to retry once a held step that raised PositivityError or LinAlgError
+or did not contract: as stiff integrators keep a Jacobian only while
+Newton contracts, and a contraction factor of 1 or more means divergence
+(Hairer & Wanner, Solving ODEs II, IV.8; ode15s, Shampine & Reichelt, SIAM
+J. Sci. Comput. 18, 1997), a held step is rejected when its update leaves
+a residual above both newton_tol and the residual it started from.  Its
+results move past round-off.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
@@ -110,8 +112,10 @@ class StepReport:
 
 
 def _interleave(eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """(..., N) field pairs to (..., 2N) interleaved unknowns."""
-    return np.stack((eta, gamma), axis=-1).reshape(*eta.shape[:-1], -1)
+    """(..., N) field pairs to (..., 2N) interleaved unknowns, of their dtype."""
+    out = np.empty((*eta.shape[:-1], 2 * eta.shape[-1]), np.result_type(eta, gamma))
+    out[..., 0::2], out[..., 1::2] = eta, gamma
+    return out
 
 
 def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
@@ -337,8 +341,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
 
     t_new = state.t + cfg.dt
     current = state
-    r = _residual(state, state, cfg, base)
-    norm_before = float(np.max(np.abs(r)))
+    r = -_interleave(base.deta_dt, base.dgamma_dt)  # the residual at u_new = u_old
+    norm_before = float(np.abs(r).max())
     try:
         for it in range(cfg.newton_iters):
             if it:
@@ -352,7 +356,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             else:
                 base = rhs(variant, current, params, grid)
             r = _residual(current, state, cfg, base)
-            norm_after = float(np.max(np.abs(r)))
+            norm_after = float(np.abs(r).max())
             if reuse and not it and norm_after > max(cfg.newton_tol, norm_before):
                 raise np.linalg.LinAlgError("the held Jacobian did not contract")
             if norm_after <= cfg.newton_tol:
@@ -400,7 +404,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     when t_end > 0, the state at t_end as the last snapshot.
 
     Each step takes cfg.dt, shortened to land exactly on the next snapshot
-    time, and shares a held factorised Jacobian (see ``advance``).  On a
+    time (a step ending within 1e-9 * cfg.dt of it, or a few ulps, lands on
+    it), and shares a held factorised Jacobian (see ``advance``).  On a
     solver failure (positivity breach or a singular linear solve) with a
     fresh Jacobian the partial results gathered so far are returned with
     the failure recorded in the summary.
@@ -419,15 +424,15 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     result.snapshots.append(Snapshot(0.0, s0, StepReport(0.0, 0.0, 0, film0, surf0)))
     pending = sorted({st for st in (*targets, t_end) if st > 0.0})
     summary = result.summary
-    tol = 1e-9 * max(1.0, cfg.dt)
+    tol = max(1e-9 * cfg.dt, 4.0 * math.ulp(t_end))  # a few ulps where the step is tiny
 
     t, state, held = 0.0, s0, _Held(JAC_MAX_AGE)
     while pending:
         target = pending[0]
         dt_step = min(cfg.dt, target - t)
         try:
-            state, report = advance(state, replace(cfg, dt=dt_step),
-                                    variant, params, grid, _held=held)
+            step_cfg = cfg if dt_step == cfg.dt else replace(cfg, dt=dt_step)
+            state, report = advance(state, step_cfg, variant, params, grid, _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
             summary.failure = f"{type(exc).__name__}: {exc}"
             break

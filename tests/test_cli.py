@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -302,7 +304,8 @@ def test_commands_check_their_end_time(tmp_path, value):
      "--peclet values must differ in diff_P{:g}.csv"),
     (["dispersion", "--delta-s", "nan"], "delta_s must be finite"),
     (["dispersion", "--delta-s", "inf"], "delta_s must be finite"),
-    (["dispersion", "--k-max", "inf"], "k must be finite"),
+    (["dispersion", "--k-max", "inf"],
+     "dispersion: need 0 <= k_min < k_max < inf, got [0.0, inf]"),
     # t1000.csv is the fig2 preset's last snapshot
     (["simulate", "--preset", "fig2", "--t-end", "1000.0000004"],
      "--t-end 1000.0000004 names the file of another snapshot time"),
@@ -557,6 +560,18 @@ class TestMain:
         assert main(["dispersion", "--out", str(out), "--delta-s", "1e-4",
                      "--k-max", "2", "--n-points", "11"]) == 0
         assert out.exists()
+
+    def test_module_runs_from_a_checkout(self, tmp_path):
+        # python -m lubrisim, with src/ on the path and nothing installed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / "d.csv"
+        done = subprocess.run([sys.executable, "-m", "lubrisim", "dispersion",
+                               "--n-points", "3", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text().splitlines()) == 4  # header and 3 points
 
     def test_simulate_with_overrides(self, tmp_path):
         out = tmp_path / "sim"

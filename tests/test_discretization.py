@@ -116,6 +116,17 @@ class TestDerivatives:
 
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_halo_d2_interior_is_d2(self, boundary):
+        # models reads the nodal eta_xx off the capillary's halo eta_xx
+        g = Grid(29, 10.0, boundary)
+        ops = StencilOps(g)
+        rng = np.random.default_rng(9)
+        for f in (rng.normal(size=g.n_nodes), rng.normal(size=(3, g.n_nodes))):
+            np.testing.assert_array_equal(ops.halo_d2(f)[..., 1:-1], ops.d2(f))
+            ghost = ops.ghosted(f)
+            np.testing.assert_array_equal(ops.halo_d2(ghost)[..., 1:-1], ops.d2(ghost))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_ghosted_field_matches_plain_field(self, boundary):
         # one gather of the ghost nodes serves every stencil, bit for bit
         g = Grid(29, 10.0, boundary)

@@ -216,8 +216,8 @@ class TestScan:
         for n_points in (2.5, 5.0, "5"):  # range() would raise TypeError
             with pytest.raises(ValueError, match="n_points must be an integer"):
                 dispersion_scan(0.0, 1.0, n_points, 1e-3)
-        # an infinite range fails at its first point, 0 * inf = nan
-        with pytest.raises(ValueError, match="k must be finite"):
+        # an infinite range would sample k = 0 * inf = nan: refused up front
+        with pytest.raises(ValueError, match=r"k_max < inf, got \[0.0, inf\]"):
             dispersion_scan(0.0, np.inf, 11, 1e-4)
 
     def test_csv_export(self, tmp_path):

@@ -595,10 +595,19 @@ class TestRunSimulation:
     ])
     def test_t_end_within_landing_tolerance_is_reached(self, t_end, snapshots,
                                                        dt, steps):
-        # t_end lies within 1e-9 * max(1, dt) of 0 or of the previous snapshot
+        # t_end lies within 1e-9 * dt of 0 or of the previous snapshot
         res = run_simulation(flat_state(33), t_end, snapshots, StepConfig(dt=dt),
                              ModelVariant.FULL_CM, Params(), Grid(33, 10.0))
         assert [snap.time for snap in res.snapshots] == [0.0, *snapshots, t_end]
+        assert res.summary.steps == steps
+        assert res.summary.final_time == res.snapshots[-1].state.t == t_end
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-10, 1e-9, 10), (1e-9, 5e-9, 5)])
+    def test_steps_below_one_land_after_all_their_steps(self, dt, t_end, steps):
+        # the landing tolerance scales with dt, so a step of 1e-10 does not
+        # snap to a target ten steps away and label its state with it
+        res = run_simulation(flat_state(33), t_end, (), StepConfig(dt=dt),
+                             ModelVariant.FULL_CM, Params(), Grid(33, 10.0))
         assert res.summary.steps == steps
         assert res.summary.final_time == res.snapshots[-1].state.t == t_end
 
@@ -812,6 +821,24 @@ class TestEvaluationReuse:
             s, _ = advance(s, StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), g)
         assert len(entries) == k + 1
         assert shapes == [batch_shape(g)] * (k + 1)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_one_divergence_for_both_fluxes(self, boundary, monkeypatch):
+        # the stacked (eta flux, gamma flux) pair takes one div_flux, and the
+        # slope-corrected diffusion its own inner one
+        calls = []
+        real = discretization.StencilOps.div_flux
+
+        def counting_div_flux(self, flux):
+            calls.append(np.shape(flux))
+            return real(self, flux)
+
+        monkeypatch.setattr(discretization.StencilOps, "div_flux", counting_div_flux)
+        g = Grid(33, 10.0, boundary)
+        params = Params()
+        assert "geometric_diffusion" in params.toggles and params.inv_peclet > 0
+        rhs(ModelVariant.FULL_CM, smooth_state(g, seed=46), params, g)
+        assert calls == [(g.n_nodes,), (2, g.n_nodes)]
 
     def test_advance_integrates_only_its_end_state(self, noflux_grid, monkeypatch):
         # one film and one surfactant integral, of the state the step returns
