@@ -35,6 +35,7 @@ from .core import (
     State,
     write_csv,
 )
+from .discretization import stencil_ops
 from .stability import dispersion_scan, write_dispersion_csv
 from .timestepper import SimulationResult, StepConfig, run_simulation
 
@@ -375,8 +376,9 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
                 out_dir) -> int:
     """Run two variants at each distinct Peclet number, in first-seen order,
     and write their final differences: one diff_P<value>.csv per number and
-    a compare_summary.csv row of its L-inf and L2 norms.  A solver failure
-    ends the sweep with a row of nan norms for its number and returns 3.
+    a compare_summary.csv row of its L-inf and trapezoidal L2 norms.  A
+    solver failure ends the sweep with a row of nan norms for its number and
+    returns 3.
     """
     if len(variants) != 2:
         raise ConfigError(f"compare needs exactly two variants, got {len(variants)}")
@@ -389,7 +391,7 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
         raise ConfigError(f"--t-compare must be finite and >= 0, got {t_compare:g}")
     _make_out_dir(out_dir)
     s0 = build_initial_state(scenario)
-    dx = scenario.grid.dx
+    ops = stencil_ops(scenario.grid)
     rows, failed = [], False
     for pe in peclets:
         params = dataclasses.replace(scenario.params, inv_peclet=1.0 / pe)
@@ -408,8 +410,8 @@ def cmd_compare(scenario: Scenario, variants, peclet_list, t_compare: float,
             break
         d_eta = finals[0].eta - finals[1].eta
         d_gamma = finals[0].gamma - finals[1].gamma
-        rows.append((pe, t_compare, np.max(np.abs(d_eta)), np.sqrt(dx * np.sum(d_eta**2)),
-                     np.max(np.abs(d_gamma)), np.sqrt(dx * np.sum(d_gamma**2))))
+        rows.append((pe, t_compare, np.max(np.abs(d_eta)), np.sqrt(ops.integrate(d_eta**2)),
+                     np.max(np.abs(d_gamma)), np.sqrt(ops.integrate(d_gamma**2))))
         write_csv(os.path.join(out_dir, _DIFF_CSV.format(pe)), "x,d_eta,d_gamma",
                   np.column_stack((scenario.grid.x, d_eta, d_gamma)))
     write_csv(os.path.join(out_dir, "compare_summary.csv"),

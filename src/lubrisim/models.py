@@ -11,22 +11,20 @@ unit so that individual physical effects can be switched off at runtime:
   inertia_cross_HRB    H*R*B cross groups (inertia / gravity / vdW coupling)
   diffusion            surface diffusion of surfactant, scaled by inv_peclet
 
-The low-order model keeps the leading flux of each gravity/vdW group and
-no HRB group; the de Wit baseline is the low-order model minus
-DE_WIT_DELETES: both gravity groups and the diffusion slope correction.
-
 Each group is written in flux form: a nodal eta flux, a nodal gamma flux
 and its non-divergence gamma terms as a pointwise source (surface diffusion
-keeps its inner derivative there), factored over products shared between
-groups, each computed only when a switched-on group reads it.  ``div_flux``
-is linear and works row by row, so ``rhs`` sums the fluxes of all groups
-and makes one ``div_flux`` call on the stacked (eta flux, gamma flux) pair,
-keeping the eta equation conservative to round-off; ``rhs_breakdown`` takes
-the divergence per group.
+keeps its inner derivative there).  The gravity, van der Waals and HRB
+groups are the rows of one table, CORRECTIONS; LOW_ORDER is each gravity
+and van der Waals flux row cut to its group's leading column, and de Wit is
+the low-order model minus DE_WIT_DELETES.  ``rhs`` sums the fluxes of all
+groups and takes one (linear, row-by-row) ``div_flux`` of the stacked (eta
+flux, gamma flux) pair, so the eta equation stays conservative to
+round-off; ``rhs_breakdown`` takes the divergence per group.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,14 +59,66 @@ class TermBreakdown:
         return Rhs(de, dg)
 
 
+# A table row (group, part, prefactor, multiplier, coefs) adds multiplier *
+# prefactor * (coefs . BASIS) to one part of one group; BASIS holds slope
+# monomials in x1, x2, x3 = eta_x, eta_xx, eta_xxx, and theta is the incline.
+BASIS = ("1", "x1", "x1^2", "x1^3", "eta x2", "eta x1 x2", "eta^2 x3", "eta^2 x2^2", "x1^4")
+MULTIPLIERS = ("B sin", "B cos", "H", "HRB cos", "HRB sin")
+ETA_FLUX, GAMMA_FLUX, SOURCE = range(3)
+
+CORRECTIONS = tuple((group, *row) for group, rows in {
+    "gravity_tangential": (
+        (ETA_FLUX, "eta^3", "B sin", (-1/3, 0, -7/3, 0, -1, 0, 0, 0, 0)),
+        (GAMMA_FLUX, "gamma eta^2", "B sin", (-1/2, 0, -17/4, 0, -5/3, 0, 0, 0, 0)),
+        (SOURCE, "gamma eta", "B sin", (0, 0, 0, 3/2, 0, 0, 0, 0, 0)),
+        (SOURCE, "gamma_x eta^2", "B sin", (0, 0, -1/4, 0, 0, 0, 0, 0, 0))),
+    "gravity_normal": (
+        (ETA_FLUX, "eta^3", "B cos", (0, 1/3, 0, 7/3, 0, 4, 0.6, 0, 0)),
+        (GAMMA_FLUX, "gamma eta^2", "B cos", (0, 1/2, 0, 4, 0, 20/3, 1, 0, 0)),
+        (SOURCE, "gamma eta", "B cos", (0, 0, 0, 0, 0, 0, 0, 1/3, -1)),
+        (SOURCE, "gamma_x eta^2", "B cos", (0, 0, 0, 1/2, 0, 1/3, 0, 0, 0))),
+    "van_der_waals": (
+        (ETA_FLUX, "1/eta", "H", (0, -1, 0, -7, 0, 9.6, -1.8, 0, 0)),
+        (GAMMA_FLUX, "gamma/eta^2", "H", (0, -3/2, 0, -32/3, 0, 16, -3, 0, 0)),
+        (SOURCE, "gamma/eta^3", "H", (0, 0, 0, 0, 0, 0, 0, -1, -1/3)),
+        (SOURCE, "gamma_x/eta^2", "H", (0, 0, 0, 7/6, 0, -1, 0, 0, 0))),
+    "inertia_cross_HRB": (
+        (ETA_FLUX, "eta^2", "HRB cos", (0, 0, 0, -4/105, 0, 44/105, 4/15, 0, 0)),
+        (ETA_FLUX, "eta^2", "HRB sin", (0, 0, 32/105, 0, -10/21, 0, 0, 0, 0)),
+        (GAMMA_FLUX, "gamma eta", "HRB cos", (0, 0, 0, -0.05, 0, 0.65, 5/12, 0, 0)),
+        (GAMMA_FLUX, "gamma eta", "HRB sin", (0, 0, 7/15, 0, -89/120, 0, 0, 0, 0))),
+}.items() for row in rows)
+
+# The low-order model: each group's leading slope order, no source or HRB row
+LEADING = {"gravity_tangential": "1", "gravity_normal": "x1", "van_der_waals": "x1"}
+LOW_ORDER = tuple((g, part, pre, m, tuple(c if b == LEADING[g] else 0
+                                          for b, c in zip(BASIS, coefs)))
+                  for g, part, pre, m, coefs in CORRECTIONS if g in LEADING and part != SOURCE)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(full: bool, on: frozenset, multipliers: tuple):
+    """The switched-on table rows with nonzero multipliers, the BASIS names
+    they read and their weights (multiplier * coefs) on those names."""
+    values = dict(zip(MULTIPLIERS, multipliers))
+    rows = tuple(r for r in (CORRECTIONS if full else LOW_ORDER)
+                 if r[0] in on and values[r[3]] != 0.0)
+    weights = np.reshape([values[m] * np.array(c, dtype=float) for *_, m, c in rows],
+                         (len(rows), len(BASIS)))
+    read = weights.any(axis=0)
+    weights = weights[:, read]
+    weights.flags.writeable = False  # shared by every call with this key
+    return rows, tuple(b for b, r in zip(BASIS, read) if r), weights
+
+
 def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     """Yield (name, eta flux, gamma flux, gamma source) per switched-on group.
 
-    None stands for an absent part; every other part is a fresh array that
-    the caller may add into.  A batched state (fields of shape
-    (..., n_nodes)) yields parts of the same shape, each row bit-identical
-    to evaluating that row alone.  A state of the wrong length fails in the
-    first stencil with ValueError.
+    None stands for an absent part; every other part is a fresh array, or
+    a row of one, that the caller may add into.  A batched state (fields of
+    shape (..., n_nodes)) yields parts of the same shape, each row
+    bit-identical to evaluating that row alone.  A state of the wrong
+    length fails in the first stencil with ValueError.
     """
     ops = stencil_ops(grid)
     eta, gam = state.eta, state.gamma
@@ -76,17 +126,11 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     on = params.toggles - DE_WIT_DELETES if variant is ModelVariant.DE_WIT else params.toggles
     A = params.tension_slope
     sin_t, cos_t = math.sin(params.incline), math.cos(params.incline)
-    bs, bc = params.bond * sin_t, params.bond * cos_t
-    hm = params.hamaker
-    hrb = hm * params.reynolds * params.bond
-    hs, hc = hrb * sin_t, hrb * cos_t
+    hrb = params.hamaker * params.reynolds * params.bond
+    rows, reads, weights = _plan(
+        variant is ModelVariant.FULL_CM, on,
+        (params.bond * sin_t, params.bond * cos_t, params.hamaker, hrb * cos_t, hrb * sin_t))
     ds = params.inv_peclet
-
-    full = variant is ModelVariant.FULL_CM
-    tangential = "gravity_tangential" in on and bs != 0.0
-    normal = "gravity_normal" in on and bc != 0.0
-    vdw = "van_der_waals" in on and hm != 0.0
-    cross = "inertia_cross_HRB" in on and full and hrb != 0.0
     geometric = ds != 0.0 and "geometric_diffusion" in on
 
     ghost_eta, ghost_gam = ops.ghosted(eta), ops.ghosted(gam)  # one gather each
@@ -100,8 +144,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         agx = A * gmx
         yield "marangoni", 0.5 * e2 * agx, ge * agx, None
 
-    corrections = full and (tangential or normal or vdw or cross)
-    if "capillary" in on or corrections:  # eta_xx on nodes -1..N; d2 is its interior
+    if "capillary" in on or reads:  # eta_xx on nodes -1..N; d2 is its interior
         etxx_h = ops.halo_d2(ghost_eta)
         etxx = etxx_h[..., 1:-1]
 
@@ -112,7 +155,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
 
     # Surface diffusion of surfactant (x1s = eta_x^2 serves the corrections too)
-    if geometric or corrections:
+    if geometric or reads:
         x1s = etx * etx
     if ds != 0.0:
         if geometric:
@@ -121,63 +164,37 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         else:
             source = ds * ops.d2(ghost_gam)
         yield "diffusion", None, None, source
+    if not reads:
+        return
 
-    # Products shared by the corrections below (x1, x2, x3 = eta_x, eta_xx,
-    # eta_xxx), each computed only when a switched-on group reads it
-    if full and (normal or vdw or cross):
-        etxxx = ops.d3(ghost_eta)
-        x1c = x1s * etx
-        x12 = etx * etxx
-        ex12 = eta * x12
-        e2x3 = e2 * etxxx
-    if tangential or normal:
-        ge2 = ge * eta
-    del ghost_eta, ghost_gam  # fewer live arrays: a lower peak on large batches
-
-    # Gravity, tangential component (absent from the de Wit baseline)
-    if tangential:
-        if full:
-            yield ("gravity_tangential",
-                   -bs * e3 * (1.0 / 3.0 + (7.0 / 3.0) * x1s + eta * etxx),
-                   -bs * ge2 * (0.5 + (5.0 / 3.0) * eta * etxx + (17.0 / 4.0) * x1s),
-                   bs * x1s * (1.5 * ge * etx - 0.25 * gmx * e2))
-        else:
-            yield "gravity_tangential", (-bs / 3.0) * e3, (-bs / 2.0) * ge2, None
-
-    # Gravity, normal component
-    if normal:
-        if full:
-            yield ("gravity_normal",
-                   bc * e3 * (etx / 3.0 + 0.6 * e2x3 + 4.0 * ex12 + (7.0 / 3.0) * x1c),
-                   bc * ge2 * (0.5 * etx + 4.0 * x1c + (20.0 / 3.0) * ex12 + e2x3),
-                   bc * (ge * (e2 * etxx * etxx / 3.0 - x1s * x1s)
-                         + gmx * e2 * (0.5 * x1c + ex12 / 3.0)))
-        else:
-            yield "gravity_normal", (bc / 3.0) * e3 * etx, (bc / 2.0) * ge2 * etx, None
-
-    # Van der Waals disjoining forces
-    if vdw:
-        if full:
-            yield ("van_der_waals",
-                   hm * (9.6 * x12 - 1.8 * eta * etxxx - (etx + 7.0 * x1c) / eta),
-                   hm * gam * ((16.0 * x12 - (1.5 * etx + (32.0 / 3.0) * x1c) / eta) / eta
-                               - 3.0 * etxxx),
-                   hm / eta * (gmx * ((7.0 / 6.0) * x1c / eta - x12)
-                               - gam * (x1s * x1s / (3.0 * e2) + etxx * etxx)))
-        else:
-            yield "van_der_waals", -hm * (etx / eta), (-1.5 * hm) * gam * etx / e2, None
-
-    # Inertia / gravity / vdW cross terms (comprehensive model only); a
-    # horizontal substrate has no sin(theta) part
-    if cross:
-        eta_flux = hc * ((44.0 / 105.0) * ex12 + (4.0 / 15.0) * e2x3
-                         - (4.0 / 105.0) * x1c)
-        gamma_flux = hc * (0.65 * ex12 + (5.0 / 12.0) * e2x3 - 0.05 * x1c)
-        if hs != 0.0:
-            ex2 = eta * etxx
-            eta_flux += hs * ((32.0 / 105.0) * x1s - (10.0 / 21.0) * ex2)
-            gamma_flux += hs * ((7.0 / 15.0) * x1s - (89.0 / 120.0) * ex2)
-        yield "inertia_cross_HRB", e2 * eta_flux, ge * gamma_flux, None
+    # The corrections: the basis columns the rows read, contracted with their
+    # weights in numpy's own loop (no BLAS: a batch row keeps its single-row
+    # bits), each row then times its prefactor
+    ex2 = eta * etxx
+    etxxx = ops.d3(ghost_eta) if "eta^2 x3" in reads else None
+    column = {  # name: the two factors whose product it is
+        "1": (1.0, 1.0), "x1": (etx, 1.0), "x1^2": (x1s, 1.0), "x1^3": (x1s, etx),
+        "eta x2": (ex2, 1.0), "eta x1 x2": (ex2, etx), "eta^2 x3": (e2, etxxx),
+        "eta^2 x2^2": (ex2, ex2), "x1^4": (x1s, x1s)}
+    buf = np.empty((len(reads) + len(rows), *eta.shape))  # one block: less heap growth
+    basis, mixed = buf[:len(reads)], buf[len(reads):]
+    for name, row in zip(reads, basis):
+        np.multiply(*column[name], out=row)
+    # fewer live arrays: a lower peak on large batches
+    del column, ghost_eta, ghost_gam, etxx_h, etxx, etx, x1s, ex2, etxxx
+    np.einsum("tk,k...->t...", weights, basis, out=mixed)
+    prefactor = {
+        "eta^3": lambda: e3, "eta^2": lambda: e2, "gamma eta": lambda: ge,
+        "gamma eta^2": lambda: ge * eta, "1/eta": lambda: 1.0 / eta,
+        "gamma/eta^2": lambda: gam / e2, "gamma/eta^3": lambda: gam / e3,
+        "gamma_x eta^2": lambda: gmx * e2, "gamma_x/eta^2": lambda: gmx / e2}
+    parts = {}  # per group in table order: eta flux, gamma flux, source
+    for (group, part, name, *_), term in zip(rows, mixed):
+        term *= prefactor[name]()
+        p = parts.setdefault(group, [None, None, None])
+        p[part] = term if p[part] is None else p[part] + term
+    for group, p in parts.items():
+        yield (group, *p)
 
 
 def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:

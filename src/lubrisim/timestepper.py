@@ -413,10 +413,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
-    if targets != sorted(targets):
-        raise ValueError("snapshot_times must be sorted ascending")
-    if any(st < 0 or st > t_end for st in targets):
-        raise ValueError("snapshot times must lie in [0, t_end]")
+    if targets != sorted(targets) or not all(0.0 <= st <= t_end for st in targets):
+        raise ValueError(f"snapshot_times must ascend in [0, t_end], got {targets}")
 
     started = time.perf_counter()
     result = SimulationResult()

@@ -496,6 +496,22 @@ class TestCommands:
         np.testing.assert_array_equal(summary[:, :2], [[3.0, 5.0], [30.0, 5.0]])
         assert np.all(summary[:, 2:] > 0.0)
 
+    def test_compare_l2_is_the_trapezoidal_norm(self, tmp_path):
+        # on a periodic grid node N-1 is node 0 again: the trapezoid counts
+        # it once, so a drop centred on node 0 tells the rules apart
+        sc = scenario_from_dict({"grid": {"n_nodes": 33, "boundary": "periodic"},
+                                 "initial": {"center": 0.0}, "step": {"dt": 1.0}})
+        out = tmp_path / "cmp"
+        assert cmd_compare(sc, (ModelVariant.FULL_CM, ModelVariant.DE_WIT),
+                           (3.0,), 2.0, out) == 0
+        diff = np.loadtxt(out / "diff_P3.csv", delimiter=",", skiprows=1)
+        dx = sc.grid.dx
+        for column, l2 in ((1, 3), (2, 5)):
+            d2 = diff[:, column] ** 2
+            assert d2[0] > 0.0
+            trapezoid = math.sqrt(dx * (d2.sum() - 0.5 * (d2[0] + d2[-1])))
+            assert self.summary(out)[0, l2] == pytest.approx(trapezoid, rel=1e-12)
+
     def test_compare_solves_a_repeated_peclet_number_once(self, tmp_path, monkeypatch):
         import lubrisim.cli as cli
         calls = []

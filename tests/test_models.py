@@ -22,7 +22,8 @@ from lubrisim import (
     rhs,
     rhs_breakdown,
 )
-from lubrisim.models import BREAKDOWN_GROUPS, DE_WIT_DELETES
+from lubrisim.models import (BASIS, BREAKDOWN_GROUPS, CORRECTIONS, DE_WIT_DELETES, LOW_ORDER,
+                             MULTIPLIERS, SOURCE, _groups, _plan)
 
 from conftest import smooth_state
 
@@ -431,6 +432,142 @@ class TestFactoredGroups:
             scale = max(np.max(np.abs(want_eta)), np.max(np.abs(want_gamma)), 1e-300)
             assert np.max(np.abs(contrib.deta_dt - want_eta)) <= 1e-12 * scale, name
             assert np.max(np.abs(contrib.dgamma_dt - want_gamma)) <= 1e-12 * scale, name
+
+
+def factored_corrections(variant, state, params, grid):
+    """The gravity, van der Waals and HRB groups as hand-factored formulas
+    over the derivative arrays ``_groups`` uses: the reference for the
+    correction table.  Returns {group: (eta flux, gamma flux, source)} for
+    the switched-on groups, None for an absent part."""
+    ops = StencilOps(grid)
+    eta, gam = state.eta, state.gamma
+    on = params.toggles - DE_WIT_DELETES if variant is ModelVariant.DE_WIT else params.toggles
+    sin_t, cos_t = math.sin(params.incline), math.cos(params.incline)
+    bs, bc = params.bond * sin_t, params.bond * cos_t
+    hm = params.hamaker
+    hrb = hm * params.reynolds * params.bond
+    hs, hc = hrb * sin_t, hrb * cos_t
+    full = variant is ModelVariant.FULL_CM
+    ghost = ops.ghosted(eta)
+    etx, etxx, etxxx = ops.d1(ghost), ops.halo_d2(ghost)[..., 1:-1], ops.d3(ghost)
+    gmx = ops.d1(gam)
+    e2 = eta * eta
+    e3 = e2 * eta
+    ge = gam * eta
+    ge2 = ge * eta
+    x1s = etx * etx
+    x1c = x1s * etx
+    x12 = etx * etxx
+    ex12 = eta * x12
+    e2x3 = e2 * etxxx
+    out = {}
+    if "gravity_tangential" in on and bs != 0.0:
+        if full:
+            out["gravity_tangential"] = (
+                -bs * e3 * (1.0 / 3.0 + (7.0 / 3.0) * x1s + eta * etxx),
+                -bs * ge2 * (0.5 + (5.0 / 3.0) * eta * etxx + (17.0 / 4.0) * x1s),
+                bs * x1s * (1.5 * ge * etx - 0.25 * gmx * e2))
+        else:
+            out["gravity_tangential"] = ((-bs / 3.0) * e3, (-bs / 2.0) * ge2, None)
+    if "gravity_normal" in on and bc != 0.0:
+        if full:
+            out["gravity_normal"] = (
+                bc * e3 * (etx / 3.0 + 0.6 * e2x3 + 4.0 * ex12 + (7.0 / 3.0) * x1c),
+                bc * ge2 * (0.5 * etx + 4.0 * x1c + (20.0 / 3.0) * ex12 + e2x3),
+                bc * (ge * (e2 * etxx * etxx / 3.0 - x1s * x1s)
+                      + gmx * e2 * (0.5 * x1c + ex12 / 3.0)))
+        else:
+            out["gravity_normal"] = ((bc / 3.0) * e3 * etx, (bc / 2.0) * ge2 * etx, None)
+    if "van_der_waals" in on and hm != 0.0:
+        if full:
+            out["van_der_waals"] = (
+                hm * (9.6 * x12 - 1.8 * eta * etxxx - (etx + 7.0 * x1c) / eta),
+                hm * gam * ((16.0 * x12 - (1.5 * etx + (32.0 / 3.0) * x1c) / eta) / eta
+                            - 3.0 * etxxx),
+                hm / eta * (gmx * ((7.0 / 6.0) * x1c / eta - x12)
+                            - gam * (x1s * x1s / (3.0 * e2) + etxx * etxx)))
+        else:
+            out["van_der_waals"] = (-hm * (etx / eta), (-1.5 * hm) * gam * etx / e2, None)
+    if "inertia_cross_HRB" in on and full and hrb != 0.0:
+        eta_flux = hc * ((44.0 / 105.0) * ex12 + (4.0 / 15.0) * e2x3 - (4.0 / 105.0) * x1c)
+        gamma_flux = hc * (0.65 * ex12 + (5.0 / 12.0) * e2x3 - 0.05 * x1c)
+        if hs != 0.0:
+            ex2 = eta * etxx
+            eta_flux = eta_flux + hs * ((32.0 / 105.0) * x1s - (10.0 / 21.0) * ex2)
+            gamma_flux = gamma_flux + hs * ((7.0 / 15.0) * x1s - (89.0 / 120.0) * ex2)
+        out["inertia_cross_HRB"] = (e2 * eta_flux, ge * gamma_flux, None)
+    return out
+
+
+def slope_order(monomial):
+    """Derivative count of a BASIS monomial: x1 counts 1, x2 2, x3 3."""
+    order = 0
+    for factor in monomial.split():
+        name, _, power = factor.partition("^")
+        if name.startswith("x"):
+            order += int(name[1]) * int(power or 1)
+    return order
+
+
+class TestCorrectionTable:
+    CORRECTION_GROUPS = ("gravity_tangential", "gravity_normal", "van_der_waals",
+                         "inertia_cross_HRB")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("incline", [0.0, 0.3])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_table_matches_factored_formulas(self, variant, boundary, incline, batch):
+        # every part of every correction group equals the hand-factored
+        # formulas to round-off of that part's largest value
+        g = Grid(41, 12.0, boundary)
+        p = Params(reynolds=2.0, bond=0.3, hamaker=0.02, incline=incline)
+        for seed in range(4):
+            rows = [smooth_state(g, seed=10 * seed + b, eta_amp=0.3) for b in range(3)]
+            s = (State(np.stack([r.eta for r in rows]), np.stack([r.gamma for r in rows]))
+                 if batch else rows[0])
+            want = factored_corrections(variant, s, p, g)
+            got = {name: parts for name, *parts in _groups(variant, s, p, g)
+                   if name in self.CORRECTION_GROUPS}
+            assert list(got) == list(want)
+            for name, parts in got.items():
+                for part, ref in zip(parts, want[name]):
+                    if ref is None:
+                        assert part is None, name
+                        continue
+                    assert part.shape == s.eta.shape
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(part - ref)) <= 1e-14 * scale, name
+
+    def test_low_order_rows_are_leading_columns_of_full_rows(self):
+        # each low-order row is the full row of its group and part cut to
+        # the group's lowest slope order; the low-order model has no source
+        # and no HRB row
+        expected = []
+        for group in ("gravity_tangential", "gravity_normal", "van_der_waals"):
+            rows = [r for r in CORRECTIONS if r[0] == group]
+            lead = min(slope_order(b) for r in rows for b, c in zip(BASIS, r[4]) if c)
+            for group_, part, pre, m, coefs in rows:
+                cut = tuple(c if slope_order(b) == lead else 0 for b, c in zip(BASIS, coefs))
+                if any(cut):
+                    expected.append((group_, part, pre, m, cut))
+        assert [r[:4] for r in LOW_ORDER] == [r[:4] for r in expected]
+        for low, want in zip(LOW_ORDER, expected):
+            np.testing.assert_array_equal(np.array(low[4], float), np.array(want[4], float))
+            assert np.count_nonzero(low[4]) == 1, low
+        assert all(part != SOURCE and group != "inertia_cross_HRB"
+                   for group, part, *_ in LOW_ORDER)
+        # with gravity, van der Waals and incline on, the low-order model
+        # contracts every one of those rows, each on its leading column
+        p = Params(reynolds=2.0, bond=0.3, hamaker=0.02, incline=0.3)
+        sin_t, cos_t = math.sin(p.incline), math.cos(p.incline)
+        hrb = p.hamaker * p.reynolds * p.bond
+        mults = (p.bond * sin_t, p.bond * cos_t, p.hamaker, hrb * cos_t, hrb * sin_t)
+        rows, reads, weights = _plan(False, ALL_TOGGLES, mults)
+        assert rows == LOW_ORDER and reads == ("1", "x1")
+        value = dict(zip(MULTIPLIERS, mults))
+        np.testing.assert_array_equal(
+            weights, [[value[m] * c for c in cut[:2]] for *_, m, cut in expected])
 
 
 class TestErrors:

@@ -719,6 +719,14 @@ class TestRunSimulation:
             run_simulation(s, 5.0, (3.0, 1.0), StepConfig(dt=1.0),
                            ModelVariant.FULL_CM, Params(), noflux_grid)
 
+    @pytest.mark.parametrize("times", [(np.nan,), (1.0, np.nan)])
+    def test_nan_snapshot_time_is_refused(self, noflux_grid, times):
+        # nan compares false both with 0 and with t_end, and sorts in place
+        with pytest.raises(ValueError, match=r"must ascend in \[0, t_end\]"):
+            run_simulation(flat_state(noflux_grid.n_nodes), 10.0, times,
+                           StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
+                           noflux_grid)
+
 
 class TestEvaluationReuse:
     """Each state is evaluated once: the closing residual's rhs call is the
