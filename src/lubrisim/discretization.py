@@ -1,9 +1,10 @@
 """Centred second-order spatial operators with ghost-node boundary closure.
 
 Two ghost layers back every stencil.  For symmetric (no-flux) walls the
-fields are reflected evenly, which makes every odd derivative vanish
-exactly at the wall nodes; periodic grids carry a duplicated endpoint
-(node 0 and node N-1 are the same physical point) and wrap around it.
+fields are reflected evenly, which makes d1 vanish exactly at the wall
+nodes but d3 only to round-off: its sum (p[+2] - 2p[+1]) + 2p[-1] - p[-2]
+leaves up to 1.8e-15 on random smooth O(1) fields.  Periodic grids carry a
+duplicated endpoint (node 0 and node N-1 are the same point) and wrap.
 
 ``div_flux`` is the conservative outer derivative used for every flux
 group of the evolution equations.  On periodic grids a flux wraps like a
@@ -80,8 +81,7 @@ class StencilOps:
         return (p[..., 4:] - 2.0 * p[..., 3:-1] + 2.0 * p[..., 1:-3]
                 - p[..., :-4]) / (2.0 * self.dx**3)
 
-    # Halo variants: values/derivatives on nodes -1..N (trailing length
-    # n_nodes + 2), used to build nested fluxes like (tension * eta_xx)_x.
+    # Halo variants: values and derivatives on nodes -1..N (length n_nodes + 2).
 
     def halo(self, f) -> np.ndarray:
         return self._pad(f)[..., 1:-1]

@@ -144,14 +144,13 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         agx = A * gmx
         yield "marangoni", 0.5 * e2 * agx, ge * agx, None
 
-    if "capillary" in on or reads:  # eta_xx on nodes -1..N; d2 is its interior
-        etxx_h = ops.halo_d2(ghost_eta)
-        etxx = etxx_h[..., 1:-1]
+    if "capillary" in on or reads:
+        etxx = ops.d2(ghost_eta)
 
-    # Capillary: the inner (tension * eta_xx)_x needs a one-node halo.
+    # Capillary: the product tension * eta_xx reflects evenly at symmetric
+    # walls (wraps on rings), so its d1 is exactly 0 at a wall node
     if "capillary" in on:
-        tension_h = surface_tension(ops.halo(ghost_gam), A)
-        curv = ops.d1_center(tension_h * etxx_h)
+        curv = ops.d1(surface_tension(gam, A) * etxx)
         yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
 
     # Surface diffusion of surfactant (x1s = eta_x^2 serves the corrections too)
@@ -181,7 +180,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     for name, row in zip(reads, basis):
         np.multiply(*column[name], out=row)
     # fewer live arrays: a lower peak on large batches
-    del column, ghost_eta, ghost_gam, etxx_h, etxx, etx, x1s, ex2, etxxx
+    del column, ghost_eta, ghost_gam, etxx, etx, x1s, ex2, etxxx
     np.einsum("tk,k...->t...", weights, basis, out=mixed)
     prefactor = {
         "eta^3": lambda: e3, "eta^2": lambda: e2, "gamma eta": lambda: ge,

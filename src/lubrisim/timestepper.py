@@ -71,7 +71,7 @@ from .models import Rhs, rhs
 STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
                    # fluxes containing third derivatives: 1 + 2 nodes)
 GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
-                   # only through gamma, gamma_x and the halo tension
+                   # only through gamma, gamma_x and the nodal tension
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
 JAC_MAX_AGE = 30   # most steps one factorised Jacobian serves in run_simulation:
                    # older ones still contract but cost accuracy (fig4, N = 769)

@@ -111,7 +111,7 @@ class TestLoadConfig:
         assert scenario_from_dict(scenario_to_dict(sc2)) == sc2
 
     def test_readme_schema_loads(self):
-        sc = scenario_from_dict(yaml.safe_load(readme_yaml()), source="README.md")
+        sc = scenario_from_dict(yaml.safe_load(readme_block("yaml")), source="README.md")
         assert sc.name == "my-run"
         assert sc.grid.length == pytest.approx(default_scenario().grid.length)
         assert sc.initial.drop_center == pytest.approx(sc.grid.length / 2)
@@ -127,14 +127,24 @@ class TestLoadConfig:
                 if dataclasses.is_dataclass(hints[f.name]):
                     yield from keys(hints[f.name])
 
-        block = readme_yaml()
+        block = readme_block("yaml")
         missing = [k for k in keys(Scenario) if not re.search(rf"\b{k}:", block)]
         assert not missing, f"README YAML schema lacks {missing}"
 
 
-def readme_yaml() -> str:
+def readme_block(lang: str) -> str:
+    """The README's first fenced block in the language ``lang``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_library_use_runs(capsys):
+    # the README's python block, as written
+    exec(compile(readme_block("python"), "README.md", "exec"), {})
+    summary, dispersion = capsys.readouterr().out.splitlines()
+    assert "final_time=1000.0, max_film_mass_drift=0.0," in summary  # a flat film
+    assert summary.endswith("failure=None)")
+    assert dispersion.startswith("DispersionResult(k=1.0, lambda_slow=-")
 
 
 MALFORMED_CONFIGS = [
@@ -147,6 +157,10 @@ MALFORMED_CONFIGS = [
     ("initial: {kind: bogus}", ".initial: kind must be one of"),
     ("initial: {kind: custom}", ".initial: kind 'custom' requires eta and gamma arrays"),
     ("step: {jacobian: finite_difference}", ".step: jacobian"),
+    # an enum field names its key and its allowed values
+    ("variant: bogus", ".variant must be one of ['full', 'loworder', 'dewit'], got 'bogus'"),
+    ("grid: {boundary: bogus}",
+     ".grid.boundary must be one of ['no_flux_symmetric', 'periodic'], got 'bogus'"),
     ("grid: {n_nodes: 5}\n"
      "initial: {kind: custom, eta: [1, 1, 1, 1], gamma: [1, 1, 1, 1]}",
      "yaml: custom initial eta and gamma need grid.n_nodes = 5"),
@@ -610,6 +624,20 @@ class TestMain:
         data = np.loadtxt(out / "t1500.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 1], final.state.eta)
         np.testing.assert_array_equal(data[:, 2], final.state.gamma)
+
+    def test_simulate_without_a_source_runs_fig2(self, tmp_path):
+        # neither --config nor --preset: the default scenario, fig2
+        outs = {}
+        for name, source in (("default", []), ("fig2", ["--preset", "fig2"])):
+            out = tmp_path / name
+            assert main(["simulate", *source, "--out", str(out), "--t-end", "10"]) == 0
+            outs[name] = {f: (out / f).read_text() for f in sorted(os.listdir(out))}
+        assert list(outs["default"]) == ["report.txt", "t0.csv", "t1.csv", "t10.csv"]
+        for f, text in outs["default"].items():
+            want = outs["fig2"][f]
+            if f == "report.txt":  # "scenario: fig2" too; not the wall time
+                text, want = (re.sub(r"wall_time_s: .*", "", t) for t in (text, want))
+            assert text == want, f
 
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert main(["simulate", "--preset", "nope",

@@ -117,7 +117,7 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_halo_d2_interior_is_d2(self, boundary):
-        # models reads the nodal eta_xx off the capillary's halo eta_xx
+        # on the nodes the halo stencil is the nodal one, bit for bit
         g = Grid(29, 10.0, boundary)
         ops = StencilOps(g)
         rng = np.random.default_rng(9)

@@ -21,6 +21,7 @@ from lubrisim import (
     StencilOps,
     rhs,
     rhs_breakdown,
+    surface_tension,
 )
 from lubrisim.models import (BASIS, BREAKDOWN_GROUPS, CORRECTIONS, DE_WIT_DELETES, LOW_ORDER,
                              MULTIPLIERS, SOURCE, _groups, _plan)
@@ -449,7 +450,7 @@ def factored_corrections(variant, state, params, grid):
     hs, hc = hrb * sin_t, hrb * cos_t
     full = variant is ModelVariant.FULL_CM
     ghost = ops.ghosted(eta)
-    etx, etxx, etxxx = ops.d1(ghost), ops.halo_d2(ghost)[..., 1:-1], ops.d3(ghost)
+    etx, etxx, etxxx = ops.d1(ghost), ops.d2(ghost), ops.d3(ghost)
     gmx = ops.d1(gam)
     e2 = eta * eta
     e3 = e2 * eta
@@ -568,6 +569,56 @@ class TestCorrectionTable:
         value = dict(zip(MULTIPLIERS, mults))
         np.testing.assert_array_equal(
             weights, [[value[m] * c for c in cut[:2]] for *_, m, cut in expected])
+
+
+def halo_capillary(state, params, grid):
+    """The capillary group's (deta_dt, dgamma_dt) built as a halo formula:
+    tension and eta_xx on nodes -1..N, then d1_center of their product."""
+    ops = StencilOps(grid)
+    eta, gam = state.eta, state.gamma
+    tension = surface_tension(ops.halo(gam), params.tension_slope)
+    curv = ops.d1_center(tension * ops.halo_d2(eta))
+    return (ops.div_flux(-eta**3 * curv / 3.0),
+            ops.div_flux(-0.5 * gam * eta**2 * curv))
+
+
+def stacked(rows):
+    return State(np.stack([r.eta for r in rows]), np.stack([r.gamma for r in rows]))
+
+
+class TestCapillaryGroup:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 80),
+           length=st.floats(1.0, 30.0), amp=st.floats(0.01, 0.4),
+           slope=st.floats(-2.0, 2.0), batch=st.booleans())
+    def test_fluxes_vanish_at_symmetric_walls(self, seed, n, length, amp, slope, batch):
+        # tension * eta_xx reflects evenly, so its d1 is exactly 0 at a wall
+        g = Grid(n, length, BoundaryKind.NO_FLUX_SYMMETRIC)
+        rows = [smooth_state(g, seed=seed + b, eta_amp=amp, gamma_amp=2 * amp)
+                for b in range(3 if batch else 1)]
+        s = stacked(rows) if batch else rows[0]
+        p = Params(tension_slope=slope, toggles=frozenset({"capillary"}))
+        groups = {name: parts for name, *parts in _groups(ModelVariant.FULL_CM, s, p, g)}
+        eta_flux, gamma_flux, source = groups["capillary"]
+        assert source is None
+        for flux in (eta_flux, gamma_flux):
+            assert flux.shape == s.eta.shape
+            assert not flux[..., [0, -1]].any()
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_matches_halo_formula(self, boundary, batch):
+        # the nodal product's d1 is the halo formula's stencil on the same
+        # ghost nodes, summed in another order: equal to round-off
+        g = Grid(41, 12.0, boundary)
+        p = Params(tension_slope=0.7)
+        for seed in range(4):
+            rows = [smooth_state(g, seed=10 * seed + b, eta_amp=0.3) for b in range(3)]
+            s = stacked(rows) if batch else rows[0]
+            got = rhs_breakdown(ModelVariant.FULL_CM, s, p, g).contributions["capillary"]
+            for part, ref in zip((got.deta_dt, got.dgamma_dt), halo_capillary(s, p, g)):
+                assert part.shape == s.eta.shape
+                assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestErrors:

@@ -25,7 +25,8 @@ def final_state(scenario, dt, t_end):
                          scenario.params, scenario.grid)
     assert res.summary.failure is None
     assert len(res.snapshots) == len(times) + 1
-    assert max(snap.report.residual_norm_after for snap in res.snapshots) <= 1e-11
+    worst = max(snap.report.residual_norm_after for snap in res.snapshots)
+    assert worst <= 1e-11, f"N = {scenario.grid.n_nodes}, dt = {dt}: residual {worst:.3g}"
     return res.snapshots[-1].state
 
 

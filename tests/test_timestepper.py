@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubrisim import (
@@ -1045,6 +1045,12 @@ class TestHeldJacobian:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.01, 0.3),
            boundary=st.sampled_from(list(BoundaryKind)))
+    # recorded counterexamples, run whatever the example database holds: the
+    # symmetric one needs capillary fluxes exactly 0 at the walls; the
+    # periodic ones drift 1.10e-10, as the probes difference rhs after div_flux
+    @example(seed=9514521, amp=0.125, boundary=BoundaryKind.NO_FLUX_SYMMETRIC)
+    @example(seed=1, amp=0.28125, boundary=BoundaryKind.PERIODIC)
+    @example(seed=170, amp=0.25, boundary=BoundaryKind.PERIODIC)
     def test_held_runs_conserve_film_mass(self, seed, amp, boundary):
         # 40 steps of held Jacobians from a random smooth state: every
         # accepted step keeps the film, and a flat state stays flat exactly
