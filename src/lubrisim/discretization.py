@@ -9,7 +9,11 @@ duplicated endpoint (node 0 and node N-1 are the same point) and wrap.
 ``div_flux`` is the conservative outer derivative used for every flux
 group of the evolution equations.  On periodic grids a flux wraps like a
 field, so div_flux is d1.  On symmetric grids its ghost rule for a flux
-array F is F[-1] = 2*F[0] - F[1] (antisymmetric about the boundary value).
+array F is F[-1] = 2*F[0] - F[1] (antisymmetric about the boundary value),
+and F[N] = 2*F[N-1] - F[N-2].  The extended array is gathered whole as
+2*F[twice] - F[once], whose two indices both name node i at node i: for
+finite F, 2F - F is F exactly (a zero may lose its sign), so the nodes keep
+their values.
 Either way the trapezoidal grid sum of div_flux(F) telescopes exactly to
 F[N-1] - F[0]: zero for wall-vanishing fluxes and for periodic fluxes,
 while a constant F still differentiates to exactly zero everywhere.
@@ -51,6 +55,7 @@ class StencilOps:
             left, right = [n - 3, n - 2], [1, 2]
         # gather index of the padded array: two ghost nodes per side
         self._pad_index = np.concatenate((left, np.arange(n), right))
+        self._twice, self._once = np.r_[0, :n, n - 1], np.r_[1, :n, n - 2]  # div_flux's
 
     def _check(self, f, n_extra: int = 0) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -64,7 +69,7 @@ class StencilOps:
         return Ghosted(self._pad(f))
 
     def _pad(self, f) -> np.ndarray:
-        return f.padded if isinstance(f, Ghosted) else self._check(f)[..., self._pad_index]
+        return f.padded if isinstance(f, Ghosted) else self._check(f).take(self._pad_index, -1)
 
     # Field derivatives at the nodes, trailing length n_nodes.
 
@@ -104,9 +109,9 @@ class StencilOps:
         if self.grid.boundary is BoundaryKind.PERIODIC:
             return self.d1(flux)  # a periodic flux wraps like a field
         flux = self._check(flux)
-        left = 2.0 * flux[..., :1] - flux[..., 1:2]
-        right = 2.0 * flux[..., -1:] - flux[..., -2:-1]
-        ext = np.concatenate((left, flux, right), axis=-1)
+        ext = flux.take(self._twice, -1)
+        ext *= 2.0
+        ext -= flux.take(self._once, -1)
         return (ext[..., 2:] - ext[..., :-2]) / (2.0 * self.dx)
 
     def integrate(self, f):

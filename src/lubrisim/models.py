@@ -65,6 +65,10 @@ class TermBreakdown:
 BASIS = ("1", "x1", "x1^2", "x1^3", "eta x2", "eta x1 x2", "eta^2 x3", "eta^2 x2^2", "x1^4")
 MULTIPLIERS = ("B sin", "B cos", "H", "HRB cos", "HRB sin")
 ETA_FLUX, GAMMA_FLUX, SOURCE = range(3)
+# each prefactor _groups makes: (left, right), their quotient if its name has "/"
+PREFACTORS = {"gamma eta^2": ("gamma eta", "eta"), "1/eta": ("1", "eta"),
+              "gamma/eta^2": ("gamma", "eta^2"), "gamma/eta^3": ("gamma", "eta^3"),
+              "gamma_x eta^2": ("gamma_x", "eta^2"), "gamma_x/eta^2": ("gamma_x", "eta^2")}
 
 CORRECTIONS = tuple((group, *row) for group, rows in {
     "gravity_tangential": (
@@ -138,14 +142,15 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     e2 = eta * eta
     e3 = e2 * eta
     ge = gam * eta
+    # eta_xx, eta_x^2 and eta*eta_xx only where a group or a read column uses them
+    curved = not {"eta x2", "eta x1 x2", "eta^2 x2^2"}.isdisjoint(reads)
 
     # Marangoni: the tension 1 + A*(1 - gamma) has slope -A*gamma_x
     if "marangoni" in on and A != 0.0:
         agx = A * gmx
         yield "marangoni", 0.5 * e2 * agx, ge * agx, None
 
-    if "capillary" in on or reads:
-        etxx = ops.d2(ghost_eta)
+    etxx = ops.d2(ghost_eta) if "capillary" in on or curved else None
 
     # Capillary: the product tension * eta_xx reflects evenly at symmetric
     # walls (wraps on rings), so its d1 is exactly 0 at a wall node
@@ -154,8 +159,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
         yield "capillary", (-1.0 / 3.0) * e3 * curv, -0.5 * ge * eta * curv, None
 
     # Surface diffusion of surfactant (x1s = eta_x^2 serves the corrections too)
-    if geometric or reads:
-        x1s = etx * etx
+    x1s = etx * etx if geometric or not {"x1^2", "x1^3", "x1^4"}.isdisjoint(reads) else None
     if ds != 0.0:
         if geometric:
             slope2 = 1.0 + x1s
@@ -169,7 +173,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     # The corrections: the basis columns the rows read, contracted with their
     # weights in numpy's own loop (no BLAS: a batch row keeps its single-row
     # bits), each row then times its prefactor
-    ex2 = eta * etxx
+    ex2 = eta * etxx if curved else None
     etxxx = ops.d3(ghost_eta) if "eta^2 x3" in reads else None
     column = {  # name: the two factors whose product it is
         "1": (1.0, 1.0), "x1": (etx, 1.0), "x1^2": (x1s, 1.0), "x1^3": (x1s, etx),
@@ -182,16 +186,16 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     # fewer live arrays: a lower peak on large batches
     del column, ghost_eta, ghost_gam, etxx, etx, x1s, ex2, etxxx
     np.einsum("tk,k...->t...", weights, basis, out=mixed)
-    prefactor = {
-        "eta^3": lambda: e3, "eta^2": lambda: e2, "gamma eta": lambda: ge,
-        "gamma eta^2": lambda: ge * eta, "1/eta": lambda: 1.0 / eta,
-        "gamma/eta^2": lambda: gam / e2, "gamma/eta^3": lambda: gam / e3,
-        "gamma_x eta^2": lambda: gmx * e2, "gamma_x/eta^2": lambda: gmx / e2}
-    parts = {}  # per group in table order: eta flux, gamma flux, source
-    for (group, part, name, *_), term in zip(rows, mixed):
-        term *= prefactor[name]()
-        p = parts.setdefault(group, [None, None, None])
-        p[part] = term if p[part] is None else p[part] + term
+    made = {"1": 1.0, "eta": eta, "gamma": gam, "gamma_x": gmx,
+            "eta^2": e2, "eta^3": e3, "gamma eta": ge}  # each prefactor made once
+    parts = {row[0]: [None, None, None] for row in rows}  # in table order
+    for (group, part, pre, _, _), term in zip(rows, mixed):
+        if pre not in made:
+            left, right = PREFACTORS[pre]
+            made[pre] = (np.divide if "/" in pre else np.multiply)(made[left], made[right])
+        term *= made[pre]
+        p = parts[group]  # the first row of a part takes the sum
+        p[part] = term if p[part] is None else np.add(p[part], term, out=p[part])
     for group, p in parts.items():
         yield (group, *p)
 
@@ -202,16 +206,16 @@ def rhs(variant: ModelVariant, state: State, params: Params, grid: Grid) -> Rhs:
     ``state`` may be a batch of shape (..., n_nodes); see ``State``.  The
     arrays are read-only, so rows of a batch can be shared as views."""
     totals = [None, None, None]
-    for group in _groups(variant, state, params, grid):
-        for i, part in enumerate(group[1:]):
+    for _, *parts in _groups(variant, state, params, grid):
+        for i, part in enumerate(parts):
             if part is not None:  # parts are fresh: the first of each kind takes the sum
                 totals[i] = part if totals[i] is None else np.add(totals[i], part, out=totals[i])
     eta_flux, gamma_flux, source = (np.zeros(state.eta.shape) if t is None else t
                                     for t in totals)
     div = stencil_ops(grid).div_flux(np.array((eta_flux, gamma_flux)))
-    out = Rhs(div[0], div[1] + source)
-    out.deta_dt.flags.writeable = out.dgamma_dt.flags.writeable = False
-    return out
+    div[1] += source
+    div.flags.writeable = False
+    return Rhs(*div)
 
 
 def rhs_breakdown(variant: ModelVariant, state: State, params: Params,

@@ -23,8 +23,8 @@ step, so a k-iteration step costs k rhs calls, on either boundary kind.
 
 ``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
 holds its last one factorised in ``_Held``, with the step's end state and
-closing rhs, whose negation is the next step's first residual (u_new =
-u_old opens a step), and solves a later step's first update with gbtrs
+closing rhs: the next step's first residual negated (u_new = u_old opens
+a step), as Newton solves with it.  A later first update takes gbtrs
 alone: linearly implicit Euler stays first order with an approximate
 Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  A held step's
 work is one rhs call, one gbtrs and the two masses of its end state.  The
@@ -123,13 +123,14 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
     if s_new.n_nodes != s_old.n_nodes:
         raise ValueError("states do not share a grid")
-    return _residual(s_new, s_old, cfg, rhs(variant, s_new, params, grid))
+    return -_negated_residual(s_new, s_old, cfg, rhs(variant, s_new, params, grid))
 
 
-def _residual(s_new: State, s_old: State, cfg: StepConfig, r: Rhs) -> np.ndarray:
+def _negated_residual(s_new: State, s_old: State, cfg: StepConfig, r: Rhs) -> np.ndarray:
+    """-residual, exactly: a - b is -(b - a) in IEEE arithmetic, but for a zero's sign."""
     return _interleave(
-        (s_new.eta - s_old.eta) / cfg.dt - r.deta_dt,
-        (s_new.gamma - s_old.gamma) / cfg.dt - r.dgamma_dt,
+        r.deta_dt - (s_new.eta - s_old.eta) / cfg.dt,
+        r.dgamma_dt - (s_new.gamma - s_old.gamma) / cfg.dt,
     )
 
 
@@ -341,13 +342,13 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
 
     t_new = state.t + cfg.dt
     current = state
-    r = -_interleave(base.deta_dt, base.dgamma_dt)  # the residual at u_new = u_old
-    norm_before = float(np.abs(r).max())
+    neg_r = _interleave(base.deta_dt, base.dgamma_dt)  # -residual at u_new = u_old
+    norm_before = float(np.abs(neg_r).max())
     try:
         for it in range(cfg.newton_iters):
             if it:
                 jac = jacobian_fd(current, cfg, variant, params, grid)
-            du = jac.solve(-r)
+            du = jac.solve(neg_r)
             del jac  # an LU nobody holds is freed before the stacked rhs call
             # State rejects a film that breached the floor, before any rhs call
             current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
@@ -355,8 +356,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
                 base = _linearised(variant, current, params, grid).base
             else:
                 base = rhs(variant, current, params, grid)
-            r = _residual(current, state, cfg, base)
-            norm_after = float(np.abs(r).max())
+            neg_r = _negated_residual(current, state, cfg, base)
+            norm_after = float(np.abs(neg_r).max())
             if reuse and not it and norm_after > max(cfg.newton_tol, norm_before):
                 raise np.linalg.LinAlgError("the held Jacobian did not contract")
             if norm_after <= cfg.newton_tol:

@@ -1,7 +1,8 @@
 """The benchmark harness in benchmarks/ still reads the solver right.
 
 The harness is imported, not changed: its tracer counts rhs calls and
-Jacobians per step, and its periodic workload hands ``advance`` states
+Jacobians per step, its calibration sampler times a kernel between
+``advance`` steps, and its periodic workload hands ``advance`` states
 built through the CLI.  Its probe count, the rhs calls under
 ``jacobian_fd`` minus one, cannot see probes stacked with the state in one
 call, so the stacked shape is recorded here instead.
@@ -99,3 +100,25 @@ def test_slow_mode_seeds_are_exact_twins(workloads, seed):
     sc = case.scenario
     s1, _ = timestepper.advance(s0, sc.step, sc.variant, sc.params, sc.grid)
     assert s1.eta[-1] == s1.eta[0] and s1.gamma[-1] == s1.gamma[0]
+
+
+def test_calibration_sampler_sees_every_workload_path(workloads, tmp_path):
+    # benchmarks/calibration.Sampler times its kernel only inside
+    # timestepper.advance: a driver that stopped calling advance through
+    # the module would leave solve_norm without samples
+    calibration = load("calibration")
+    original = timestepper.advance
+    sampler = calibration.Sampler()
+    try:
+        assert timestepper.advance is not original
+        assert cli.cmd_simulate(cli.preset("fig2"), str(tmp_path), t_end=100.0) == 0
+        assert sampler.samples and sampler.paused > 0.0
+        sampler.reset()
+        case, state = workloads.setup("slowmode-periodic", 0)
+        sc = case.scenario
+        for _ in range(2):
+            state, _ = timestepper.advance(state, sc.step, sc.variant, sc.params, sc.grid)
+        assert sampler.samples and sampler.paused > 0.0
+    finally:
+        sampler.close()
+    assert timestepper.advance is original

@@ -139,6 +139,47 @@ class TestDerivatives:
             ops.ghosted(np.ones((3, g.n_nodes + 1)))
 
 
+def literal_stencils(grid, f):
+    """d1, d2, d3 and div_flux of f written out as plain slices: a fancy
+    index gathers the ghost nodes, and div_flux's wall ghosts are joined to
+    the flux by concatenate.  The reference the operators must match bit
+    for bit, whatever way they gather."""
+    n, dx = grid.n_nodes, grid.dx
+    if grid.boundary is BoundaryKind.NO_FLUX_SYMMETRIC:
+        left, right = [2, 1], [n - 2, n - 3]
+    else:
+        left, right = [n - 3, n - 2], [1, 2]
+    p = f[..., np.concatenate((left, np.arange(n), right))]
+    d1 = (p[..., 3:-1] - p[..., 1:-3]) / (2.0 * dx)
+    d2 = (p[..., 3:-1] - 2.0 * p[..., 2:-2] + p[..., 1:-3]) / dx**2
+    d3 = (p[..., 4:] - 2.0 * p[..., 3:-1] + 2.0 * p[..., 1:-3] - p[..., :-4]) / (2.0 * dx**3)
+    if grid.boundary is BoundaryKind.PERIODIC:
+        return d1, d2, d3, d1
+    wall_left = 2.0 * f[..., :1] - f[..., 1:2]
+    wall_right = 2.0 * f[..., -1:] - f[..., -2:-1]
+    ext = np.concatenate((wall_left, f, wall_right), axis=-1)
+    return d1, d2, d3, (ext[..., 2:] - ext[..., :-2]) / (2.0 * dx)
+
+
+@pytest.mark.parametrize("boundary", list(BoundaryKind))
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_stencils_match_literal_formulas(boundary, shape):
+    # every stencil, on a single field and a (3, N) stack, plain or ghosted
+    g = Grid(37, 7.5, boundary)
+    ops = StencilOps(g)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        f = rng.normal(size=(*shape, g.n_nodes)) * rng.uniform(0.1, 10.0)
+        want = literal_stencils(g, f)
+        got = (ops.d1(f), ops.d2(f), ops.d3(f), ops.div_flux(f))
+        ghost = ops.ghosted(f)
+        for name, a, b in zip(("d1", "d2", "d3", "div_flux"), got, want):
+            assert a.shape == f.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        for name, op, b in zip(("d1", "d2", "d3"), (ops.d1, ops.d2, ops.d3), want):
+            np.testing.assert_array_equal(op(ghost), b, err_msg=name)
+
+
 class TestDivFlux:
     def test_constant_flux_zero_everywhere(self, noflux_grid, periodic_grid):
         for g in (noflux_grid, periodic_grid):

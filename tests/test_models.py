@@ -571,6 +571,49 @@ class TestCorrectionTable:
             weights, [[value[m] * c for c in cut[:2]] for *_, m, cut in expected])
 
 
+    @pytest.mark.parametrize("variant", [ModelVariant.LOW_ORDER_CM, ModelVariant.DE_WIT])
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_leading_rows_compute_no_unread_product(self, variant, boundary, batch,
+                                                    monkeypatch):
+        # with the capillary group off, rows that read only eta_x take no
+        # eta_xx, and rhs is the sum of the groups written out by hand, in
+        # their order (marangoni, diffusion, gravity_normal, van_der_waals)
+        g = Grid(41, 12.0, boundary)
+        dewit = variant is ModelVariant.DE_WIT
+        # de Wit's plain diffusion reads gamma_xx: left out, so d2 never runs
+        p = Params(reynolds=2.0, bond=0.3, hamaker=0.02, inv_peclet=0.0 if dewit else 0.01,
+                   toggles=ALL_TOGGLES - {"capillary"})
+        on = p.toggles - DE_WIT_DELETES if dewit else p.toggles
+        rows, reads, _ = _plan(False, on, (0.0, p.bond, p.hamaker, 0.0, 0.0))
+        assert reads == ("x1",)
+        calls = []
+        real_d2 = StencilOps.d2
+        monkeypatch.setattr(StencilOps, "d2", lambda ops, f: calls.append(1) or real_d2(ops, f))
+        rows = [smooth_state(g, seed=b, eta_amp=0.3) for b in range(3 if batch else 1)]
+        s = stacked(rows) if batch else rows[0]
+        got = rhs(variant, s, p, g)
+        assert calls == []
+
+        ops = StencilOps(g)
+        eta, gam = s.eta, s.gamma
+        etx, gmx = ops.d1(eta), ops.d1(gam)
+        e2 = eta * eta
+        agx = p.tension_slope * gmx
+        eta_flux, gamma_flux = 0.5 * e2 * agx, gam * eta * agx
+        source = 0.0
+        if not dewit:
+            slope2 = 1.0 + etx * etx
+            source = p.inv_peclet / np.sqrt(slope2) * ops.div_flux(gmx / slope2)
+            eta_flux += (p.bond * (1 / 3) * etx) * (e2 * eta)
+            gamma_flux += (p.bond * (1 / 2) * etx) * (gam * eta * eta)
+        eta_flux += (p.hamaker * -1.0 * etx) * (1.0 / eta)
+        gamma_flux += (p.hamaker * -1.5 * etx) * (gam / e2)
+        div = ops.div_flux(np.array((eta_flux, gamma_flux)))
+        np.testing.assert_array_equal(got.deta_dt, div[0])
+        np.testing.assert_array_equal(got.dgamma_dt, div[1] + source)
+
+
 def halo_capillary(state, params, grid):
     """The capillary group's (deta_dt, dgamma_dt) built as a halo formula:
     tension and eta_xx on nodes -1..N, then d1_center of their product."""
