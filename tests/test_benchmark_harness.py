@@ -104,7 +104,7 @@ def test_slow_mode_seeds_are_exact_twins(workloads, seed):
 
 def test_calibration_sampler_sees_every_workload_path(workloads, tmp_path):
     # benchmarks/calibration.Sampler times its kernel only inside
-    # timestepper.advance: a driver that stopped calling advance through
+    # timestepper.advance: a workload that stopped calling advance through
     # the module would leave solve_norm without samples
     calibration = load("calibration")
     original = timestepper.advance

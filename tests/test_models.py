@@ -585,7 +585,7 @@ class TestCorrectionTable:
         p = Params(reynolds=2.0, bond=0.3, hamaker=0.02, inv_peclet=0.0 if dewit else 0.01,
                    toggles=ALL_TOGGLES - {"capillary"})
         on = p.toggles - DE_WIT_DELETES if dewit else p.toggles
-        rows, reads, _ = _plan(False, on, (0.0, p.bond, p.hamaker, 0.0, 0.0))
+        _, reads, _ = _plan(False, on, (0.0, p.bond, p.hamaker, 0.0, 0.0))
         assert reads == ("x1",)
         calls = []
         real_d2 = StencilOps.d2
