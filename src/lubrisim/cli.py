@@ -305,6 +305,8 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
         f"scenario: {scenario.name}",
         f"variant: {scenario.variant.value}",
         f"steps: {s.steps}",
+        f"rejected_steps: {s.rejected_steps}",
+        f"jacobian_refreshes: {s.jacobian_refreshes}",
         f"final_time: {s.final_time:.17g}",
         f"max_film_mass_drift: {s.max_film_mass_drift:.6e}",
         f"max_surfactant_mass_drift: {s.max_surfactant_mass_drift:.6e}",
@@ -439,7 +441,7 @@ def _scenario_from_args(args) -> Scenario:
         scenario = preset(args.preset)
     else:
         scenario = default_scenario()
-    flags = {"grid": {"n_nodes": args.nodes}, "step": {"dt": args.dt},
+    flags = {"grid": {"n_nodes": args.nodes}, "step": {"dt": args.dt, "rtol": args.rtol},
              "params": {"inv_peclet": args.delta_s}}
     overrides = {section: {k: v for k, v in keys.items() if v is not None}
                  for section, keys in flags.items()}
@@ -461,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
         source.add_argument("--preset", help="built-in scenario name")
         p.add_argument("--variant", choices=[v.value for v in ModelVariant])
         p.add_argument("--nodes", type=int, help="override grid.n_nodes")
-        p.add_argument("--dt", type=float, help="override time step")
+        p.add_argument("--dt", type=float, help="override the (first) time step")
+        p.add_argument("--rtol", type=float, help="override the run's error tolerance")
         p.add_argument("--delta-s", dest="delta_s", type=float,
                        help="override inverse Peclet number")
 

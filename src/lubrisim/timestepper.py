@@ -1,49 +1,40 @@
-"""Implicit time stepping: backward Euler solved by Newton iterations.
+"""Implicit time stepping: backward Euler and variable-step BDF2, solved
+by Newton iterations.
 
 The unknowns are interleaved per node, u = (eta_0, gamma_0, eta_1,
 gamma_1, ...), over the m distinct nodes: all N of a symmetric grid, N-1
 of a periodic one, whose node N-1 is node 0 again and takes node 0's
-update bit for bit.  The residual of one step is
-
-    r(u_new) = (u_new - u_old) / dt - rhs(u_new).
+update bit for bit.  A backward-Euler step solves
+r(u_new) = (u_new - u_old) / dt - rhs(u_new) = 0.
 
 The Jacobian dr/du is assembled by coloured finite differences (Curtis,
 Powell & Reid, IMA J. Appl. Math. 13, 1974), coloured per field (Coleman
-& More, SIAM J. Numer. Anal. 20, 1983): an eta column reaches
-STENCIL_REACH = 3 nodes per side, a gamma column GAMMA_REACH = 2, and
-columns of one field more than twice its reach apart never feed the same
-row, so they are perturbed together.  Node j takes colour j mod
-(2*reach + 1) on symmetric grids, 7 + 5 = 12 probes; the periodic ring is
-cut into floor(m / (2*reach + 1)) near-equal blocks, the fewest colours it
-allows.  Each Newton update evaluates its new state in one rhs call, which
-gives the residual and, stacked over the state's probes where a fresh
-Jacobian certainly follows, that Jacobian; ``_linearised``'s cache hands
-it to the next update or standalone ``advance``, ``_Held`` to a run's next
-step, so a k-iteration step costs k rhs calls, on either boundary kind.
+& More, SIAM J. Numer. Anal. 20, 1983): columns of one field more than
+twice its reach apart (STENCIL_REACH = 3 nodes for eta, GAMMA_REACH = 2
+for gamma) never feed the same row and are perturbed together: node j
+takes colour j mod (2*reach + 1) on symmetric grids, 7 + 5 = 12 probes,
+and the periodic ring is cut into floor(m / (2*reach + 1)) near-equal
+blocks.  One rhs call on a state stacked over its probes gives the
+Jacobian and the residual there; ``_linearised``'s cache hands both on.
 
-``advance`` takes a fresh Jacobian for each update.  ``run_simulation``
-holds its last one factorised in ``_Held``, with the step's end state and
-closing rhs: the next step's first residual negated (u_new = u_old opens
-a step), as Newton solves with it.  A later first update takes gbtrs
-alone: linearly implicit Euler stays first order with an approximate
-Jacobian (Steihaug & Wolfbrandt, Math. Comp. 33, 1979).  A held step's
-work is one rhs call, one gbtrs and the two masses of its end state.  The
-hold refreshes on a run's first step, when dt changes (landing steps too,
-with one more stacked call at the step's start), after JAC_MAX_AGE steps,
-and to retry once a held step that raised PositivityError or LinAlgError
-or did not contract: as stiff integrators keep a Jacobian only while
-Newton contracts, and a contraction factor of 1 or more means divergence
-(Hairer & Wanner, Solving ODEs II, IV.8; ode15s, Shampine & Reichelt, SIAM
-J. Sci. Comput. 18, 1997), a held step is rejected when its update leaves
-a residual above both newton_tol and the residual it started from.  Its
-results move past round-off.
+``advance`` alone is backward Euler over cfg.dt, each Newton update on a
+fresh Jacobian.  ``run_simulation`` picks its own steps h, each attempt an
+``advance`` whose ``_Held`` history makes it variable-step BDF2 (Hairer,
+Norsett & Wanner, Solving ODEs I, III.5): with w = h / h_prev, backward
+Euler from u_n over h (1 + w) / (1 + 2w), less w / (1 + w) (u_n - u_n-1)
+/ h_prev in the residual; a run's first step is backward Euler.  Newton
+opens at the last three accepted states (two, one) extrapolated to the
+new time, on the held band (a new LU when its shift moves).  Milne's
+device, E_c / (E_c + E_p) (u - u_pred), estimates the error, whose RMS
+norm scaled by rtol * (1 + |u|) steers h (Gustafsson, ACM TOMS 20, 1994).
+An attempt costs one rhs call, stacked over the probes when it refreshes
+the band, one gbtrs and the masses of its end state.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
-(LAPACK gbtrf/gbtrs); symmetric grids have scalar half-bandwidth
-2*STENCIL_REACH + 1 = 7.  Periodic grids number their nodes in the folded
-order 0, N-2, 1, N-3, ... (bandwidth reduction after Cuthill & McKee,
-Proc. ACM Nat. Conf. 1969), which keeps cyclic neighbours at most 6
-positions apart: half-bandwidth 13, or less on grids too small for it.
+(LAPACK gbtrf/gbtrs): half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric
+grids, and 13 (less on tiny grids) on periodic ones, numbered in the folded
+order 0, N-2, 1, N-3, ... (after Cuthill & McKee, Proc. ACM Nat. Conf.
+1969) to keep cyclic neighbours at most 6 positions apart.
 """
 
 from __future__ import annotations
@@ -73,21 +64,19 @@ STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
 GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
                    # only through gamma, gamma_x and the nodal tension
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
-JAC_MAX_AGE = 30   # most steps one factorised Jacobian serves in run_simulation:
-                   # older ones still contract but cost accuracy (fig4, N = 769)
 
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Backward-Euler step controls.
-
-    At most newton_iters Newton updates per step; the iteration stops early
-    once the residual max-norm is <= newton_tol.
-    """
+    """Step controls: ``advance``'s step dt, also ``run_simulation``'s first
+    trial step, whose error estimates scaled by rtol * (1 + |u|) stay <= 1;
+    at most newton_iters Newton updates per step, stopping early once the
+    residual max-norm is <= newton_tol."""
 
     dt: float
     newton_iters: int = 1
     newton_tol: float = 1e-10
+    rtol: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -97,12 +86,15 @@ class StepConfig:
             raise ValueError(f"newton_iters must be an integer >= 1, got {iters!r}")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not 0 < self.rtol < 1:
+            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
 
 
 @dataclass(frozen=True)
 class StepReport:
     """One step's Newton residuals and updates, and the film and surfactant
-    mass of the state it ends in (a run's t = 0 snapshot: of s0, no updates)."""
+    mass of the state it ends in (a run's t = 0 snapshot: of s0, no updates);
+    residual_norm_after is nan where a run evaluates none after an update."""
 
     residual_norm_before: float
     residual_norm_after: float
@@ -123,15 +115,15 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
     if s_new.n_nodes != s_old.n_nodes:
         raise ValueError("states do not share a grid")
-    return -_negated_residual(s_new, s_old, cfg, rhs(variant, s_new, params, grid))
+    return -_negated_residual(s_new, s_old, cfg.dt, rhs(variant, s_new, params, grid))
 
 
-def _negated_residual(s_new: State, s_old: State, cfg: StepConfig, r: Rhs) -> np.ndarray:
-    """-residual, exactly: a - b is -(b - a) in IEEE arithmetic, but for a zero's sign."""
-    return _interleave(
-        r.deta_dt - (s_new.eta - s_old.eta) / cfg.dt,
-        r.dgamma_dt - (s_new.gamma - s_old.gamma) / cfg.dt,
-    )
+def _negated_residual(s_new: State, s_old: State, dt: float, r: Rhs, lag=None) -> np.ndarray:
+    """-residual, exactly: a - b is -(b - a) in IEEE arithmetic, but for a zero's
+    sign; plus ``lag``, a BDF2 step's history share, when there is one."""
+    neg = _interleave(r.deta_dt - (s_new.eta - s_old.eta) / dt,
+                      r.dgamma_dt - (s_new.gamma - s_old.gamma) / dt)
+    return neg if lag is None else neg + lag
 
 
 @dataclass
@@ -293,15 +285,32 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
 
 @dataclass
 class _Held:
-    """The factorised Jacobian a step hands on, for ``left`` more of the
-    ``serves`` steps it serves from a refresh (None once none is left), and
-    the ``end`` state of the last step with its ``closing`` rhs."""
+    """run_simulation's carrier through ``advance``: up to three accepted
+    (t, stacked eta and gamma) pairs, newest last; the held band, None to
+    refresh it at the next predictor, whether it is older than the current
+    step, and the refresh count; the last attempt's error estimate."""
 
-    serves: int = 1
-    jac: FdJacobian | None = None
-    left: int = 0
-    end: State | None = None
-    closing: Rhs | None = None
+    past: list
+    band: FdJacobian | None = None
+    stale: bool = False
+    refreshes: int = 0
+    err: float = math.inf
+
+    def start(self, h: float):
+        """dt = h / a0, -r's history share, the predictor and Milne's factor."""
+        (t0, u0), *older = self.past[::-1]
+        pred, dt, lag, e_c, e_p = u0, h, None, h, h
+        if older:
+            h1 = t0 - older[0][0]
+            slope = (u0 - older[0][1]) / h1
+            pred, w, e_p = u0 + h * slope, h / h1, h + h1
+            dt, lag = h * (1 + w) / (1 + 2 * w), _interleave(*(w / (1 + w) * slope))
+        if len(older) > 1:
+            h2 = older[0][0] - older[1][0]
+            curv = (slope - (older[0][1] - older[1][1]) / h2) / (h1 + h2)
+            pred = pred + h * (h + h1) * curv  # divided differences: flat stays flat
+            e_c, e_p = h * (h + h1) / (2 * h + h1), h + h1 + h2
+        return dt, lag, pred, e_c / (e_c + e_p)
 
 
 def _drift(after: float, before: float) -> float:
@@ -313,62 +322,58 @@ def _drift(after: float, before: float) -> float:
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             params: Params, grid: Grid, *, _held: _Held | None = None
             ) -> tuple[State, StepReport]:
-    """One backward-Euler step via at most cfg.newton_iters Newton updates,
-    each with a fresh Jacobian, unless run_simulation's ``_held`` one serves
-    the first; the closing rhs call is stacked over the probes only when a
-    fresh Jacobian certainly follows: a later update, or the last step a
-    hold serves, which every call without ``_held`` is.  A held step that
-    fails, or whose first update leaves a residual above both newton_tol
-    and the residual it started from, is retried once with a fresh
-    Jacobian."""
+    """One step of cfg.dt via at most cfg.newton_iters Newton updates: alone,
+    backward Euler, each update on a fresh Jacobian; with run_simulation's
+    ``_held``, a BDF2 attempt from its history (newest: state) on its band,
+    refreshed at the predictor if it holds none, with no residual after
+    the last update, leaving the error estimate in ``_held``."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
-    held = _Held() if _held is None else _held
-    reuse = held.jac is not None and held.jac.shift == 1.0 / cfg.dt
-    if reuse:
-        jac = held.jac
-        base = held.closing if held.end is state else rhs(variant, state, params, grid)
-    else:
-        held.jac = None  # a stale LU is freed before the stacked rhs call
+    held, t_new, dt, lag, current = _held, state.t + cfg.dt, cfg.dt, None, state
+    if held is None:
         # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
         # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
         base = _linearised(variant, state, params, grid).base
         jac = jacobian_fd(state, cfg, variant, params, grid)
-        held.left = held.serves
-    held.left -= 1
-    held.jac = jac if held.left else None  # kept only where a later step may reuse it
+    else:
+        dt, lag, pred, milne = held.start(cfg.dt)
+        current = State(*pred, t_new)  # an extrapolation through the floor raises here
+        if held.band is None:
+            base = _linearised(variant, current, params, grid).base
+            held.band = jacobian_fd(current, replace(cfg, dt=dt), variant, params, grid)
+            held.stale, held.refreshes = False, held.refreshes + 1
+        else:
+            base = rhs(variant, current, params, grid)
+            if held.band.shift != 1.0 / dt:
+                held.band = replace(held.band, shift=1.0 / dt)  # a new LU
+        jac = held.band
 
-    t_new = state.t + cfg.dt
-    current = state
-    neg_r = _interleave(base.deta_dt, base.dgamma_dt)  # -residual at u_new = u_old
-    norm_before = float(np.abs(neg_r).max())
-    try:
-        for it in range(cfg.newton_iters):
-            if it:
-                jac = jacobian_fd(current, cfg, variant, params, grid)
-            du = jac.solve(neg_r)
-            del jac  # an LU nobody holds is freed before the stacked rhs call
-            # State rejects a film that breached the floor, before any rhs call
-            current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
-            if held.jac is None or it + 1 < cfg.newton_iters:
-                base = _linearised(variant, current, params, grid).base
-            else:
-                base = rhs(variant, current, params, grid)
-            neg_r = _negated_residual(current, state, cfg, base)
-            norm_after = float(np.abs(neg_r).max())
-            if reuse and not it and norm_after > max(cfg.newton_tol, norm_before):
-                raise np.linalg.LinAlgError("the held Jacobian did not contract")
-            if norm_after <= cfg.newton_tol:
-                break
-    except (PositivityError, np.linalg.LinAlgError):
-        if not reuse:
-            raise
-        held.jac = None  # retry once, with a fresh Jacobian
-        return advance(state, cfg, variant, params, grid, _held=held)
+    neg_r = (_interleave(base.deta_dt, base.dgamma_dt) if held is None  # -r at u_new = u_old
+             else _negated_residual(current, state, dt, base, lag))
+    norm_before, norm_after = float(np.abs(neg_r).max()), math.nan
+    for it in range(cfg.newton_iters):
+        if it and held is None:
+            jac = jacobian_fd(current, cfg, variant, params, grid)
+        du = jac.solve(neg_r)
+        # State rejects a film that breached the floor, before any rhs call
+        current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
+        if held is None:
+            base = _linearised(variant, current, params, grid).base
+        elif it + 1 < cfg.newton_iters:
+            base = rhs(variant, current, params, grid)
+        else:
+            break
+        neg_r = _negated_residual(current, state, dt, base, lag)
+        norm_after = float(np.abs(neg_r).max())
+        if norm_after <= cfg.newton_tol:
+            break
 
-    held.end, held.closing = current, base
+    if held is not None:
+        u = np.stack((current.eta, current.gamma))
+        scaled = (u - pred) / (cfg.rtol * (1.0 + np.abs(u)))
+        held.err = milne * math.sqrt(float(np.mean(scaled * scaled)))
     return current, StepReport(norm_before, norm_after, it + 1,
                                film_mass(current, grid), surfactant_mass(current, grid))
 
@@ -383,6 +388,8 @@ class Snapshot:
 @dataclass
 class RunSummary:
     steps: int = 0
+    rejected_steps: int = 0
+    jacobian_refreshes: int = 0
     final_time: float = 0.0
     max_film_mass_drift: float = 0.0
     max_surfactant_mass_drift: float = 0.0
@@ -404,13 +411,14 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     """March from t=0 to t_end, recording the requested snapshot times and,
     when t_end > 0, the state at t_end as the last snapshot.
 
-    Each step takes cfg.dt, shortened to land exactly on the next snapshot
-    time (a step ending within 1e-9 * cfg.dt of it, or a few ulps, lands on
-    it), and shares a held factorised Jacobian (see ``advance``).  On a
-    solver failure (positivity breach or a singular linear solve) with a
-    fresh Jacobian the partial results gathered so far are returned with
-    the failure recorded in the summary.
-    """
+    Each step h, first cfg.dt, is attempted through ``advance``, cut to land
+    exactly on the next snapshot time.  An error estimate err <= 1 of order
+    k accepts it; the next h is h * min(5, 0.9 * err**(-1/k)), or h, keeping
+    the LU, if that factor is in [1, 1.2).  A rejected attempt is retried
+    on a fresh band if its own is older than the step, else on
+    h * max(0.2, 0.9 * err**(-1/k)); a positivity breach or a singular solve
+    takes h / 5.  Below 10 ulps of the target time h ends the run, returning
+    the partial results with the failure in the summary."""
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
@@ -423,33 +431,42 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     result.snapshots.append(Snapshot(0.0, s0, StepReport(0.0, 0.0, 0, film0, surf0)))
     pending = sorted({st for st in (*targets, t_end) if st > 0.0})
     summary = result.summary
-    tol = max(1e-9 * cfg.dt, 4.0 * math.ulp(t_end))  # a few ulps where the step is tiny
 
-    t, state, held = 0.0, s0, _Held(JAC_MAX_AGE)
+    t, state, h, held = 0.0, s0, cfg.dt, _Held([(0.0, np.stack((s0.eta, s0.gamma)))])
     while pending:
         target = pending[0]
-        dt_step = min(cfg.dt, target - t)
+        step = min(h, target - t)
         try:
-            step_cfg = cfg if dt_step == cfg.dt else replace(cfg, dt=dt_step)
-            state, report = advance(state, step_cfg, variant, params, grid, _held=held)
+            new, report = advance(state, replace(cfg, dt=step), variant, params, grid,
+                                  _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
-            summary.failure = f"{type(exc).__name__}: {exc}"
-            break
+            new, held.err, why = None, math.inf, f"{type(exc).__name__}: {exc}"
+        k = len(held.past)  # the order of the estimate: the predictor's degree + 1
+        factor = min(5.0, max(0.2, 0.9 * held.err ** (-1.0 / k))) if held.err else 5.0
+        if held.err > 1.0:
+            summary.rejected_steps += 1
+            if new is not None and held.stale:
+                held.band = None  # freed before the stacked rhs call
+            elif (h := step * factor) < 10.0 * math.ulp(target):
+                why = why if new is None else f"error estimate {held.err:.3e}"
+                summary.failure = f"{why}; step {h:.3e} underflowed at t = {t:.17g}"
+                break
+            continue
+
         summary.steps += 1
-        t = target if abs(t + dt_step - target) <= tol else t + dt_step
-        if state.t != t:  # snapped to the target, or s0.t was not 0
-            state = State(state.eta, state.gamma, t)
-        film_drift = abs(_drift(report.film_mass, film0))
-        surf_drift = abs(_drift(report.surfactant_mass, surf0))
-        summary.max_film_mass_drift = max(summary.max_film_mass_drift, film_drift)
-        summary.max_surfactant_mass_drift = max(
-            summary.max_surfactant_mass_drift, surf_drift)
-        summary.final_film_mass_drift = film_drift
-        summary.final_surfactant_mass_drift = surf_drift
+        t = target if step == target - t else t + step
+        state = new if new.t == t else State(new.eta, new.gamma, t)  # s0.t need not be 0
+        held.past, held.stale = [*held.past[-2:], (t, np.stack((state.eta, state.gamma)))], True
+        h = step if 1.0 <= factor < 1.2 else step * factor
+        summary.final_film_mass_drift = film = abs(_drift(report.film_mass, film0))
+        summary.final_surfactant_mass_drift = surf = abs(_drift(report.surfactant_mass, surf0))
+        summary.max_film_mass_drift = max(summary.max_film_mass_drift, film)
+        summary.max_surfactant_mass_drift = max(summary.max_surfactant_mass_drift, surf)
         if t == target:
             result.snapshots.append(Snapshot(t, state, report))
             pending.pop(0)
 
     summary.final_time = t
+    summary.jacobian_refreshes = held.refreshes
     summary.wall_time = time.perf_counter() - started
     return result

@@ -137,19 +137,18 @@ def test_criterion_3_linearized_simulation_agreement():
 
 
 def test_criterion_4_conservation():
-    """Canonical drop scenario to t=1e5 (dt=100, N=97): film mass drift
-    < 1e-10 and surfactant mass drift < 1e-5; runtime < 10 s.
+    """Canonical drop scenario to t=1e5 (first step 100, N=97): film mass
+    drift < 1e-10 and surfactant mass drift < 1e-5; runtime < 10 s.
 
     The film bound holds (flux-form divergence conserves to solver
     round-off).  The surfactant bound does not hold for this scenario.  At
-    t = 1e5 the slope-weighted integral has drifted by +5.07e-5 (~5e-4
-    transiently while the film is deformed), +3.89e-5 with a fresh Jacobian
-    on every step.  The drift is not converged in dt: its signed value at
-    t = 1e5 is -2.84e-5 / -1.38e-5 / -2.02e-6 / +5.07e-5 / +7.00e-5 at
-    dt = 12.5 / 25 / 50 / 100 / 200 (fresh Jacobians: -4.05e-5 / -2.91e-5 /
-    -5.39e-6 / +3.89e-5 / +5.50e-5), so the time-stepping error is as large
-    as the drift.  The van der Waals group drives it: without it the drift
-    is 1.3e-6.  The assertion is kept as specified.
+    t = 1e5 the slope-weighted integral has drifted by -4.09e-5 (~5.7e-4
+    transiently while the film is deformed).  That is the discrete model's
+    converged drift: -4.06e-5 / -4.088e-5 / -4.088e-5 / -4.087e-5 at
+    rtol = 1e-5 / 1e-6 / 1e-7 / 1e-8, and -3.9e-5 as N grows.  The van der
+    Waals group drives it: without it the drift is 1.1e-7.  Fixed steps of
+    dt = 100 read +5.07e-5, their time error as large as the drift.  The
+    assertion is kept as specified.
     """
     started = time.perf_counter()
     sc = preset("fig2")
@@ -164,11 +163,11 @@ def test_criterion_4_conservation():
     report(4, ok, f"{res.summary.steps} steps in {elapsed:.1f}s; film drift "
                   f"{film:.2e} (< 1e-10: {film < 1e-10}); surfactant drift "
                   f"final {surf_final:.2e}, max {surf_max:.2e} (< 1e-5: "
-                  f"{surf_final < 1e-5}, not converged in dt)")
+                  f"{surf_final < 1e-5}, the model's converged drift)")
     assert res.summary.failure is None
     assert elapsed < 10.0
     assert film < 1e-10
-    assert surf_final < 1e-5  # not met at dt = 100, kept as specified
+    assert surf_final < 1e-5  # not met by the converged model, kept as specified
 
 
 def test_criterion_5_model_subset_identity():

@@ -40,39 +40,54 @@ def workloads():
     return load("workloads")
 
 
-def test_traced_probe_count(tracing, tmp_path, monkeypatch):
-    # three steps of the fig2 drop (t = 1, 10, 100), each with a new dt: a
-    # step's start is stacked over its probes, and its new state, whose
-    # next dt the step does not know, is evaluated alone
-    sc = cli.preset("fig2")
-    shapes = record_rhs_shapes(monkeypatch)
+def traced_simulate(tracing, scenario, out, **kwargs):
+    """cmd_simulate under the full trace: its layer metrics and run summary."""
+    results = []
+    real = cli.run_simulation
+
+    def capture(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    cli.run_simulation = capture
     tracer = tracing.Tracer().install(tracing.FULL)
     try:
-        assert cli.cmd_simulate(sc, str(tmp_path), t_end=100.0) == 0
+        assert cli.cmd_simulate(scenario, out, **kwargs) == 0
     finally:
         tracer.close()
-    metrics = tracing.layer_metrics(tracer.spans(), sc.grid.n_nodes)
+        cli.run_simulation = real
+    return tracing.layer_metrics(tracer.spans(), scenario.grid.n_nodes), results[0].summary
+
+
+def test_traced_probe_count(tracing, tmp_path, monkeypatch):
+    # the fig2 drop to t = 100: every attempt is one advance span with one
+    # rhs call, stacked over the probes exactly where it refreshes the band
+    sc = cli.preset("fig2")
+    shapes = record_rhs_shapes(monkeypatch)
+    metrics, summary = traced_simulate(tracing, sc, str(tmp_path), t_end=100.0)
     n = sc.grid.n_nodes
-    assert shapes == [(timestepper._probe_pattern(n, False).n_probes + 1, n), (n,)] * 3
-    assert metrics["timestepper.steps"] == 3
-    assert metrics["timestepper.newton_iters"] == 1.0
-    assert metrics["timestepper.rhs_calls_per_step"] == 2.0
+    attempts = summary.steps + summary.rejected_steps
+    stacked = (timestepper._probe_pattern(n, False).n_probes + 1, n)
+    assert len(shapes) == attempts and shapes[0] == stacked
+    assert shapes.count(stacked) == summary.jacobian_refreshes
+    assert shapes.count((n,)) == attempts - summary.jacobian_refreshes
+    assert metrics["timestepper.steps"] == attempts
+    assert metrics["timestepper.rhs_calls_per_step"] == 1.0
+    # jacobian_fd calls per attempt: the refreshes, not the Newton updates
+    assert metrics["timestepper.newton_iters"] == summary.jacobian_refreshes / attempts
 
 
 def test_traced_reuse_run(tracing, tmp_path):
-    # fig4 (N = 97) to t = 300: a fresh Jacobian every JAC_MAX_AGE steps,
-    # and every rhs call, stacked or single-row, inside a step's span
+    # fig4 (N = 97) to t = 300: the band is held across steps, and every
+    # rhs call, stacked or single-row, is inside an attempt's span
     sc = cli.preset("fig4")
-    tracer = tracing.Tracer().install(tracing.FULL)
-    try:
-        assert cli.cmd_simulate(sc, str(tmp_path)) == 0
-    finally:
-        tracer.close()
-    metrics = tracing.layer_metrics(tracer.spans(), sc.grid.n_nodes)
-    steps = metrics["timestepper.steps"]
-    assert steps == 300
-    assert metrics["timestepper.rhs_calls_per_step"] == (steps + 1) / steps
-    assert metrics["timestepper.newton_iters"] == 1 / timestepper.JAC_MAX_AGE
+    metrics, summary = traced_simulate(tracing, sc, str(tmp_path))
+    attempts = summary.steps + summary.rejected_steps
+    assert summary.failure is None and summary.steps < 150
+    assert metrics["timestepper.steps"] == attempts
+    assert metrics["timestepper.rhs_calls_per_step"] == 1.0
+    assert metrics["models.rhs_calls"] == attempts
+    assert metrics["timestepper.newton_iters"] == summary.jacobian_refreshes / attempts < 0.25
 
 
 def test_traced_slow_mode_loop(tracing, workloads, tmp_path, monkeypatch):

@@ -207,8 +207,12 @@ MALFORMED_CONFIGS = [
      "initial: {kind: corrugated_uniform_surfactant, amplitude: 0.999999999}",
      ".initial: amplitude must lie in (-1, 1), with 1 - |amplitude| >= 1e-08"),
     ("step: {dt: .inf}", ".step: dt must be positive and finite"),
-    # an infinite tolerance would accept every held step unchecked
+    # an infinite tolerance would stop every Newton iteration unchecked
     ("step: {newton_tol: .inf}", ".step: newton_tol must be positive and finite"),
+    # the error tolerance is relative: 0 admits no step, 1 or more any
+    ("step: {rtol: 0}", ".step: rtol must lie in (0, 1), got 0.0"),
+    ("step: {rtol: .nan}", ".step: rtol must lie in (0, 1), got nan"),
+    ("step: {rtol: 1.5}", ".step: rtol must lie in (0, 1), got 1.5"),
     # snapshot times are checked at load, before any output is made
     ("snapshot_times: [-1.0, 5.0]", "yaml: snapshot_times must be finite, >= 0"),
     ("snapshot_times: [5.0, 2.0]", "yaml: snapshot_times must be finite, >= 0 and ascending"),
@@ -238,6 +242,8 @@ def test_malformed_config_is_config_error(tmp_path, caplog, text, where):
     (["--dt", "0"], "command line.step: dt"),
     (["--dt", "-1"], "command line.step: dt"),
     (["--dt", "inf"], "command line.step: dt must be positive and finite"),
+    (["--rtol", "0"], "command line.step: rtol must lie in (0, 1)"),
+    (["--rtol", "nan"], "command line.step: rtol must lie in (0, 1)"),
     (["--nodes", "3"], "command line.grid: n_nodes"),
     (["--delta-s", "-1"], "command line.params: inv_peclet"),
     (["--nodes", "33", "--config", "{periodic}"], "command line: custom initial"),
@@ -313,6 +319,8 @@ def test_commands_check_their_end_time(tmp_path, value):
     (["compare", "--preset", "fig3", "--peclet", "nan"], "needs positive Peclet numbers"),
     (["compare", "--preset", "fig3", "--peclet", "0"], "needs positive Peclet numbers"),
     (["compare", "--preset", "fig3", "--variants", "full"], "needs exactly two variants"),
+    (["compare", "--preset", "fig3", "--rtol", "1.5"],
+     "command line.step: rtol must lie in (0, 1), got 1.5"),
     # each Peclet number is written to diff_P{pe:g}.csv
     (["compare", "--preset", "fig3", "--peclet", "3,3.0000001", "--t-compare", "1"],
      "--peclet values must differ in diff_P{:g}.csv"),
@@ -414,6 +422,11 @@ class TestCommands:
         assert len(lines) == 1 + sc.grid.n_nodes
         report = (out / "report.txt").read_text()
         assert "max_film_mass_drift" in report
+        summary = run_simulation(build_initial_state(sc), 15.0, (0.0, 15.0), sc.step,
+                                 sc.variant, sc.params, sc.grid).summary
+        assert summary.rejected_steps > 0 and summary.jacobian_refreshes > 0
+        assert f"\nrejected_steps: {summary.rejected_steps}\n" in report
+        assert f"\njacobian_refreshes: {summary.jacobian_refreshes}\n" in report
 
     def test_repeated_snapshot_time_is_one_file(self, tmp_path):
         # a repeated time is one snapshot, so its name collides with nothing
@@ -426,9 +439,9 @@ class TestCommands:
     def test_simulate_solver_failure_exit_code(self, tmp_path):
         sc = default_scenario()
         data = scenario_to_dict(sc)
-        eta = [1.0] * 97
-        eta[48] = 2e-8  # valid state, thinned through the floor by its first step
-        data["initial"] = {"kind": "custom", "eta": eta, "gamma": [1.0] * 97}
+        # a dip to 1% of the film, which van der Waals forces rupture at t = 2.07
+        dip = 1.0 - 0.99 * np.exp(-((sc.grid.x - sc.grid.length / 2) / 5.0) ** 2)
+        data["initial"] = {"kind": "custom", "eta": dip.tolist(), "gamma": [1.0] * 97}
         data["snapshot_times"] = [10.0]
         sc_bad = scenario_from_dict(data)
         assert cmd_simulate(sc_bad, tmp_path / "fail") == 3
@@ -544,12 +557,11 @@ class TestCommands:
 
     def test_compare_failure_keeps_the_rows_already_compared(self, tmp_path,
                                                              monkeypatch, caplog):
-        # P = 3 compares the fig2 drop; at P = 30 de Wit starts from a film
-        # of 2e-8 at one node, which fails its first step
+        # P = 3 compares the fig2 drop; at P = 30 de Wit starts from a dip
+        # to 0.1% of the film, which van der Waals forces rupture at t = 0.13
         import lubrisim.cli as cli
-        eta = np.ones(97)
-        eta[48] = 2e-8
-        thin = State(eta, np.ones(97))
+        x = preset("fig2").grid.x
+        thin = State(1.0 - 0.999 * np.exp(-((x - x[-1] / 2) / 5.0) ** 2), np.ones(97))
 
         def failing_at_p30(s0, t_end, times, step, variant, params, grid):
             if params.inv_peclet == 1 / 30.0 and variant is ModelVariant.DE_WIT:
@@ -609,6 +621,21 @@ class TestMain:
                      "--variant", "dewit", "--dt", "2.0", "--t-end", "4.0"])
         assert code == 0
         assert (out / "t0.csv").exists()
+
+    @pytest.mark.parametrize("command", [["simulate", "--t-end", "1"],
+                                         ["compare", "--t-compare", "1"]])
+    def test_rtol_flag_reaches_the_run(self, tmp_path, monkeypatch, command):
+        import lubrisim.cli as cli
+        steps = []
+
+        def recording(s0, t_end, times, step, *args):
+            steps.append(step)
+            return run_simulation(s0, t_end, times, step, *args)
+
+        monkeypatch.setattr(cli, "run_simulation", recording)
+        assert main([*command, "--preset", "fig3", "--out", str(tmp_path / "o"),
+                     "--rtol", "1e-4", "--dt", "0.5"]) == 0
+        assert steps and all(s.rtol == 1e-4 and s.dt == 0.5 for s in steps)
 
     def test_simulate_writes_the_t_end_state(self, tmp_path):
         # t_end = 1500 lies past fig2's last snapshot time, 1000

@@ -1,33 +1,36 @@
-"""Self-convergence of the full solver: fixed steps, every step's Newton
-solve converged, so what remains is the discretisation's own error.
+"""Self-convergence of the full solver.
 
-Each gate compares runs refined by halves: the differences between
-successive runs fall by 2**p for a method of order p, and p is read off
-their ratio (Roache, Verification and Validation in Computational Science
-and Engineering, 1998).
+The fixed-step gates march backward Euler (``advance``) with every step's
+Newton solve converged, so what remains is the discretisation's own error.
+Each compares runs refined by halves: the differences between successive
+runs fall by 2**p for a method of order p, and p is read off their ratio
+(Roache, Verification and Validation in Computational Science and
+Engineering, 1998).  The error-controlled ``run_simulation`` is gated on
+its tolerance instead: its error falls with rtol.
 """
 
 import dataclasses
 
 import numpy as np
 
-from lubrisim import StepConfig, run_simulation
+from lubrisim import StepConfig, advance, run_simulation
 from lubrisim.cli import build_initial_state, preset
 
 CONVERGED = dict(newton_iters=10, newton_tol=1e-11)
 
 
 def final_state(scenario, dt, t_end):
-    """The state at t_end, after checking that every step converged."""
-    times = tuple(dt * np.arange(1, round(t_end / dt) + 1))
-    res = run_simulation(build_initial_state(scenario), t_end, times,
-                         StepConfig(dt=dt, **CONVERGED), scenario.variant,
-                         scenario.params, scenario.grid)
-    assert res.summary.failure is None
-    assert len(res.snapshots) == len(times) + 1
-    worst = max(snap.report.residual_norm_after for snap in res.snapshots)
+    """The state at t_end by backward-Euler steps of dt, after checking that
+    every step converged."""
+    state = build_initial_state(scenario)
+    cfg = StepConfig(dt=dt, **CONVERGED)
+    worst = 0.0
+    for _ in range(round(t_end / dt)):
+        state, report = advance(state, cfg, scenario.variant, scenario.params,
+                                scenario.grid)
+        worst = max(worst, report.residual_norm_after)
     assert worst <= 1e-11, f"N = {scenario.grid.n_nodes}, dt = {dt}: residual {worst:.3g}"
-    return res.snapshots[-1].state
+    return state
 
 
 def orders(states, stride):
@@ -58,3 +61,25 @@ def test_time_order_is_one():
     states = [final_state(fig2, dt, 1000.0) for dt in (100.0, 50.0, 25.0, 12.5)]
     got = orders(states, [1] * 4)
     np.testing.assert_allclose(got, 1.0, atol=0.2)
+
+
+def test_run_error_falls_with_rtol():
+    # the fig2 drop to t = 100 (snapshots 1, 10, 100) against a run at
+    # rtol = 1e-9: the error falls at least 2.5 times per decade of rtol
+    # (1.33e-3 / 3.78e-4 / 1.13e-4 at rtol = 1e-4 / 1e-5 / 1e-6)
+    fig2 = preset("fig2")
+    s0 = build_initial_state(fig2)
+
+    def snapshots(rtol):
+        res = run_simulation(s0, 100.0, (1.0, 10.0, 100.0),
+                             StepConfig(dt=fig2.step.dt, rtol=rtol), fig2.variant,
+                             fig2.params, fig2.grid)
+        assert res.summary.failure is None
+        return [snap.state for snap in res.snapshots]
+
+    ref = snapshots(1e-9)
+    errors = [max(max(np.max(np.abs(a.eta - b.eta)), np.max(np.abs(a.gamma - b.gamma)))
+                  for a, b in zip(snapshots(rtol), ref, strict=True))
+              for rtol in (1e-4, 1e-5, 1e-6)]
+    assert errors[0] < 5e-3
+    assert errors[0] >= 2.5 * errors[1] and errors[1] >= 2.5 * errors[2], errors

@@ -77,6 +77,39 @@ def batch_shape(grid):
     return (pat.n_probes + 1, grid.n_nodes)
 
 
+def record_attempts(monkeypatch) -> list:
+    """One dict per step attempt run_simulation makes through
+    ``timestepper.advance``: its start time t0 and step h, whether it
+    refreshed the held band, the exception it raised (None) and its error
+    estimate (inf when it raised)."""
+    attempts = []
+    real = timestepper.advance
+
+    def recording(state, cfg, *args, _held):
+        attempt = {"t0": state.t, "h": cfg.dt, "raised": None}
+        attempts.append(attempt)
+        refreshes = _held.refreshes
+        try:
+            return real(state, cfg, *args, _held=_held)
+        except Exception as exc:
+            attempt["raised"] = type(exc).__name__
+            raise
+        finally:
+            attempt["refreshed"] = _held.refreshes > refreshes
+            attempt["err"] = math.inf if attempt["raised"] else _held.err
+
+    monkeypatch.setattr(timestepper, "advance", recording)
+    return attempts
+
+
+def rupturing_film():
+    """A film 0.5 thick at the right wall (N = 65, L = 10), which van der
+    Waals forces (H = 1) thin there to the floor at t = 2.34."""
+    grid = Grid(65, 10.0)
+    s0 = State(1.0 + 0.5 * np.cos(np.pi * grid.x / grid.length), np.ones(65))
+    return s0, ModelVariant.FULL_CM, Params(hamaker=1.0), grid
+
+
 def assert_colors_apart(color, separation, periodic):
     """Same-colour nodes lie more than ``separation`` apart, counted
     cyclically mod m on periodic grids, where the m coloured nodes form a
@@ -589,27 +622,22 @@ class TestRunSimulation:
         assert [snap.time for snap in res.snapshots] == [0.0, 5.0, 10.0]
         assert res.snapshots[-1].state.t == res.summary.final_time == 10.0
 
-    @pytest.mark.parametrize("t_end, snapshots, dt, steps", [
-        (1e-10, (), 1.0, 1),
-        (100.0 + 1e-8, (100.0,), 10.0, 11),
+    @pytest.mark.parametrize("t_end, snapshots, dt", [
+        (1e-10, (), 1.0),
+        (100.0 + 1e-8, (100.0,), 10.0),
+        (1e-9, (), 1e-10),
+        (5e-9, (2e-9,), 1e-9),
     ])
-    def test_t_end_within_landing_tolerance_is_reached(self, t_end, snapshots,
-                                                       dt, steps):
-        # t_end lies within 1e-9 * dt of 0 or of the previous snapshot
-        res = run_simulation(flat_state(33), t_end, snapshots, StepConfig(dt=dt),
+    def test_t_end_is_reached_exactly(self, t_end, snapshots, dt):
+        # a step is cut to its target, however close: 1e-10 from 0, 1e-8
+        # past a snapshot, or after first steps far below one
+        s = smooth_state(Grid(33, 10.0), seed=28)
+        res = run_simulation(s, t_end, snapshots, StepConfig(dt=dt),
                              ModelVariant.FULL_CM, Params(), Grid(33, 10.0))
+        assert res.summary.failure is None
         assert [snap.time for snap in res.snapshots] == [0.0, *snapshots, t_end]
-        assert res.summary.steps == steps
-        assert res.summary.final_time == res.snapshots[-1].state.t == t_end
-
-    @pytest.mark.parametrize("dt, t_end, steps", [(1e-10, 1e-9, 10), (1e-9, 5e-9, 5)])
-    def test_steps_below_one_land_after_all_their_steps(self, dt, t_end, steps):
-        # the landing tolerance scales with dt, so a step of 1e-10 does not
-        # snap to a target ten steps away and label its state with it
-        res = run_simulation(flat_state(33), t_end, (), StepConfig(dt=dt),
-                             ModelVariant.FULL_CM, Params(), Grid(33, 10.0))
-        assert res.summary.steps == steps
-        assert res.summary.final_time == res.snapshots[-1].state.t == t_end
+        assert [snap.state.t for snap in res.snapshots] == [0.0, *snapshots, t_end]
+        assert res.summary.final_time == t_end
 
     def test_zero_surfactant_drifts_are_finite(self, noflux_grid):
         # a clean film: the surfactant mass starts at exactly 0
@@ -619,7 +647,7 @@ class TestRunSimulation:
             warnings.simplefilter("error")
             res = run_simulation(s, 3.0, (), StepConfig(dt=1.0),
                                  ModelVariant.FULL_CM, Params(), noflux_grid)
-        assert res.summary.failure is None and res.summary.steps == 3
+        assert res.summary.failure is None and res.summary.final_time == 3.0
         summary, report = res.summary, res.snapshots[-1].report
         for value in (summary.max_film_mass_drift, summary.max_surfactant_mass_drift,
                       summary.final_surfactant_mass_drift,
@@ -646,17 +674,29 @@ class TestRunSimulation:
             assert snap.report.film_mass == film_mass(snap.state, grid)
             assert snap.report.surfactant_mass == surfactant_mass(snap.state, grid)
 
-    def test_summary_drifts_come_from_the_reports(self, noflux_grid):
-        # every step is a snapshot, so every report is kept
+    def test_summary_drifts_come_from_the_reports(self, noflux_grid, monkeypatch):
+        # the drifts of every accepted attempt's report, and of no other
+        reports = []
+        real = timestepper.advance
+
+        def recording(*args, _held):
+            end, report = real(*args, _held=_held)
+            if _held.err <= 1.0:
+                reports.append(report)
+            return end, report
+
+        monkeypatch.setattr(timestepper, "advance", recording)
         s = smooth_state(noflux_grid, seed=44)
-        res = run_simulation(s, 8.0, tuple(map(float, range(1, 9))), StepConfig(dt=1.0),
+        res = run_simulation(s, 8.0, (4.0,), StepConfig(dt=1.0),
                              ModelVariant.FULL_CM, Params(), noflux_grid)
-        assert res.summary.steps == len(res.snapshots) - 1 == 8
+        assert res.summary.steps == len(reports) and res.summary.rejected_steps > 0
+        assert res.snapshots[-1].report is reports[-1]
+        assert any(res.snapshots[1].report is rep for rep in reports)
         first = res.snapshots[0].report
-        film = [abs((snap.report.film_mass - first.film_mass) / abs(first.film_mass))
-                for snap in res.snapshots[1:]]
-        surf = [abs((snap.report.surfactant_mass - first.surfactant_mass)
-                    / abs(first.surfactant_mass)) for snap in res.snapshots[1:]]
+        film = [abs((rep.film_mass - first.film_mass) / abs(first.film_mass))
+                for rep in reports]
+        surf = [abs((rep.surfactant_mass - first.surfactant_mass)
+                    / abs(first.surfactant_mass)) for rep in reports]
         summary = res.summary
         assert summary.max_film_mass_drift == max(film)
         assert summary.final_film_mass_drift == film[-1]
@@ -671,37 +711,55 @@ class TestRunSimulation:
         assert times == [0.0, 1.0, 10.0, 25.0]
         assert res.snapshots[-1].state.t == 25.0
 
-    @pytest.mark.parametrize("t0,builds", [(0.0, 5), (3.0, 6)])
-    def test_state_builds_per_step(self, noflux_grid, monkeypatch, t0, builds):
-        # the Newton iterate of each step, plus a stack of probes at the
-        # start: steps 2-4 reuse step 1's held Jacobian, and the run ends
-        # before it expires, so no step stacks its new state over probes;
-        # the step loop relabels a state only when its t differs from the
-        # run's clock (here once, when s0 does not start at t = 0)
-        calls = []
+    @pytest.mark.parametrize("t0", [0.0, 3.0])
+    def test_state_builds_per_step(self, noflux_grid, monkeypatch, t0):
+        # each attempt builds its predictor and its one Newton iterate, the
+        # probes stacked in one State on a refresh; the step loop relabels
+        # an accepted state only when its t differs from the run's clock,
+        # which it always does for the first one when s0 does not start at 0
+        calls, inside = [], []
 
         def counting_state(*args, **kwargs):
             calls.append(1)
             return State(*args, **kwargs)
 
+        real = timestepper.advance
+
+        def counting_advance(*args, **kwargs):
+            before = len(calls)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.append(len(calls) - before)
+
         s = smooth_state(noflux_grid, seed=29)
         monkeypatch.setattr(timestepper, "State", counting_state)
+        monkeypatch.setattr(timestepper, "advance", counting_advance)
+        attempts = record_attempts(monkeypatch)
         res = run_simulation(State(s.eta, s.gamma, t0), 4.0, (2.0, 4.0),
                              StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
                              noflux_grid)
-        assert res.summary.steps == 4
-        assert len(calls) == builds
+        assert len(inside) == res.summary.steps + res.summary.rejected_steps
+        assert inside == [2 + a["refreshed"] for a in attempts]
+        assert res.summary.failure is None
+        relabels = len(calls) - sum(inside)
+        assert (t0 != 0.0) <= relabels <= res.summary.steps
         assert [snap.state.t for snap in res.snapshots[1:]] == [2.0, 4.0]
 
-    def test_partial_results_on_positivity_failure(self, noflux_grid):
-        eta = np.ones(noflux_grid.n_nodes)
-        eta[5] = 2e-8  # valid state, thinned through the floor by its first step
-        s = State(eta, np.ones(noflux_grid.n_nodes))
-        res = run_simulation(s, 10.0, (5.0,), StepConfig(dt=1.0),
-                             ModelVariant.FULL_CM, Params(), noflux_grid)
-        assert res.summary.failure is not None
-        assert "PositivityError" in res.summary.failure
-        assert len(res.snapshots) == 1  # initial snapshot preserved
+    def test_partial_results_on_positivity_failure(self, monkeypatch):
+        # the film ruptures at t = 2.34: the attempts there breach the floor
+        # until the step underflows, after the t = 1 snapshot was taken
+        attempts = record_attempts(monkeypatch)
+        s0, *args = rupturing_film()
+        res = run_simulation(s0, 10.0, (1.0, 5.0), StepConfig(dt=1.0), *args)
+        assert res.summary.failure.startswith("PositivityError: film thickness")
+        assert "underflowed at t = 2.34" in res.summary.failure
+        assert [snap.time for snap in res.snapshots] == [0.0, 1.0]
+        assert 2.3 < res.summary.final_time < 2.4
+        last = attempts[-1]
+        assert last["raised"] == "PositivityError"
+        assert 0.2 * last["h"] < 10.0 * math.ulp(5.0) <= last["h"]
+        assert res.summary.max_film_mass_drift < 1e-10
 
     @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])
     def test_t_end_validation(self, noflux_grid, t_end):
@@ -729,17 +787,12 @@ class TestRunSimulation:
 
 
 class TestEvaluationReuse:
-    """Each state is evaluated once: the closing residual's rhs call is the
-    next iteration's or step's start, stacked over its probes when a fresh
-    Jacobian certainly follows, and handed on by the linearisation cache,
-    or in a run by ``_Held`` with the step's end State; a step's report
-    carries the masses of its end state, so no state is integrated twice;
-    a step whose dt changed stacks its start once more.  ``run_simulation``
-    holds the factorised Jacobian of its last refresh and takes a fresh one
-    only on the run's first step, when dt changes, after JAC_MAX_AGE steps,
-    or to retry a held step that failed or stopped contracting; its
-    results move from fresh-Jacobian steps past round-off, while
-    ``advance`` alone always takes a fresh one."""
+    """Each state is evaluated once: in standalone ``advance`` the closing
+    residual's rhs call, stacked over its probes, is the next iteration's
+    or step's start, handed on by the linearisation cache; a step's report
+    carries the masses of its end state, so no state is integrated twice.
+    The cache changes no result of a run either, whose attempts evaluate
+    their predictor once and integrate their end state once."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
@@ -748,7 +801,7 @@ class TestEvaluationReuse:
                             timestepper._linearised.__wrapped__)
 
     def test_fig2_run_is_bit_identical(self, monkeypatch):
-        # 20 steps, three of them shortened to land on a snapshot
+        # some 180 steps, with refreshes, rejections and landings
         sc = cli.preset("fig2")
         s0 = cli.build_initial_state(sc)
 
@@ -760,15 +813,14 @@ class TestEvaluationReuse:
         with monkeypatch.context() as m:
             self.evaluate_every_call(m)
             plain = run()
-        assert cached.summary.steps == plain.summary.steps == 20
+        assert cached.summary.rejected_steps > 0 and cached.summary.jacobian_refreshes > 1
+        assert dataclasses.replace(cached.summary, wall_time=0.0) == dataclasses.replace(
+            plain.summary, wall_time=0.0)
         assert len(cached.snapshots) == len(plain.snapshots) == 6
         for a, b in zip(cached.snapshots, plain.snapshots):
-            assert a.time == b.time and a.report == b.report
+            assert a.time == b.time and repr(a.report) == repr(b.report)  # nan too
             np.testing.assert_array_equal(a.state.eta, b.state.eta)
             np.testing.assert_array_equal(a.state.gamma, b.state.gamma)
-        for name in ("max_film_mass_drift", "max_surfactant_mass_drift",
-                     "final_film_mass_drift", "final_surfactant_mass_drift"):
-            assert getattr(cached.summary, name) == getattr(plain.summary, name)
 
     def test_periodic_steps_are_bit_identical(self, periodic_grid, monkeypatch):
         cfg = StepConfig(dt=1.0)
@@ -862,9 +914,9 @@ class TestEvaluationReuse:
                 ModelVariant.FULL_CM, Params(), noflux_grid)
         assert len(integrals) == 2
 
-    def test_one_mass_pair_per_step(self, noflux_grid, monkeypatch):
-        # film and surfactant mass each integrate once per accepted state:
-        # 2 (k + 1) integrals over k steps and the start, 6k + 2 uncached
+    def test_one_mass_pair_per_attempt(self, noflux_grid, monkeypatch):
+        # film and surfactant mass each integrate once per attempt that ends
+        # in a state, and once for the start: 2 (k + 1) over k attempts
         integrals = []
         real = discretization.StencilOps.integrate
 
@@ -873,225 +925,170 @@ class TestEvaluationReuse:
             return real(self, f)
 
         monkeypatch.setattr(discretization.StencilOps, "integrate", counting_integrate)
-        k = 4
-        res = run_simulation(smooth_state(noflux_grid, seed=37), float(k), (),
+        attempts = record_attempts(monkeypatch)
+        res = run_simulation(smooth_state(noflux_grid, seed=37), 4.0, (),
                              StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
                              noflux_grid)
-        assert res.summary.steps == k
-        assert len(integrals) == 2 * (k + 1)
+        assert res.summary.failure is None
+        assert not any(a["raised"] for a in attempts)
+        assert len(integrals) == 2 * (len(attempts) + 1)
 
 
 class TestHeldJacobian:
-    """run_simulation solves with the factorised Jacobian of its last
-    refresh; a fresh one is taken on the first step, when dt changes, after
-    JAC_MAX_AGE steps, and to retry a held step that failed or whose first
-    update left a residual above both newton_tol and its starting one."""
+    """run_simulation's attempts at variable-step BDF2 steps solve on the
+    band of its last refresh, which the first attempt takes at s0, and an
+    error rejection on a band older than its step takes anew at the
+    attempt's predictor; any other rejection shrinks the step."""
 
-    @staticmethod
-    def record_refreshes(monkeypatch) -> list:
-        """The state time of every fresh Jacobian the timestepper takes."""
-        times = []
-        real = timestepper.jacobian_fd
+    def test_first_step_is_backward_euler(self, noflux_grid, monkeypatch):
+        # one history state: the attempt is standalone advance's step, bit
+        # for bit, on the band it takes at s0
+        attempts = record_attempts(monkeypatch)
+        s0 = smooth_state(noflux_grid, seed=40)
+        args = (ModelVariant.FULL_CM, Params(), noflux_grid)
+        cfg = StepConfig(dt=0.01, rtol=0.01)
+        res = run_simulation(s0, cfg.dt, (), cfg, *args)
+        assert [a["refreshed"] for a in attempts] == [True] and attempts[0]["err"] <= 1.0
+        monkeypatch.undo()
+        end, report = advance(s0, cfg, *args)
+        snap = res.snapshots[-1]
+        np.testing.assert_array_equal(snap.state.eta, end.eta)
+        np.testing.assert_array_equal(snap.state.gamma, end.gamma)
+        assert (snap.report.film_mass, snap.report.surfactant_mass) == (
+            report.film_mass, report.surfactant_mass)
+        assert snap.report.residual_norm_before == report.residual_norm_before
+        assert math.isnan(snap.report.residual_norm_after)  # none evaluated
 
-        def recording(state, *args):
-            times.append(state.t)
-            return real(state, *args)
-
-        monkeypatch.setattr(timestepper, "jacobian_fd", recording)
-        return times
-
-    @staticmethod
-    def count_advance_calls(monkeypatch) -> list:
-        """One entry per advance call, a retry's nested call included."""
-        calls = []
-        real = timestepper.advance
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(timestepper, "advance", counting)
-        return calls
-
-    def test_probes_only_where_a_fresh_jacobian_is_taken(self, monkeypatch):
-        # fig4 (N = 97, dt = 1) for three holds: one rhs call per step,
-        # stacked over the probes only where a hold expires
-        sc = cli.preset("fig4")
-        age = timestepper.JAC_MAX_AGE
+    @pytest.mark.parametrize("case", ["fig2", "periodic"])
+    def test_one_rhs_call_per_attempt(self, case, monkeypatch):
+        # at the predictor, stacked over the probes where the band is
+        # refreshed; every Jacobian goes through jacobian_fd
         shapes = record_rhs_shapes(monkeypatch)
-        refreshes = self.record_refreshes(monkeypatch)
-        res = run_simulation(cli.build_initial_state(sc), 3.0 * age, (), sc.step,
-                             sc.variant, sc.params, sc.grid)
-        assert res.summary.steps == 3 * age and res.summary.failure is None
-        assert refreshes == [0.0, float(age), 2.0 * age]
-        batch, row = batch_shape(sc.grid), (sc.grid.n_nodes,)
-        held = [row] * (age - 1)
-        assert shapes == [batch] + (held + [batch]) * 3
+        attempts = record_attempts(monkeypatch)
+        jacobians = []
+        real = timestepper.jacobian_fd
+        monkeypatch.setattr(timestepper, "jacobian_fd",
+                            lambda *a: jacobians.append(1) or real(*a))
+        if case == "fig2":
+            sc = cli.preset("fig2")
+            g, s0, t_end = sc.grid, cli.build_initial_state(sc), 1000.0
+        else:
+            g = Grid(33, 10.0, BoundaryKind.PERIODIC)
+            s0, t_end = smooth_state(g, seed=36), 20.0
+        res = run_simulation(s0, t_end, (5.0,), StepConfig(dt=1.0),
+                             ModelVariant.FULL_CM, Params(), g)
+        assert res.summary.steps + res.summary.rejected_steps == len(attempts)
+        assert shapes == [batch_shape(g) if a["refreshed"] else (g.n_nodes,)
+                          for a in attempts]
+        assert res.summary.jacobian_refreshes == len(jacobians) == sum(
+            a["refreshed"] for a in attempts) > 1
 
-    def test_quiet_run_refreshes_every_jac_max_age_steps(self, monkeypatch):
-        # fig4 refined to N = 769, to t = 300 at dt = 1: the film levels
-        # slowly, so no held step trips the guard and the clock alone refreshes
-        sc = cli.preset("fig4")
-        grid = Grid(769, sc.grid.length)
-        s0 = cli.build_initial_state(dataclasses.replace(sc, grid=grid))
-        refreshes = self.record_refreshes(monkeypatch)
-        calls = self.count_advance_calls(monkeypatch)
-        res = run_simulation(s0, 300.0, sc.snapshot_times, sc.step, sc.variant,
-                             sc.params, grid)
-        assert res.summary.steps == len(calls) == 300 and res.summary.failure is None
-        assert refreshes == [float(t) for t in range(0, 300, timestepper.JAC_MAX_AGE)]
+    def test_step_size_control(self, monkeypatch):
+        # the fig2 drop to t = 1e4: each attempt's step follows from the one
+        # before it as run_simulation's docstring states
+        attempts = record_attempts(monkeypatch)
+        sc = cli.preset("fig2")
+        res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
+                             sc.step, sc.variant, sc.params, sc.grid)
+        assert res.summary.failure is None and res.summary.max_film_mass_drift < 1e-10
+        targets = (*sc.snapshot_times, 1e4)
+        accepted, stale, kinds = 0, False, set()
+        for a, b in zip(attempts, attempts[1:]):
+            k = min(accepted + 1, 3)  # history states: the estimate's order
+            factor = 0.9 * a["err"] ** (-1.0 / k)
+            stale = stale and not a["refreshed"]
+            if a["err"] <= 1.0:
+                accepted, stale = accepted + 1, True
+                h = a["h"] if 1.0 <= factor < 1.2 else a["h"] * min(5.0, factor)
+                assert b["h"] == h or b["h"] < h and b["t0"] + b["h"] in targets
+                kinds.add("accepted")
+            elif stale:
+                assert b["h"] == a["h"] and b["refreshed"]
+                kinds.add("refreshed")
+            else:
+                assert b["h"] == a["h"] * max(0.2, factor) and not b["refreshed"]
+                kinds.add("shrunk")
+        assert kinds == {"accepted", "refreshed", "shrunk"}
+        assert accepted + 1 == res.summary.steps
+        assert len(attempts) == res.summary.steps + res.summary.rejected_steps
 
-    def test_dt_change_takes_a_fresh_jacobian(self, noflux_grid, monkeypatch):
-        # dt = 1, 1, 0.5, 1, 1, 0.5: the landing steps 2 -> 2.5 and
-        # 4.5 -> 5, and the full step after the first, change dt
-        refreshes = self.record_refreshes(monkeypatch)
-        res = run_simulation(smooth_state(noflux_grid, seed=40), 5.0, (2.5,),
-                             StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
-                             noflux_grid)
-        assert res.summary.steps == 6
-        assert refreshes == [0.0, 2.0, 2.5, 4.5]
+    def test_breach_shrinks_the_step(self, noflux_grid, monkeypatch):
+        # a film at twice the floor, which advance thins through it at
+        # dt = 1: the run retries at a fifth of the step until it holds
+        eta = np.ones(noflux_grid.n_nodes)
+        eta[5] = 2e-8
+        s = State(eta, np.ones(noflux_grid.n_nodes))
+        args = (ModelVariant.FULL_CM, Params(), noflux_grid)
+        with pytest.raises(PositivityError):
+            advance(s, StepConfig(dt=1.0), *args)
+        attempts = record_attempts(monkeypatch)
+        res = run_simulation(s, 1.0, (), StepConfig(dt=1.0), *args)
+        assert res.summary.failure is None and res.summary.final_time == 1.0
+        assert attempts[0]["raised"] == "PositivityError"
+        assert attempts[1]["h"] == 0.2 * attempts[0]["h"]
+        assert res.summary.max_film_mass_drift < 1e-10
 
-    def test_failed_held_step_is_retried_fresh(self, noflux_grid, monkeypatch):
-        # the first solve with the held Jacobian (step 2) raises; the step is
-        # retried with a fresh Jacobian and equals advance from its start
-        args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), noflux_grid)
-        s0 = smooth_state(noflux_grid, seed=41)
-        held = run_simulation(s0, 2.0, (1.0,), *args).snapshots[2].state
-        solved, raised = [], []
+    def test_singular_solve_shrinks_the_step(self, noflux_grid, monkeypatch):
+        # the first two solves raise, as a singular band would
+        raised = []
         real = timestepper.FdJacobian.solve
 
         def failing_solve(jac, b):
-            if any(jac is j for j in solved) and not raised:
-                raised.append(jac)
-                raise PositivityError(0, 0.0)
-            solved.append(jac)
+            if len(raised) < 2:
+                raised.append(1)
+                raise np.linalg.LinAlgError("singular Jacobian (gbtrf info 3)")
             return real(jac, b)
 
         monkeypatch.setattr(timestepper.FdJacobian, "solve", failing_solve)
-        res = run_simulation(s0, 2.0, (1.0,), *args)
-        monkeypatch.undo()
-        assert len(raised) == 1 and res.summary.failure is None
-        fresh, report = advance(res.snapshots[1].state, *args)
-        assert res.snapshots[2].report == report
-        np.testing.assert_array_equal(res.snapshots[2].state.eta, fresh.eta)
-        np.testing.assert_array_equal(res.snapshots[2].state.gamma, fresh.gamma)
-        assert not np.array_equal(held.eta, fresh.eta)  # the retry is visible
+        attempts = record_attempts(monkeypatch)
+        res = run_simulation(smooth_state(noflux_grid, seed=41), 2.0, (), StepConfig(dt=1.0),
+                             ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert res.summary.failure is None and res.summary.final_time == 2.0
+        assert [a["raised"] for a in attempts[:3]] == ["LinAlgError"] * 2 + [None]
+        assert [a["h"] for a in attempts[:3]] == [1.0, 0.2, 0.2 * 0.2]
 
-    def test_stale_held_jacobian_is_retried_fresh(self, monkeypatch):
-        # the fig2 drop's t = 0 Jacobian at dt = 100, held into t = 100,
-        # grows the residual x2.83 (its own first step cut it to 0.162 of
-        # the start): the guard rejects the update and the step equals
-        # advance from its start
-        sc = cli.preset("fig2")
-        args = (sc.step, sc.variant, sc.params, sc.grid)
-        s0 = cli.build_initial_state(sc)
-        start = run_simulation(s0, 100.0, (), *args).snapshots[-1].state
-        hold = timestepper._Held(timestepper.JAC_MAX_AGE)
-        advance(s0, *args, _held=hold)
-        assert hold.jac is not None and hold.left == timestepper.JAC_MAX_AGE - 1
-        refreshes = self.record_refreshes(monkeypatch)
-        calls = self.count_advance_calls(monkeypatch)
-        retried, report = advance(start, *args, _held=hold)
-        monkeypatch.undo()
-        assert refreshes == [100.0] and len(calls) == 1  # the retry's own call
-        assert hold.left == timestepper.JAC_MAX_AGE - 1  # the retry opened a hold
-        fresh, fresh_report = advance(start, *args)
-        assert report == fresh_report
-        np.testing.assert_array_equal(retried.eta, fresh.eta)
-        np.testing.assert_array_equal(retried.gamma, fresh.gamma)
-
-    def test_film_mass_conserved_over_a_reuse_run(self, monkeypatch):
-        # fig2 to t = 1e4: 102 steps, all but the first three at dt = 100;
-        # every refresh is a dt change or the clock, and no held step is
-        # retried
-        sc = cli.preset("fig2")
-        refreshes = self.record_refreshes(monkeypatch)
-        calls = self.count_advance_calls(monkeypatch)
-        res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
-                             sc.step, sc.variant, sc.params, sc.grid)
-        assert res.summary.steps == 102 and res.summary.failure is None
-        assert refreshes == [0.0, 1.0, 10.0, 100.0, 3100.0, 6100.0, 9100.0]
-        assert len(calls) == res.summary.steps
-        assert res.summary.max_film_mass_drift < 1e-10
-
-    def test_constant_dt_run_keeps_film_mass(self, monkeypatch):
-        # the fig2 drop at dt = 100 throughout (no snapshot lands a step):
-        # only the guard ends a hold before its 30 steps; on the clock alone
-        # stale holds drift the film and breach positivity at t = 1000.  No
-        # held step is accepted with a residual that grew, which would let
-        # the surfactant drift
-        sc = cli.preset("fig2")
-        refreshes = self.record_refreshes(monkeypatch)
-        held = []
+    def test_underflow_after_rejections_is_a_failure(self, noflux_grid, monkeypatch):
+        # every error estimate above 1: the step shrinks by 5 until it
+        # underflows, and the snapshot taken before is kept
         real = timestepper.advance
 
-        def recording(*args, **kwargs):
-            taken = len(refreshes)
-            end, report = real(*args, **kwargs)
-            if len(refreshes) == taken:  # no fresh Jacobian, a retry's included
-                held.append(report)
+        def inaccurate(state, cfg, *args, _held):
+            end, report = real(state, cfg, *args, _held=_held)
+            if state.t > 0.5:
+                _held.err = 1e6
             return end, report
 
-        monkeypatch.setattr(timestepper, "advance", recording)
-        res = run_simulation(cli.build_initial_state(sc), 3000.0, (), sc.step,
-                             sc.variant, sc.params, sc.grid)
-        assert res.summary.failure is None and res.summary.steps == 30
-        assert held and all(
-            rep.residual_norm_after <= max(sc.step.newton_tol, rep.residual_norm_before)
-            for rep in held)
-        assert res.summary.max_film_mass_drift < 1e-8
-        assert res.summary.final_surfactant_mass_drift < 1e-3
+        monkeypatch.setattr(timestepper, "advance", inaccurate)
+        res = run_simulation(smooth_state(noflux_grid, seed=42), 2.0, (0.5,),
+                             StepConfig(dt=0.1), ModelVariant.FULL_CM, Params(),
+                             noflux_grid)
+        assert res.summary.failure.startswith("error estimate 1.000e+06; step ")
+        assert [snap.time for snap in res.snapshots] == [0.0, 0.5]
+        assert 0.5 < res.summary.final_time < 2.0
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.01, 0.3),
            boundary=st.sampled_from(list(BoundaryKind)))
-    # recorded counterexamples, run whatever the example database holds: the
-    # symmetric one needs capillary fluxes exactly 0 at the walls; the
-    # periodic ones drift 1.10e-10, as the probes difference rhs after div_flux
+    # recorded counterexamples of the fixed-step driver, run whatever the
+    # example database holds: the symmetric one needed capillary fluxes
+    # exactly 0 at the walls; the periodic ones drifted 1.10e-10 with a
+    # Jacobian held over 30 steps (3.7e-15 and 3.6e-15 here)
     @example(seed=9514521, amp=0.125, boundary=BoundaryKind.NO_FLUX_SYMMETRIC)
     @example(seed=1, amp=0.28125, boundary=BoundaryKind.PERIODIC)
     @example(seed=170, amp=0.25, boundary=BoundaryKind.PERIODIC)
     def test_held_runs_conserve_film_mass(self, seed, amp, boundary):
-        # 40 steps of held Jacobians from a random smooth state: every
-        # accepted step keeps the film, and a flat state stays flat exactly
+        # a run to t = 40 from a random smooth state: every accepted step
+        # keeps the film, and a flat state stays flat exactly
         grid = Grid(33, 10.0, boundary)
         args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), grid)
         s0 = smooth_state(grid, seed=seed, eta_amp=amp, gamma_amp=2 * amp)
         res = run_simulation(s0, 40.0, (), *args)
-        assert res.summary.failure is None and res.summary.steps == 40
+        assert res.summary.failure is None and res.summary.final_time == 40.0
         assert res.summary.max_film_mass_drift < 1e-10
         flat = flat_state(grid.n_nodes, eta=1.0 + amp, gamma=1.0 - amp)
         end = run_simulation(flat, 40.0, (), *args).snapshots[-1].state
         np.testing.assert_array_equal(end.eta, flat.eta)
         np.testing.assert_array_equal(end.gamma, flat.gamma)
-
-    @pytest.mark.parametrize("case", ["fig2", "periodic"])
-    def test_unheld_run_is_a_loop_of_advance(self, monkeypatch, case):
-        # with JAC_MAX_AGE = 1 no Jacobian outlives its step, so the run is
-        # standalone advance calls over its dt sequence, landing steps too
-        if case == "fig2":  # 0 -> 1 -> 4 -> 7 -> 10 -> ... -> 19 -> 20
-            sc = cli.preset("fig2")
-            t_end, times, dt = 20.0, (1.0, 10.0), 3.0
-            dts, at = [1.0] + [3.0] * 6 + [1.0], (1, 4, 8)
-        else:  # one corrugation wave on a ring, 0 -> 1 -> 2 -> 2.5 -> ... -> 5
-            sc = dataclasses.replace(cli.preset("fig4"),
-                                     grid=Grid(65, 4.0 * np.pi, BoundaryKind.PERIODIC))
-            t_end, times, dt = 5.0, (2.5,), 1.0
-            dts, at = [1.0, 1.0, 0.5] * 2, (3, 6)
-        s0 = cli.build_initial_state(sc)
-        args = (sc.variant, sc.params, sc.grid)
-        steps = [(s0, None)]
-        for step_dt in dts:
-            steps.append(advance(steps[-1][0], StepConfig(dt=step_dt), *args))
-        monkeypatch.setattr(timestepper, "JAC_MAX_AGE", 1)
-        res = run_simulation(s0, t_end, times, StepConfig(dt=dt), *args)
-        assert res.summary.steps == len(dts) and res.summary.failure is None
-        assert [snap.time for snap in res.snapshots] == [0.0, *times, t_end]
-        for snap, i in zip(res.snapshots[1:], at, strict=True):
-            state, report = steps[i]
-            assert snap.report == report
-            np.testing.assert_array_equal(snap.state.eta, state.eta)
-            np.testing.assert_array_equal(snap.state.gamma, state.gamma)
 
     def test_advance_keeps_nothing_from_a_run(self, noflux_grid):
         args = (StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(), noflux_grid)
@@ -1124,3 +1121,7 @@ class TestStepConfig:
             StepConfig(dt=1.0, jacobian="analytic")
         with pytest.raises(TypeError):  # no such knob: timestepper.FD_EPSILON
             StepConfig(dt=1.0, fd_epsilon=1e-7)
+        for rtol in (0.0, -1e-6, 1.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"rtol must lie in \(0, 1\)"):
+                StepConfig(dt=1.0, rtol=rtol)
+        assert StepConfig(dt=1.0).rtol == 1e-6
