@@ -79,18 +79,19 @@ def batch_shape(grid):
 
 def record_attempts(monkeypatch) -> list:
     """One dict per step attempt run_simulation makes through
-    ``timestepper.advance``: its start time t0 and step h, whether it
-    refreshed the held band, the exception it raised (None) and its error
-    estimate (inf when it raised)."""
+    ``timestepper.advance``: its start time t0 and step h, its report (None
+    when it raised), whether it refreshed the held band, the exception it
+    raised (None) and its error estimate (inf when it raised)."""
     attempts = []
     real = timestepper.advance
 
     def recording(state, cfg, *args, _held):
-        attempt = {"t0": state.t, "h": cfg.dt, "raised": None}
+        attempt = {"t0": state.t, "h": cfg.dt, "report": None, "raised": None}
         attempts.append(attempt)
         refreshes = _held.refreshes
         try:
-            return real(state, cfg, *args, _held=_held)
+            end, attempt["report"] = real(state, cfg, *args, _held=_held)
+            return end, attempt["report"]
         except Exception as exc:
             attempt["raised"] = type(exc).__name__
             raise
@@ -676,19 +677,11 @@ class TestRunSimulation:
 
     def test_summary_drifts_come_from_the_reports(self, noflux_grid, monkeypatch):
         # the drifts of every accepted attempt's report, and of no other
-        reports = []
-        real = timestepper.advance
-
-        def recording(*args, _held):
-            end, report = real(*args, _held=_held)
-            if _held.err <= 1.0:
-                reports.append(report)
-            return end, report
-
-        monkeypatch.setattr(timestepper, "advance", recording)
+        attempts = record_attempts(monkeypatch)
         s = smooth_state(noflux_grid, seed=44)
         res = run_simulation(s, 8.0, (4.0,), StepConfig(dt=1.0),
                              ModelVariant.FULL_CM, Params(), noflux_grid)
+        reports = [a["report"] for a in attempts if a["err"] <= 1.0]
         assert res.summary.steps == len(reports) and res.summary.rejected_steps > 0
         assert res.snapshots[-1].report is reports[-1]
         assert any(res.snapshots[1].report is rep for rep in reports)
