@@ -441,7 +441,7 @@ def _scenario_from_args(args) -> Scenario:
         scenario = preset(args.preset)
     else:
         scenario = default_scenario()
-    flags = {"grid": {"n_nodes": args.nodes}, "step": {"dt": args.dt, "rtol": args.rtol},
+    flags = {"grid": {"n_nodes": args.nodes}, "step": {"dt": args.dt},
              "params": {"inv_peclet": args.delta_s}}
     overrides = {section: {k: v for k, v in keys.items() if v is not None}
                  for section, keys in flags.items()}
@@ -464,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=[v.value for v in ModelVariant])
         p.add_argument("--nodes", type=int, help="override grid.n_nodes")
         p.add_argument("--dt", type=float, help="override the (first) time step")
-        p.add_argument("--rtol", type=float, help="override the run's error tolerance")
         p.add_argument("--delta-s", dest="delta_s", type=float,
                        help="override inverse Peclet number")
 

@@ -20,15 +20,15 @@ Jacobian and the residual there; ``_linearised``'s cache hands both on.
 ``advance`` alone is backward Euler over cfg.dt, each Newton update on a
 fresh Jacobian.  ``run_simulation`` picks its own steps h, each attempt an
 ``advance`` whose ``_Held`` history makes it variable-step BDF2 (Hairer,
-Norsett & Wanner, Solving ODEs I, III.5): with w = h / h_prev, backward
-Euler from u_n over h (1 + w) / (1 + 2w), less w / (1 + w) (u_n - u_n-1)
-/ h_prev in the residual; a run's first step is backward Euler.  Newton
-opens at the last three accepted states (two, one) extrapolated to the
-new time, on the held band (a new LU when its shift moves).  Milne's
-device, E_c / (E_c + E_p) (u - u_pred), estimates the error, whose RMS
-norm scaled by rtol * (1 + |u|) steers h (Gustafsson, ACM TOMS 20, 1994).
-An attempt costs one rhs call, stacked over the probes when it refreshes
-the band, one gbtrs and the masses of its end state.
+Norsett & Wanner, Solving ODEs I, III.5), backward Euler on a run's first
+step: with w = h / h_prev, backward Euler from u_n over h (1 + w) / (1 +
+2w), less w / (1 + w) (u_n - u_n-1) / h_prev in the residual.  Newton
+opens at the accepted states extrapolated, on the held band (a new LU
+when its shift moves).  Milne's device, E_c / (E_c + E_p) (u - u_pred),
+estimates the error; its RMS norm scaled by RTOL * (1 + |u|) steers h
+(Gustafsson, ACM TOMS 20, 1994).  An attempt costs one rhs call (stacked
+over the probes to refresh the band), one gbtrs and its end's masses, and
+one more rhs call and gbtrs to check its Newton error on a snapshot.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs): half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric
@@ -64,19 +64,18 @@ STENCIL_REACH = 3  # node reach of one eta column (outer divergence of
 GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
                    # only through gamma, gamma_x and the nodal tension
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
+RTOL = 1e-6        # run_simulation's error tolerance, relative to 1 + |u|
 
 
 @dataclass(frozen=True)
 class StepConfig:
     """Step controls: ``advance``'s step dt, also ``run_simulation``'s first
-    trial step, whose error estimates scaled by rtol * (1 + |u|) stay <= 1;
-    at most newton_iters Newton updates per step, stopping early once the
-    residual max-norm is <= newton_tol."""
+    trial step; at most newton_iters Newton updates per step, stopping early
+    once the residual max-norm is <= newton_tol."""
 
     dt: float
     newton_iters: int = 1
     newton_tol: float = 1e-10
-    rtol: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -86,8 +85,6 @@ class StepConfig:
             raise ValueError(f"newton_iters must be an integer >= 1, got {iters!r}")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if not 0 < self.rtol < 1:
-            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -286,14 +283,15 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
 @dataclass
 class _Held:
     """run_simulation's carrier through ``advance``: up to three accepted
-    (t, stacked eta and gamma) pairs, newest last; the held band, None to
-    refresh it at the next predictor, whether it is older than the current
-    step, and the refresh count; the last attempt's error estimate."""
+    (t, stacked eta and gamma) pairs, newest last; the held band (None: take
+    one at the next predictor), whether it predates the step, the refresh
+    count; whether the attempt lands on a snapshot; its error estimate."""
 
     past: list
     band: FdJacobian | None = None
     stale: bool = False
     refreshes: int = 0
+    check: bool = False
     err: float = math.inf
 
     def start(self, h: float):
@@ -325,8 +323,9 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
     """One step of cfg.dt via at most cfg.newton_iters Newton updates: alone,
     backward Euler, each update on a fresh Jacobian; with run_simulation's
     ``_held``, a BDF2 attempt from its history (newest: state) on its band,
-    refreshed at the predictor if it holds none, with no residual after
-    the last update, leaving the error estimate in ``_held``."""
+    refreshed at the predictor if it holds none, leaving in ``_held`` its
+    error estimate: Milne's, or the Newton update J^-1 r at the residual
+    taken after the last update (always if ``_held.check``) if larger."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
@@ -352,16 +351,16 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
 
     neg_r = (_interleave(base.deta_dt, base.dgamma_dt) if held is None  # -r at u_new = u_old
              else _negated_residual(current, state, dt, base, lag))
-    norm_before, norm_after = float(np.abs(neg_r).max()), math.nan
+    norm_before = float(np.abs(neg_r).max())
     for it in range(cfg.newton_iters):
         if it and held is None:
             jac = jacobian_fd(current, cfg, variant, params, grid)
-        du = jac.solve(neg_r)
+        du, norm_after = jac.solve(neg_r), math.nan  # nan: no residual after du
         # State rejects a film that breached the floor, before any rhs call
         current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
         if held is None:
             base = _linearised(variant, current, params, grid).base
-        elif it + 1 < cfg.newton_iters:
+        elif it + 1 < cfg.newton_iters or held.check:
             base = rhs(variant, current, params, grid)
         else:
             break
@@ -372,8 +371,9 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
 
     if held is not None:
         u = np.stack((current.eta, current.gamma))
-        scaled = (u - pred) / (cfg.rtol * (1.0 + np.abs(u)))
-        held.err = milne * math.sqrt(float(np.mean(scaled * scaled)))
+        newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
+        held.err = max(math.sqrt(np.mean((e / (RTOL * (1.0 + np.abs(u)))) ** 2))
+                       for e in (milne * (u - pred), *newton))  # the next update: Newton's error
     return current, StepReport(norm_before, norm_after, it + 1,
                                film_mass(current, grid), surfactant_mass(current, grid))
 
@@ -412,13 +412,14 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     when t_end > 0, the state at t_end as the last snapshot.
 
     Each step h, first cfg.dt, is attempted through ``advance``, cut to land
-    exactly on the next snapshot time.  An error estimate err <= 1 of order
-    k accepts it; the next h is h * min(5, 0.9 * err**(-1/k)), or h, keeping
-    the LU, if that factor is in [1, 1.2).  A rejected attempt is retried
-    on a fresh band if its own is older than the step, else on
-    h * max(0.2, 0.9 * err**(-1/k)); a positivity breach or a singular solve
-    takes h / 5.  Below 10 ulps of the target time h ends the run, returning
-    the partial results with the failure in the summary."""
+    exactly on the next snapshot time, where it checks its Newton error.  An
+    error estimate err <= 1 of order k accepts it; the next h is h * min(2,
+    0.9 * err**(-1/k)) (BDF2 is zero-stable below 1 + sqrt(2)), or h, keeping
+    the LU, if that factor is in [1, 1.2).  An attempt rejected, or raising
+    PositivityError or LinAlgError, is retried on a fresh band if its own
+    predates the step, else on h * max(0.2, 0.9 * err**(-1/k)), h / 5 if it
+    raised.  Below 10 ulps of the target time h ends the run, returning the
+    partial results with the failure in the summary."""
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
@@ -435,18 +436,18 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     t, state, h, held = 0.0, s0, cfg.dt, _Held([(0.0, np.stack((s0.eta, s0.gamma)))])
     while pending:
         target = pending[0]
-        step = min(h, target - t)
+        step, held.check = min(h, target - t), h >= target - t
         try:
             new, report = advance(state, replace(cfg, dt=step), variant, params, grid,
                                   _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
             new, held.err, why = None, math.inf, f"{type(exc).__name__}: {exc}"
         k = len(held.past)  # the order of the estimate: the predictor's degree + 1
-        factor = min(5.0, max(0.2, 0.9 * held.err ** (-1.0 / k))) if held.err else 5.0
+        factor = min(2.0, max(0.2, 0.9 * held.err ** (-1.0 / k))) if held.err else 2.0
         if held.err > 1.0:
             summary.rejected_steps += 1
-            if new is not None and held.stale:
-                held.band = None  # freed before the stacked rhs call
+            if held.stale:
+                held.band, held.stale = None, False  # freed before the stacked rhs call
             elif (h := step * factor) < 10.0 * math.ulp(target):
                 why = why if new is None else f"error estimate {held.err:.3e}"
                 summary.failure = f"{why}; step {h:.3e} underflowed at t = {t:.17g}"
@@ -454,7 +455,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
             continue
 
         summary.steps += 1
-        t = target if step == target - t else t + step
+        t = target if held.check else t + step
         state = new if new.t == t else State(new.eta, new.gamma, t)  # s0.t need not be 0
         held.past, held.stale = [*held.past[-2:], (t, np.stack((state.eta, state.gamma)))], True
         h = step if 1.0 <= factor < 1.2 else step * factor
@@ -462,7 +463,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         summary.final_surfactant_mass_drift = surf = abs(_drift(report.surfactant_mass, surf0))
         summary.max_film_mass_drift = max(summary.max_film_mass_drift, film)
         summary.max_surfactant_mass_drift = max(summary.max_surfactant_mass_drift, surf)
-        if t == target:
+        if held.check:
             result.snapshots.append(Snapshot(t, state, report))
             pending.pop(0)
 

@@ -6,14 +6,14 @@ Each compares runs refined by halves: the differences between successive
 runs fall by 2**p for a method of order p, and p is read off their ratio
 (Roache, Verification and Validation in Computational Science and
 Engineering, 1998).  The error-controlled ``run_simulation`` is gated on
-its tolerance instead: its error falls with rtol.
+its tolerance instead: its error falls with ``timestepper.RTOL``.
 """
 
 import dataclasses
 
 import numpy as np
 
-from lubrisim import StepConfig, advance, run_simulation
+from lubrisim import StepConfig, advance, run_simulation, timestepper
 from lubrisim.cli import build_initial_state, preset
 
 CONVERGED = dict(newton_iters=10, newton_tol=1e-11)
@@ -63,16 +63,16 @@ def test_time_order_is_one():
     np.testing.assert_allclose(got, 1.0, atol=0.2)
 
 
-def test_run_error_falls_with_rtol():
+def test_run_error_falls_with_rtol(monkeypatch):
     # the fig2 drop to t = 100 (snapshots 1, 10, 100) against a run at
-    # rtol = 1e-9: the error falls at least 2.5 times per decade of rtol
-    # (1.33e-3 / 3.78e-4 / 1.13e-4 at rtol = 1e-4 / 1e-5 / 1e-6)
+    # RTOL = 1e-9: the error falls at least 2.5 times per decade of RTOL
+    # (1.36e-3 / 3.73e-4 / 1.08e-4 at RTOL = 1e-4 / 1e-5 / 1e-6)
     fig2 = preset("fig2")
     s0 = build_initial_state(fig2)
 
     def snapshots(rtol):
-        res = run_simulation(s0, 100.0, (1.0, 10.0, 100.0),
-                             StepConfig(dt=fig2.step.dt, rtol=rtol), fig2.variant,
+        monkeypatch.setattr(timestepper, "RTOL", rtol)
+        res = run_simulation(s0, 100.0, (1.0, 10.0, 100.0), fig2.step, fig2.variant,
                              fig2.params, fig2.grid)
         assert res.summary.failure is None
         return [snap.state for snap in res.snapshots]

@@ -79,14 +79,16 @@ def batch_shape(grid):
 
 def record_attempts(monkeypatch) -> list:
     """One dict per step attempt run_simulation makes through
-    ``timestepper.advance``: its start time t0 and step h, its report (None
-    when it raised), whether it refreshed the held band, the exception it
-    raised (None) and its error estimate (inf when it raised)."""
+    ``timestepper.advance``: its start time t0 and step h, whether it lands
+    on a snapshot and so checks its Newton error, its report (None when it
+    raised), whether it refreshed the held band, the exception it raised
+    (None) and its error estimate (inf when it raised)."""
     attempts = []
     real = timestepper.advance
 
     def recording(state, cfg, *args, _held):
-        attempt = {"t0": state.t, "h": cfg.dt, "report": None, "raised": None}
+        attempt = {"t0": state.t, "h": cfg.dt, "check": _held.check, "report": None,
+                   "raised": None}
         attempts.append(attempt)
         refreshes = _held.refreshes
         try:
@@ -939,7 +941,8 @@ class TestHeldJacobian:
         attempts = record_attempts(monkeypatch)
         s0 = smooth_state(noflux_grid, seed=40)
         args = (ModelVariant.FULL_CM, Params(), noflux_grid)
-        cfg = StepConfig(dt=0.01, rtol=0.01)
+        monkeypatch.setattr(timestepper, "RTOL", 0.01)
+        cfg = StepConfig(dt=0.01)
         res = run_simulation(s0, cfg.dt, (), cfg, *args)
         assert [a["refreshed"] for a in attempts] == [True] and attempts[0]["err"] <= 1.0
         monkeypatch.undo()
@@ -949,13 +952,15 @@ class TestHeldJacobian:
         np.testing.assert_array_equal(snap.state.gamma, end.gamma)
         assert (snap.report.film_mass, snap.report.surfactant_mass) == (
             report.film_mass, report.surfactant_mass)
+        # the attempt lands on t_end, so it takes its residual after the update
         assert snap.report.residual_norm_before == report.residual_norm_before
-        assert math.isnan(snap.report.residual_norm_after)  # none evaluated
+        assert snap.report.residual_norm_after == report.residual_norm_after
 
     @pytest.mark.parametrize("case", ["fig2", "periodic"])
-    def test_one_rhs_call_per_attempt(self, case, monkeypatch):
-        # at the predictor, stacked over the probes where the band is
-        # refreshed; every Jacobian goes through jacobian_fd
+    def test_rhs_calls_per_attempt(self, case, monkeypatch):
+        # one at the predictor, stacked over the probes where the band is
+        # refreshed, and one after the update where the attempt lands on a
+        # snapshot; every Jacobian goes through jacobian_fd
         shapes = record_rhs_shapes(monkeypatch)
         attempts = record_attempts(monkeypatch)
         jacobians = []
@@ -967,18 +972,21 @@ class TestHeldJacobian:
             g, s0, t_end = sc.grid, cli.build_initial_state(sc), 1000.0
         else:
             g = Grid(33, 10.0, BoundaryKind.PERIODIC)
-            s0, t_end = smooth_state(g, seed=36), 20.0
+            s0, t_end = smooth_state(g, seed=36), 100.0
         res = run_simulation(s0, t_end, (5.0,), StepConfig(dt=1.0),
                              ModelVariant.FULL_CM, Params(), g)
         assert res.summary.steps + res.summary.rejected_steps == len(attempts)
-        assert shapes == [batch_shape(g) if a["refreshed"] else (g.n_nodes,)
-                          for a in attempts]
+        assert shapes == [shape for a in attempts for shape in (
+            [batch_shape(g) if a["refreshed"] else (g.n_nodes,)]
+            + [(g.n_nodes,)] * (a["check"] and a["report"] is not None))]
+        assert sum(a["check"] and a["err"] <= 1.0 for a in attempts) == 2
         assert res.summary.jacobian_refreshes == len(jacobians) == sum(
             a["refreshed"] for a in attempts) > 1
 
     def test_step_size_control(self, monkeypatch):
         # the fig2 drop to t = 1e4: each attempt's step follows from the one
-        # before it as run_simulation's docstring states
+        # before it as run_simulation's docstring states, and no accepted
+        # step is more than twice the one before (BDF2's zero-stability)
         attempts = record_attempts(monkeypatch)
         sc = cli.preset("fig2")
         res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
@@ -992,11 +1000,12 @@ class TestHeldJacobian:
             stale = stale and not a["refreshed"]
             if a["err"] <= 1.0:
                 accepted, stale = accepted + 1, True
-                h = a["h"] if 1.0 <= factor < 1.2 else a["h"] * min(5.0, factor)
-                assert b["h"] == h or b["h"] < h and b["t0"] + b["h"] in targets
+                h = a["h"] if 1.0 <= factor < 1.2 else a["h"] * min(2.0, factor)
+                assert b["h"] == h or b["h"] < h and b["check"]
                 kinds.add("accepted")
             elif stale:
                 assert b["h"] == a["h"] and b["refreshed"]
+                stale = False
                 kinds.add("refreshed")
             else:
                 assert b["h"] == a["h"] * max(0.2, factor) and not b["refreshed"]
@@ -1004,6 +1013,8 @@ class TestHeldJacobian:
         assert kinds == {"accepted", "refreshed", "shrunk"}
         assert accepted + 1 == res.summary.steps
         assert len(attempts) == res.summary.steps + res.summary.rejected_steps
+        steps = [a["h"] for a in attempts if a["err"] <= 1.0]
+        assert max(b / a for a, b in zip(steps, steps[1:])) <= 2.0
 
     def test_breach_shrinks_the_step(self, noflux_grid, monkeypatch):
         # a film at twice the floor, which advance thins through it at
@@ -1040,6 +1051,64 @@ class TestHeldJacobian:
         assert [a["raised"] for a in attempts[:3]] == ["LinAlgError"] * 2 + [None]
         assert [a["h"] for a in attempts[:3]] == [1.0, 0.2, 0.2 * 0.2]
 
+    def test_singular_solve_on_a_stale_band_refreshes_it(self, noflux_grid, monkeypatch):
+        # the tenth solve raises, on a band taken before the step: the same
+        # step is retried on a band taken at its predictor
+        calls = []
+        real = timestepper.FdJacobian.solve
+
+        def failing_solve(jac, b):
+            calls.append(1)
+            if len(calls) == 10:
+                raise np.linalg.LinAlgError("singular Jacobian (gbtrf info 3)")
+            return real(jac, b)
+
+        monkeypatch.setattr(timestepper.FdJacobian, "solve", failing_solve)
+        attempts = record_attempts(monkeypatch)
+        res = run_simulation(smooth_state(noflux_grid, seed=41), 2.0, (), StepConfig(dt=0.1),
+                             ModelVariant.FULL_CM, Params(), noflux_grid)
+        assert res.summary.failure is None and res.summary.final_time == 2.0
+        i = [a["raised"] for a in attempts].index("LinAlgError")
+        last = max(j for j in range(i + 1) if attempts[j]["refreshed"])
+        assert any(a["err"] <= 1.0 for a in attempts[last:i])  # a band before the step
+        assert not attempts[i]["refreshed"] and attempts[i + 1]["refreshed"]
+        assert attempts[i + 1]["h"] == attempts[i]["h"]
+
+    def test_landing_attempts_check_their_newton_error(self, monkeypatch):
+        # an attempt that lands on a snapshot takes its residual after the
+        # update, and its Newton update J^-1 r on the held band enters its
+        # error estimate: every snapshot a run returns is converged to
+        # within the tolerance, also as seen from a fresh Jacobian
+        checked = []
+        real = timestepper.advance
+
+        def checking(state, cfg, variant, params, grid, *, _held):
+            dt, lag = _held.start(cfg.dt)[:2]
+            end, report = real(state, cfg, variant, params, grid, _held=_held)
+            if _held.check:
+                neg_r = timestepper._negated_residual(
+                    end, state, dt, timestepper.rhs(variant, end, params, grid), lag)
+                fresh = timestepper.jacobian_fd(end, StepConfig(dt=dt), variant, params, grid)
+                scale = timestepper.RTOL * (1.0 + np.abs(np.stack((end.eta, end.gamma))))
+                errors = [np.sqrt(np.mean((np.stack((e[0::2], e[1::2])) / scale) ** 2))
+                          for e in (_held.band.solve(neg_r), fresh.solve(neg_r))]
+                checked.append((_held.err, *errors))
+            return end, report
+
+        monkeypatch.setattr(timestepper, "advance", checking)
+        for name in ("fig2", "fig4"):
+            sc = cli.preset(name)
+            checked.clear()
+            res = run_simulation(cli.build_initial_state(sc), max(sc.snapshot_times),
+                                 sc.snapshot_times, sc.step, sc.variant, sc.params, sc.grid)
+            assert res.summary.failure is None
+            assert all(math.isfinite(snap.report.residual_norm_after)
+                       and snap.report.residual_norm_after < snap.report.residual_norm_before
+                       for snap in res.snapshots[1:])
+            assert all(err >= held for err, held, _ in checked)
+            accepted = [fresh for err, _, fresh in checked if err <= 1.0]
+            assert len(accepted) == len(res.snapshots) - 1 and max(accepted) < 1.0
+
     def test_underflow_after_rejections_is_a_failure(self, noflux_grid, monkeypatch):
         # every error estimate above 1: the step shrinks by 5 until it
         # underflows, and the snapshot taken before is kept
@@ -1065,7 +1134,7 @@ class TestHeldJacobian:
     # recorded counterexamples of the fixed-step driver, run whatever the
     # example database holds: the symmetric one needed capillary fluxes
     # exactly 0 at the walls; the periodic ones drifted 1.10e-10 with a
-    # Jacobian held over 30 steps (3.7e-15 and 3.6e-15 here)
+    # Jacobian held over 30 steps (5.2e-15 and 3.0e-15 here)
     @example(seed=9514521, amp=0.125, boundary=BoundaryKind.NO_FLUX_SYMMETRIC)
     @example(seed=1, amp=0.28125, boundary=BoundaryKind.PERIODIC)
     @example(seed=170, amp=0.25, boundary=BoundaryKind.PERIODIC)
@@ -1114,7 +1183,5 @@ class TestStepConfig:
             StepConfig(dt=1.0, jacobian="analytic")
         with pytest.raises(TypeError):  # no such knob: timestepper.FD_EPSILON
             StepConfig(dt=1.0, fd_epsilon=1e-7)
-        for rtol in (0.0, -1e-6, 1.0, 1.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match=r"rtol must lie in \(0, 1\)"):
-                StepConfig(dt=1.0, rtol=rtol)
-        assert StepConfig(dt=1.0).rtol == 1e-6
+        with pytest.raises(TypeError):  # no such knob: timestepper.RTOL
+            StepConfig(dt=1.0, rtol=1e-6)
