@@ -306,7 +306,7 @@ def _write_run_report(path, scenario: Scenario, result: SimulationResult) -> Non
         f"variant: {scenario.variant.value}",
         f"steps: {s.steps}",
         f"rejected_steps: {s.rejected_steps}",
-        f"jacobian_refreshes: {s.jacobian_refreshes}",
+        f"jacobian_refreshes: {s.jacobian_refreshes}", f"factorisations: {s.factorisations}",
         f"final_time: {s.final_time:.17g}",
         f"max_film_mass_drift: {s.max_film_mass_drift:.6e}",
         f"max_surfactant_mass_drift: {s.max_surfactant_mass_drift:.6e}",

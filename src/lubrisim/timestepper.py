@@ -1,5 +1,5 @@
-"""Implicit time stepping: backward Euler and variable-step BDF2, solved
-by Newton iterations.
+"""Implicit time stepping: backward Euler and variable-order NDF, solved by
+Newton iterations.
 
 The unknowns are interleaved per node, u = (eta_0, gamma_0, eta_1,
 gamma_1, ...), over the m distinct nodes: all N of a symmetric grid, N-1
@@ -18,17 +18,16 @@ blocks.  One rhs call on a state stacked over its probes gives the
 Jacobian and the residual there; ``_linearised``'s cache hands both on.
 
 ``advance`` alone is backward Euler over cfg.dt, each Newton update on a
-fresh Jacobian.  ``run_simulation`` picks its own steps h, each attempt an
-``advance`` whose ``_Held`` history makes it variable-step BDF2 (Hairer,
-Norsett & Wanner, Solving ODEs I, III.5), backward Euler on a run's first
-step: with w = h / h_prev, backward Euler from u_n over h (1 + w) / (1 +
-2w), less w / (1 + w) (u_n - u_n-1) / h_prev in the residual.  Newton
-opens at the accepted states extrapolated, on the held band (a new LU
-when its shift moves).  Milne's device, E_c / (E_c + E_p) (u - u_pred),
-estimates the error; its RMS norm scaled by RTOL * (1 + |u|) steers h
-(Gustafsson, ACM TOMS 20, 1994).  An attempt costs one rhs call (stacked
-over the probes to refresh the band), one gbtrs and its end's masses, and
-one more rhs call and gbtrs to check its Newton error on a snapshot.
+fresh Jacobian.  ``run_simulation`` picks its own steps h and orders k <=
+MAX_ORDER, each attempt an ``advance`` whose ``_Held`` carrier makes it an
+NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997) on the
+backward differences D_j of the accepted solution at spacing h (Byrne &
+Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from pred -
+psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new LU
+when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
+scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (stacked over
+the probes to refresh the band), one gbtrs and its end's masses, and one
+more rhs call and gbtrs to check its Newton error on a snapshot.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs): half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric
@@ -65,6 +64,10 @@ GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
                    # only through gamma, gamma_x and the nodal tension
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
 RTOL = 1e-6        # run_simulation's error tolerance, relative to 1 + |u|
+MAX_ORDER = 4      # run_simulation's highest NDF order (fig2 and fig4 never pick 5)
+KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415])  # NDF kappa_k, per order k
+_GAMMA = np.r_[0.0, np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))]  # 1 + 1/2 + ... + 1/k
+_ALPHA, _ERRC = (1.0 - KAPPA) * _GAMMA, KAPPA * _GAMMA + 1.0 / np.arange(1, MAX_ORDER + 2)
 
 
 @dataclass(frozen=True)
@@ -112,15 +115,15 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
     if s_new.n_nodes != s_old.n_nodes:
         raise ValueError("states do not share a grid")
-    return -_negated_residual(s_new, s_old, cfg.dt, rhs(variant, s_new, params, grid))
+    return -_negated_residual(s_new, (s_old.eta, s_old.gamma), cfg.dt,
+                              rhs(variant, s_new, params, grid))
 
 
-def _negated_residual(s_new: State, s_old: State, dt: float, r: Rhs, lag=None) -> np.ndarray:
-    """-residual, exactly: a - b is -(b - a) in IEEE arithmetic, but for a zero's
-    sign; plus ``lag``, a BDF2 step's history share, when there is one."""
-    neg = _interleave(r.deta_dt - (s_new.eta - s_old.eta) / dt,
-                      r.dgamma_dt - (s_new.gamma - s_old.gamma) / dt)
-    return neg if lag is None else neg + lag
+def _negated_residual(s_new: State, old, dt: float, r: Rhs) -> np.ndarray:
+    """-residual of backward Euler from the (eta, gamma) pair ``old``, exactly:
+    a - b is -(b - a) in IEEE arithmetic, but for a zero's sign."""
+    return _interleave(r.deta_dt - (s_new.eta - old[0]) / dt,
+                       r.dgamma_dt - (s_new.gamma - old[1]) / dt)
 
 
 @dataclass
@@ -280,35 +283,59 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     return replace(_linearised(variant, state, params, grid), shift=1.0 / cfg.dt)
 
 
+def _rms(e: np.ndarray, u: np.ndarray) -> float:
+    return float(np.linalg.norm(e / (RTOL * (1.0 + np.abs(u))))) / math.sqrt(e.size)
+
+
 @dataclass
 class _Held:
-    """run_simulation's carrier through ``advance``: up to three accepted
-    (t, stacked eta and gamma) pairs, newest last; the held band (None: take
-    one at the next predictor), whether it predates the step, the refresh
-    count; whether the attempt lands on a snapshot; its error estimate."""
+    """run_simulation's carrier through ``advance``: the accepted solution's
+    backward differences D (MAX_ORDER + 3, stacked fields, node) at spacing
+    h, the order and the steps accepted at both; the held band (None: take
+    one at the next predictor), whether it predates the step, the refresh and
+    LU counts; whether the attempt lands on a snapshot; its error estimate."""
 
-    past: list
+    D: np.ndarray
+    h: float
+    order: int = 1
+    equal: int = 0
     band: FdJacobian | None = None
     stale: bool = False
     refreshes: int = 0
+    factorisations: int = 0
     check: bool = False
     err: float = math.inf
 
     def start(self, h: float):
-        """dt = h / a0, -r's history share, the predictor and Milne's factor."""
-        (t0, u0), *older = self.past[::-1]
-        pred, dt, lag, e_c, e_p = u0, h, None, h, h
-        if older:
-            h1 = t0 - older[0][0]
-            slope = (u0 - older[0][1]) / h1
-            pred, w, e_p = u0 + h * slope, h / h1, h + h1
-            dt, lag = h * (1 + w) / (1 + 2 * w), _interleave(*(w / (1 + w) * slope))
-        if len(older) > 1:
-            h2 = older[0][0] - older[1][0]
-            curv = (slope - (older[0][1] - older[1][1]) / h2) / (h1 + h2)
-            pred = pred + h * (h + h1) * curv  # divided differences: flat stays flat
-            e_c, e_p = h * (h + h1) / (2 * h + h1), h + h1 + h2
-        return dt, lag, pred, e_c / (e_c + e_p)
+        """c = h / alpha_k, pred and psi = sum_j gamma_j D_j / alpha_k, D first
+        rescaled to spacing h by R U: the same interpolant's differences."""
+        k, a, D = self.order, _ALPHA[self.order], self.D[:self.order + 1]
+        if h != self.h:
+            i, m = np.arange(1, k + 1), np.zeros((2, k + 1, k + 1))
+            m[:, 0], f = 1.0, np.array([h / self.h, 1.0])[:, None, None]  # R's and U's
+            m[:, 1:, 1:] = (i[:, None] - 1 - f * i) / i[:, None]
+            r, u = np.cumprod(m, axis=1)
+            D[:] = ((r @ u).T @ D.reshape(k + 1, -1)).reshape(D.shape)
+            self.h, self.equal = h, 0
+        return h / a, D.sum(axis=0), np.einsum("j,j...", _GAMMA[1:k + 1], D[1:]) / a
+
+    def accept(self, u: np.ndarray) -> float:
+        """Fold u - pred into D; the step factor: 1 until order + 1 steps are
+        accepted at h, then that of the best of orders k, k +- 1."""
+        k, D = self.order, self.D
+        change = u - D[:k + 1].sum(axis=0)  # start's pred, bit for bit
+        D[k + 2], D[k + 1] = change - D[k + 1], change
+        for i in range(k, -1, -1):
+            D[i] += D[i + 1]
+        self.equal += 1
+        if self.equal <= k:
+            return 1.0
+        err = {j: self.err if j == k else _rms(_ERRC[j] * D[j + 1], D[0])  # k wins ties
+               for j in (k, k - 1, k + 1) if 0 < j <= MAX_ORDER}
+        rate = {j: e ** (-1.0 / (j + 1)) if e else math.inf for j, e in err.items()}
+        if (best := max(rate, key=rate.get)) != k:
+            self.order, self.equal = best, 0
+        return min(2.0, 0.9 * rate[best])
 
 
 def _drift(after: float, before: float) -> float:
@@ -322,35 +349,36 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             ) -> tuple[State, StepReport]:
     """One step of cfg.dt via at most cfg.newton_iters Newton updates: alone,
     backward Euler, each update on a fresh Jacobian; with run_simulation's
-    ``_held``, a BDF2 attempt from its history (newest: state) on its band,
-    refreshed at the predictor if it holds none, leaving in ``_held`` its
-    error estimate: Milne's, or the Newton update J^-1 r at the residual
-    taken after the last update (always if ``_held.check``) if larger."""
+    ``_held``, an NDF attempt on its band, refreshed at the predictor if it
+    holds none, leaving in ``_held`` its error estimate: ERRC_k (u - pred),
+    or the Newton update J^-1 r at the residual taken after the last update
+    (always if ``_held.check``) if larger."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
-    held, t_new, dt, lag, current = _held, state.t + cfg.dt, cfg.dt, None, state
+    held, t_new, dt, current = _held, state.t + cfg.dt, cfg.dt, state
+    old = (state.eta, state.gamma)  # the (eta, gamma) the step starts from
     if held is None:
         # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
         # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
         base = _linearised(variant, state, params, grid).base
         jac = jacobian_fd(state, cfg, variant, params, grid)
     else:
-        dt, lag, pred, milne = held.start(cfg.dt)
-        current = State(*pred, t_new)  # an extrapolation through the floor raises here
-        if held.band is None:
+        dt, pred, psi = held.start(cfg.dt)
+        old, current = pred - psi, State(*pred, t_new)  # a predictor below the floor raises
+        if (jac := held.band) is None:
             base = _linearised(variant, current, params, grid).base
             held.band = jacobian_fd(current, replace(cfg, dt=dt), variant, params, grid)
             held.stale, held.refreshes = False, held.refreshes + 1
         else:
             base = rhs(variant, current, params, grid)
-            if held.band.shift != 1.0 / dt:
-                held.band = replace(held.band, shift=1.0 / dt)  # a new LU
+            held.band = jac if jac.shift == 1.0 / dt else replace(jac, shift=1.0 / dt)
+        held.factorisations += held.band is not jac  # a new LU at its first solve
         jac = held.band
 
     neg_r = (_interleave(base.deta_dt, base.dgamma_dt) if held is None  # -r at u_new = u_old
-             else _negated_residual(current, state, dt, base, lag))
+             else _negated_residual(current, old, dt, base))
     norm_before = float(np.abs(neg_r).max())
     for it in range(cfg.newton_iters):
         if it and held is None:
@@ -364,16 +392,15 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             base = rhs(variant, current, params, grid)
         else:
             break
-        neg_r = _negated_residual(current, state, dt, base, lag)
+        neg_r = _negated_residual(current, old, dt, base)
         norm_after = float(np.abs(neg_r).max())
         if norm_after <= cfg.newton_tol:
             break
 
     if held is not None:
-        u = np.stack((current.eta, current.gamma))
+        u = np.array((current.eta, current.gamma))
         newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
-        held.err = max(math.sqrt(np.mean((e / (RTOL * (1.0 + np.abs(u)))) ** 2))
-                       for e in (milne * (u - pred), *newton))  # the next update: Newton's error
+        held.err = max(_rms(e, u) for e in (_ERRC[held.order] * (u - pred), *newton))
     return current, StepReport(norm_before, norm_after, it + 1,
                                film_mass(current, grid), surfactant_mass(current, grid))
 
@@ -390,6 +417,7 @@ class RunSummary:
     steps: int = 0
     rejected_steps: int = 0
     jacobian_refreshes: int = 0
+    factorisations: int = 0
     final_time: float = 0.0
     max_film_mass_drift: float = 0.0
     max_surfactant_mass_drift: float = 0.0
@@ -411,15 +439,16 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     """March from t=0 to t_end, recording the requested snapshot times and,
     when t_end > 0, the state at t_end as the last snapshot.
 
-    Each step h, first cfg.dt, is attempted through ``advance``, cut to land
-    exactly on the next snapshot time, where it checks its Newton error.  An
-    error estimate err <= 1 of order k accepts it; the next h is h * min(2,
-    0.9 * err**(-1/k)) (BDF2 is zero-stable below 1 + sqrt(2)), or h, keeping
-    the LU, if that factor is in [1, 1.2).  An attempt rejected, or raising
-    PositivityError or LinAlgError, is retried on a fresh band if its own
-    predates the step, else on h * max(0.2, 0.9 * err**(-1/k)), h / 5 if it
-    raised.  Below 10 ulps of the target time h ends the run, returning the
-    partial results with the failure in the summary."""
+    Each step h, first cfg.dt, is attempted through ``advance`` at order k,
+    first 1 from the line along s0's rhs, cut to land on the next snapshot
+    time, where it checks its Newton error.  err <= 1 accepts it; after k +
+    1 steps at one h and k, k moves to the best of k, k +- 1 (the longest
+    step) and h to h * min(2, 0.9 * err**(-1/(k+1))) at it, or stays, keeping
+    the LU, if that factor is in [1, 1.2).  A rejection, PositivityError or
+    LinAlgError retries on a fresh band if its own predates the step, else
+    on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5 if it raised.  Below 10
+    ulps of the target time h ends the run, returning the partial results
+    with the failure in the summary."""
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
@@ -433,22 +462,23 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     pending = sorted({st for st in (*targets, t_end) if st > 0.0})
     summary = result.summary
 
-    t, state, h, held = 0.0, s0, cfg.dt, _Held([(0.0, np.stack((s0.eta, s0.gamma)))])
+    t, state, h, held = 0.0, s0, cfg.dt, _Held(np.zeros((MAX_ORDER + 3, 2, s0.n_nodes)), cfg.dt)
+    f0 = rhs(variant, s0, params, grid)  # the first predictor: s0 + h f0
+    held.D[:2] = (s0.eta, s0.gamma), (h * f0.deta_dt, h * f0.dgamma_dt)
     while pending:
         target = pending[0]
-        step, held.check = min(h, target - t), h >= target - t
+        step, held.check = min(h, target - t), t + h >= target  # t + h may round to it
         try:
             new, report = advance(state, replace(cfg, dt=step), variant, params, grid,
                                   _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
             new, held.err, why = None, math.inf, f"{type(exc).__name__}: {exc}"
-        k = len(held.past)  # the order of the estimate: the predictor's degree + 1
-        factor = min(2.0, max(0.2, 0.9 * held.err ** (-1.0 / k))) if held.err else 2.0
         if held.err > 1.0:
             summary.rejected_steps += 1
             if held.stale:
                 held.band, held.stale = None, False  # freed before the stacked rhs call
-            elif (h := step * factor) < 10.0 * math.ulp(target):
+            elif (h := step * max(0.2, 0.9 * held.err ** (-1.0 / (held.order + 1)))
+                  ) < 10.0 * math.ulp(target):
                 why = why if new is None else f"error estimate {held.err:.3e}"
                 summary.failure = f"{why}; step {h:.3e} underflowed at t = {t:.17g}"
                 break
@@ -457,7 +487,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         summary.steps += 1
         t = target if held.check else t + step
         state = new if new.t == t else State(new.eta, new.gamma, t)  # s0.t need not be 0
-        held.past, held.stale = [*held.past[-2:], (t, np.stack((state.eta, state.gamma)))], True
+        factor, held.stale = held.accept(np.array((state.eta, state.gamma))), True
         h = step if 1.0 <= factor < 1.2 else step * factor
         summary.final_film_mass_drift = film = abs(_drift(report.film_mass, film0))
         summary.final_surfactant_mass_drift = surf = abs(_drift(report.surfactant_mass, surf0))
@@ -468,6 +498,6 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
             pending.pop(0)
 
     summary.final_time = t
-    summary.jacobian_refreshes = held.refreshes
+    summary.jacobian_refreshes, summary.factorisations = held.refreshes, held.factorisations
     summary.wall_time = time.perf_counter() - started
     return result

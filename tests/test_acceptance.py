@@ -144,7 +144,7 @@ def test_criterion_4_conservation():
     round-off).  The surfactant bound does not hold for this scenario.  At
     t = 1e5 the slope-weighted integral has drifted by -4.09e-5 (~5.7e-4
     transiently while the film is deformed).  That is the discrete model's
-    converged drift: -4.06e-5 / -4.088e-5 / -4.088e-5 / -4.087e-5 at
+    converged drift: -4.55e-5 / -4.0875e-5 / -4.0871e-5 / -4.0871e-5 at
     RTOL = 1e-5 / 1e-6 / 1e-7 / 1e-8, and -3.9e-5 as N grows.  The van der
     Waals group drives it: without it the drift is 1.1e-7.  Fixed steps of
     dt = 100 read +5.07e-5, their time error as large as the drift.  The

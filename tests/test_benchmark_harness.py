@@ -75,9 +75,10 @@ def record_checks(monkeypatch) -> list:
 
 
 def test_traced_probe_count(tracing, tmp_path, monkeypatch):
-    # the fig2 drop to t = 100: every attempt is one advance span with one
-    # rhs call at its predictor, stacked over the probes exactly where it
-    # refreshes the band, and one more where it lands on a snapshot
+    # the fig2 drop to t = 100: one rhs call at s0, outside every attempt,
+    # then every attempt is one advance span with one rhs call at its
+    # predictor, stacked over the probes exactly where it refreshes the
+    # band, and one more where it lands on a snapshot
     sc = cli.preset("fig2")
     shapes = record_rhs_shapes(monkeypatch)
     checks = record_checks(monkeypatch)
@@ -85,16 +86,17 @@ def test_traced_probe_count(tracing, tmp_path, monkeypatch):
     n = sc.grid.n_nodes
     attempts = summary.steps + summary.rejected_steps
     stacked = (timestepper._probe_pattern(n, False).n_probes + 1, n)
-    assert shapes[0] == stacked and sum(checks) >= 3  # t = 1, 10 and 100
+    assert shapes[:2] == [(n,), stacked] and sum(checks) >= 3  # t = 1, 10 and 100
     assert shapes.count(stacked) == summary.jacobian_refreshes
-    assert shapes.count((n,)) == attempts - summary.jacobian_refreshes + sum(checks)
+    assert shapes.count((n,)) == 1 + attempts - summary.jacobian_refreshes + sum(checks)
     assert metrics["timestepper.steps"] == attempts
-    assert metrics["timestepper.rhs_calls_per_step"] == len(shapes) / attempts
+    assert metrics["timestepper.rhs_calls_per_step"] == (len(shapes) - 1) / attempts
 
 
 def test_traced_reuse_run(tracing, tmp_path, monkeypatch):
     # fig4 (N = 97) to t = 300: the band is held across steps, and every
-    # rhs call, stacked or single-row, is inside an attempt's span
+    # rhs call, stacked or single-row, but the one at s0 is inside an
+    # attempt's span
     sc = cli.preset("fig4")
     shapes = record_rhs_shapes(monkeypatch)
     checks = record_checks(monkeypatch)
@@ -103,7 +105,7 @@ def test_traced_reuse_run(tracing, tmp_path, monkeypatch):
     assert summary.failure is None and summary.steps < 150
     assert summary.jacobian_refreshes < 0.25 * attempts
     assert metrics["timestepper.steps"] == attempts
-    assert metrics["models.rhs_calls"] == len(shapes) == attempts + sum(checks)
+    assert metrics["models.rhs_calls"] == len(shapes) == 1 + attempts + sum(checks)
 
 
 def test_traced_slow_mode_loop(tracing, workloads, tmp_path, monkeypatch):

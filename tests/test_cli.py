@@ -417,8 +417,10 @@ class TestCommands:
         summary = run_simulation(build_initial_state(sc), 15.0, (0.0, 15.0), sc.step,
                                  sc.variant, sc.params, sc.grid).summary
         assert summary.rejected_steps > 0 and summary.jacobian_refreshes > 0
+        assert summary.factorisations > summary.jacobian_refreshes
         assert f"\nrejected_steps: {summary.rejected_steps}\n" in report
-        assert f"\njacobian_refreshes: {summary.jacobian_refreshes}\n" in report
+        assert (f"\njacobian_refreshes: {summary.jacobian_refreshes}\n"
+                f"factorisations: {summary.factorisations}\n") in report
 
     def test_repeated_snapshot_time_is_one_file(self, tmp_path):
         # a repeated time is one snapshot, so its name collides with nothing

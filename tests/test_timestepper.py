@@ -79,16 +79,16 @@ def batch_shape(grid):
 
 def record_attempts(monkeypatch) -> list:
     """One dict per step attempt run_simulation makes through
-    ``timestepper.advance``: its start time t0 and step h, whether it lands
-    on a snapshot and so checks its Newton error, its report (None when it
-    raised), whether it refreshed the held band, the exception it raised
-    (None) and its error estimate (inf when it raised)."""
+    ``timestepper.advance``: its start time t0, step h and order, whether it
+    lands on a snapshot and so checks its Newton error, its report (None
+    when it raised), whether it refreshed the held band, the exception it
+    raised (None) and its error estimate (inf when it raised)."""
     attempts = []
     real = timestepper.advance
 
     def recording(state, cfg, *args, _held):
-        attempt = {"t0": state.t, "h": cfg.dt, "check": _held.check, "report": None,
-                   "raised": None}
+        attempt = {"t0": state.t, "h": cfg.dt, "order": _held.order, "check": _held.check,
+                   "report": None, "raised": None}
         attempts.append(attempt)
         refreshes = _held.refreshes
         try:
@@ -930,37 +930,44 @@ class TestEvaluationReuse:
 
 
 class TestHeldJacobian:
-    """run_simulation's attempts at variable-step BDF2 steps solve on the
-    band of its last refresh, which the first attempt takes at s0, and an
-    error rejection on a band older than its step takes anew at the
-    attempt's predictor; any other rejection shrinks the step."""
+    """run_simulation's attempts at variable-order NDF steps solve on the
+    band of its last refresh, which the first attempt takes at its
+    predictor, and an error rejection on a band older than its step takes
+    anew at the attempt's predictor; any other rejection shrinks the step."""
 
     def test_first_step_is_backward_euler(self, noflux_grid, monkeypatch):
-        # one history state: the attempt is standalone advance's step, bit
-        # for bit, on the band it takes at s0
+        # the first attempt is NDF1 (Shampine & Reichelt's kappa_1 = -0.1850)
+        # from the line through s0 along its rhs, pred = s0 + h rhs(s0):
+        # backward Euler over h / (1 - kappa_1) from (s0 - kappa_1 pred) /
+        # (1 - kappa_1), one Newton update from pred on the band taken there
         attempts = record_attempts(monkeypatch)
         s0 = smooth_state(noflux_grid, seed=40)
         args = (ModelVariant.FULL_CM, Params(), noflux_grid)
         monkeypatch.setattr(timestepper, "RTOL", 0.01)
-        cfg = StepConfig(dt=0.01)
-        res = run_simulation(s0, cfg.dt, (), cfg, *args)
-        assert [a["refreshed"] for a in attempts] == [True] and attempts[0]["err"] <= 1.0
+        h = 0.01
+        res = run_simulation(s0, h, (), StepConfig(dt=h), *args)
+        assert [(a["order"], a["refreshed"]) for a in attempts] == [(1, True)]
+        assert attempts[0]["err"] <= 1.0
         monkeypatch.undo()
-        end, report = advance(s0, cfg, *args)
-        snap = res.snapshots[-1]
-        np.testing.assert_array_equal(snap.state.eta, end.eta)
-        np.testing.assert_array_equal(snap.state.gamma, end.gamma)
-        assert (snap.report.film_mass, snap.report.surfactant_mass) == (
-            report.film_mass, report.surfactant_mass)
-        # the attempt lands on t_end, so it takes its residual after the update
-        assert snap.report.residual_norm_before == report.residual_norm_before
-        assert snap.report.residual_norm_after == report.residual_norm_after
+        kappa = -0.1850
+        f0 = rhs(args[0], s0, *args[1:])
+        pred = State(s0.eta + h * f0.deta_dt, s0.gamma + h * f0.dgamma_dt, h)
+        start = State((s0.eta - kappa * pred.eta) / (1 - kappa),
+                      (s0.gamma - kappa * pred.gamma) / (1 - kappa))
+        cfg = StepConfig(dt=h / (1 - kappa))
+        du = np.linalg.solve(jacobian_fd(pred, cfg, *args).to_dense(),
+                             -residual(pred, start, cfg, *args))
+        end = res.snapshots[-1].state
+        np.testing.assert_allclose(end.eta, pred.eta + du[0::2], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(end.gamma, pred.gamma + du[1::2], rtol=0, atol=1e-13)
+        assert np.max(np.abs(du)) > 1e-6  # the update is no round-off
 
     @pytest.mark.parametrize("case", ["fig2", "periodic"])
     def test_rhs_calls_per_attempt(self, case, monkeypatch):
-        # one at the predictor, stacked over the probes where the band is
-        # refreshed, and one after the update where the attempt lands on a
-        # snapshot; every Jacobian goes through jacobian_fd
+        # one at s0 for the first predictor; then per attempt one at its
+        # predictor, stacked over the probes where the band is refreshed, and
+        # one after the update where the attempt lands on a snapshot; every
+        # Jacobian goes through jacobian_fd
         shapes = record_rhs_shapes(monkeypatch)
         attempts = record_attempts(monkeypatch)
         jacobians = []
@@ -976,7 +983,7 @@ class TestHeldJacobian:
         res = run_simulation(s0, t_end, (5.0,), StepConfig(dt=1.0),
                              ModelVariant.FULL_CM, Params(), g)
         assert res.summary.steps + res.summary.rejected_steps == len(attempts)
-        assert shapes == [shape for a in attempts for shape in (
+        assert shapes == [(g.n_nodes,)] + [shape for a in attempts for shape in (
             [batch_shape(g) if a["refreshed"] else (g.n_nodes,)]
             + [(g.n_nodes,)] * (a["check"] and a["report"] is not None))]
         assert sum(a["check"] and a["err"] <= 1.0 for a in attempts) == 2
@@ -984,37 +991,92 @@ class TestHeldJacobian:
             a["refreshed"] for a in attempts) > 1
 
     def test_step_size_control(self, monkeypatch):
-        # the fig2 drop to t = 1e4: each attempt's step follows from the one
-        # before it as run_simulation's docstring states, and no accepted
-        # step is more than twice the one before (BDF2's zero-stability)
+        # the fig2 drop to t = 1e4: each attempt's step and order follow from
+        # the one before it as run_simulation's docstring states: h and k
+        # held until k + 1 steps are accepted at both, then k moved by at
+        # most one and h by the order-k rule or held in [1, 1.2); no accepted
+        # step more than twice the one before
         attempts = record_attempts(monkeypatch)
         sc = cli.preset("fig2")
         res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
                              sc.step, sc.variant, sc.params, sc.grid)
         assert res.summary.failure is None and res.summary.max_film_mass_drift < 1e-10
-        targets = (*sc.snapshot_times, 1e4)
-        accepted, stale, kinds = 0, False, set()
-        for a, b in zip(attempts, attempts[1:]):
-            k = min(accepted + 1, 3)  # history states: the estimate's order
-            factor = 0.9 * a["err"] ** (-1.0 / k)
+        run, stale, kinds = 0, False, set()
+        for prev, a, b in zip([None] + attempts, attempts, attempts[1:]):
+            if prev is not None and (a["h"], a["order"]) != (prev["h"], prev["order"]):
+                run = 0  # accepted steps at a's h and order
+            k = a["order"]
+            factor = 0.9 * a["err"] ** (-1.0 / (k + 1))
             stale = stale and not a["refreshed"]
             if a["err"] <= 1.0:
-                accepted, stale = accepted + 1, True
-                h = a["h"] if 1.0 <= factor < 1.2 else a["h"] * min(2.0, factor)
+                run, stale = run + 1, True
+                if run <= k:
+                    h = a["h"]
+                    assert b["order"] == k
+                    kinds.add("held")
+                elif b["order"] == k:
+                    h = a["h"] if 1.0 <= factor < 1.2 else a["h"] * min(2.0, factor)
+                    kinds.add("accepted")
+                else:
+                    assert abs(b["order"] - k) == 1 and 1 <= b["order"] <= timestepper.MAX_ORDER
+                    ratio = b["h"] / a["h"]
+                    assert b["check"] or ratio == 1.0 or not 1.0 <= ratio < 1.2
+                    h = b["h"] if b["check"] else a["h"] * min(2.0, ratio)
+                    kinds.add("up" if b["order"] > k else "down")
                 assert b["h"] == h or b["h"] < h and b["check"]
-                kinds.add("accepted")
-            elif stale:
-                assert b["h"] == a["h"] and b["refreshed"]
-                stale = False
-                kinds.add("refreshed")
             else:
-                assert b["h"] == a["h"] * max(0.2, factor) and not b["refreshed"]
-                kinds.add("shrunk")
-        assert kinds == {"accepted", "refreshed", "shrunk"}
-        assert accepted + 1 == res.summary.steps
+                assert b["order"] == k
+                if stale:
+                    assert b["h"] == a["h"] and b["refreshed"]
+                    stale = False
+                    kinds.add("refreshed")
+                else:
+                    assert b["h"] == a["h"] * max(0.2, factor) and not b["refreshed"]
+                    kinds.add("shrunk")
+        assert kinds == {"held", "accepted", "refreshed", "shrunk", "up", "down"}
+        assert max(a["order"] for a in attempts) == timestepper.MAX_ORDER
         assert len(attempts) == res.summary.steps + res.summary.rejected_steps
         steps = [a["h"] for a in attempts if a["err"] <= 1.0]
         assert max(b / a for a, b in zip(steps, steps[1:])) <= 2.0
+
+    def test_held_step_and_order_keep_the_lu(self, monkeypatch):
+        # gbtrf runs once per attempt whose h or order differs from the
+        # attempt's before it, or that refreshes the band, and never else:
+        # the shift alpha_k / h is unchanged, and so is the band's LU
+        calls = []
+        lapack = timestepper.lapack
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def dgbtrf(self, *args, **kwargs):
+                calls.append(1)
+                return lapack.dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "lapack", Counting())
+        attempts = record_attempts(monkeypatch)
+        recording, made = timestepper.advance, []
+
+        def counting(*args, _held):
+            before = len(calls)
+            try:
+                return recording(*args, _held=_held)
+            finally:
+                made.append(len(calls) - before)
+
+        monkeypatch.setattr(timestepper, "advance", counting)
+        for name in ("fig2", "fig4"):
+            sc = cli.preset(name)
+            for recorded in (calls, attempts, made):
+                recorded.clear()
+            res = run_simulation(cli.build_initial_state(sc), max(sc.snapshot_times),
+                                 sc.snapshot_times, sc.step, sc.variant, sc.params, sc.grid)
+            assert res.summary.failure is None and not any(a["raised"] for a in attempts)
+            same = [not a["refreshed"] and (a["h"], a["order"]) == (prev["h"], prev["order"])
+                    for prev, a in zip(attempts, attempts[1:])]
+            assert made == [1] + [0 if s else 1 for s in same]
+            assert len(calls) == res.summary.factorisations < 0.5 * len(attempts)
 
     def test_breach_shrinks_the_step(self, noflux_grid, monkeypatch):
         # a film at twice the floor, which advance thins through it at
@@ -1083,11 +1145,11 @@ class TestHeldJacobian:
         real = timestepper.advance
 
         def checking(state, cfg, variant, params, grid, *, _held):
-            dt, lag = _held.start(cfg.dt)[:2]
+            dt, pred, psi = _held.start(cfg.dt)  # rescales D once, as advance would
             end, report = real(state, cfg, variant, params, grid, _held=_held)
             if _held.check:
                 neg_r = timestepper._negated_residual(
-                    end, state, dt, timestepper.rhs(variant, end, params, grid), lag)
+                    end, pred - psi, dt, timestepper.rhs(variant, end, params, grid))
                 fresh = timestepper.jacobian_fd(end, StepConfig(dt=dt), variant, params, grid)
                 scale = timestepper.RTOL * (1.0 + np.abs(np.stack((end.eta, end.gamma))))
                 errors = [np.sqrt(np.mean((np.stack((e[0::2], e[1::2])) / scale) ** 2))
@@ -1105,7 +1167,7 @@ class TestHeldJacobian:
             assert all(math.isfinite(snap.report.residual_norm_after)
                        and snap.report.residual_norm_after < snap.report.residual_norm_before
                        for snap in res.snapshots[1:])
-            assert all(err >= held for err, held, _ in checked)
+            assert all(err >= held * (1 - 1e-12) for err, held, _ in checked)  # to rounding
             accepted = [fresh for err, _, fresh in checked if err <= 1.0]
             assert len(accepted) == len(res.snapshots) - 1 and max(accepted) < 1.0
 
