@@ -440,15 +440,16 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     when t_end > 0, the state at t_end as the last snapshot.
 
     Each step h, first cfg.dt, is attempted through ``advance`` at order k,
-    first 1 from the line along s0's rhs, cut to land on the next snapshot
-    time, where it checks its Newton error.  err <= 1 accepts it; after k +
-    1 steps at one h and k, k moves to the best of k, k +- 1 (the longest
-    step) and h to h * min(2, 0.9 * err**(-1/(k+1))) at it, or stays, keeping
-    the LU, if that factor is in [1, 1.2).  A rejection, PositivityError or
-    LinAlgError retries on a fresh band if its own predates the step, else
-    on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5 if it raised.  Below 10
-    ulps of the target time h ends the run, returning the partial results
-    with the failure in the summary."""
+    first 1 from the line along s0's rhs, half the way to the next snapshot
+    time if under 2h off, the rest (h if equal to rounding) if at most h
+    off, landing on it and checking its Newton error.  err <= 1 accepts it;
+    after k + 1 steps at one h and k, k moves to the best of k, k +- 1 (the
+    longest step) and h to h * min(2, 0.9 * err**(-1/(k+1))) at it, or
+    stays, keeping the LU, if that factor is in [1, 1.2).  A rejection,
+    PositivityError or LinAlgError retries on a fresh band if its own
+    predates the step, else on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5
+    if it raised.  Below 10 ulps of the target time h ends the run,
+    returning the partial results with the failure in the summary."""
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]
@@ -466,8 +467,10 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     f0 = rhs(variant, s0, params, grid)  # the first predictor: s0 + h f0
     held.D[:2] = (s0.eta, s0.gamma), (h * f0.deta_dt, h * f0.dgamma_dt)
     while pending:
-        target = pending[0]
-        step, held.check = min(h, target - t), t + h >= target  # t + h may round to it
+        target = pending[0]  # under 2h off, half the way: no sliver lands on it
+        left, slack = target - t, 4.0 * math.ulp(target)  # slack: the rounding of t
+        held.check = left <= h + slack  # a landing sets t to the target
+        step = h if abs(left - h) <= slack else min(h, left if held.check else 0.5 * left)
         try:
             new, report = advance(state, replace(cfg, dt=step), variant, params, grid,
                                   _held=held)

@@ -66,7 +66,7 @@ def test_time_order_is_one():
 def test_run_error_falls_with_rtol(monkeypatch):
     # the fig2 drop to t = 100 (snapshots 1, 10, 100) against a run at
     # RTOL = 1e-9: the error falls at least 2.5 times per decade of RTOL
-    # (1.85e-3 / 1.47e-4 / 5.52e-5 at RTOL = 1e-4 / 1e-5 / 1e-6)
+    # (2.81e-3 / 1.58e-4 / 4.98e-5 at RTOL = 1e-4 / 1e-5 / 1e-6)
     fig2 = preset("fig2")
     s0 = build_initial_state(fig2)
 

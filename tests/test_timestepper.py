@@ -994,13 +994,29 @@ class TestHeldJacobian:
         # the fig2 drop to t = 1e4: each attempt's step and order follow from
         # the one before it as run_simulation's docstring states: h and k
         # held until k + 1 steps are accepted at both, then k moved by at
-        # most one and h by the order-k rule or held in [1, 1.2); no accepted
-        # step more than twice the one before
+        # most one and h by the order-k rule or held in [1, 1.2); the step
+        # h, but half the way to a snapshot less than 2h off and the rest
+        # to one at most h off, h itself where the rest is h to rounding; no
+        # accepted step more than twice the one before
         attempts = record_attempts(monkeypatch)
         sc = cli.preset("fig2")
         res = run_simulation(cli.build_initial_state(sc), 1e4, sc.snapshot_times,
                              sc.step, sc.variant, sc.params, sc.grid)
         assert res.summary.failure is None and res.summary.max_film_mass_drift < 1e-10
+        targets = sorted({*sc.snapshot_times, 1e4})
+
+        def left(b):  # from b's start to the snapshot it steps towards
+            target = min(st for st in targets if st > b["t0"])
+            return target - b["t0"], 4.0 * math.ulp(target)
+
+        def step(b, h):  # b's step when run_simulation's h is h
+            rest, slack = left(b)
+            assert b["check"] == (rest <= h + slack)
+            if abs(rest - h) <= slack:
+                kinds.add("kept")
+                return h
+            return min(h, rest if b["check"] else 0.5 * rest)
+
         run, stale, kinds = 0, False, set()
         for prev, a, b in zip([None] + attempts, attempts, attempts[1:]):
             if prev is not None and (a["h"], a["order"]) != (prev["h"], prev["order"]):
@@ -1019,11 +1035,13 @@ class TestHeldJacobian:
                     kinds.add("accepted")
                 else:
                     assert abs(b["order"] - k) == 1 and 1 <= b["order"] <= timestepper.MAX_ORDER
-                    ratio = b["h"] / a["h"]
-                    assert b["check"] or ratio == 1.0 or not 1.0 <= ratio < 1.2
-                    h = b["h"] if b["check"] else a["h"] * min(2.0, ratio)
+                    ratio, cut = b["h"] / a["h"], b["h"] in (left(b)[0], 0.5 * left(b)[0])
+                    assert cut or ratio == 1.0 or not 1.0 <= ratio < 1.2
+                    h = b["h"] if cut else a["h"] * min(2.0, ratio)
                     kinds.add("up" if b["order"] > k else "down")
-                assert b["h"] == h or b["h"] < h and b["check"]
+                assert b["h"] == step(b, h)
+                if b["h"] < h and not b["check"]:
+                    kinds.add("halved")
             else:
                 assert b["order"] == k
                 if stale:
@@ -1031,13 +1049,41 @@ class TestHeldJacobian:
                     stale = False
                     kinds.add("refreshed")
                 else:
-                    assert b["h"] == a["h"] * max(0.2, factor) and not b["refreshed"]
+                    assert b["h"] == step(b, a["h"] * max(0.2, factor)) and not b["refreshed"]
                     kinds.add("shrunk")
-        assert kinds == {"held", "accepted", "refreshed", "shrunk", "up", "down"}
+        assert kinds == {"held", "accepted", "halved", "kept", "refreshed", "shrunk", "up",
+                         "down"}
         assert max(a["order"] for a in attempts) == timestepper.MAX_ORDER
         assert len(attempts) == res.summary.steps + res.summary.rejected_steps
         steps = [a["h"] for a in attempts if a["err"] <= 1.0]
         assert max(b / a for a, b in zip(steps, steps[1:])) <= 2.0
+
+    def test_corrugation_signs_step_alike(self, monkeypatch):
+        # fig4 at N = 97 with the corrugation one way and the other: nearly
+        # the same problem, so the same steps, rejections and LUs, and errors
+        # against a run at RTOL = 1e-9 within 10% (3.41e-6 and 3.31e-6): the
+        # steps after a snapshot must not hang on what was left to reach it,
+        # nor on a rest a few ulps short of h
+        fig4 = cli.preset("fig4")
+        grid = dataclasses.replace(fig4.grid, n_nodes=97)
+        counts, errors, tolerances = [], [], (timestepper.RTOL, 1e-9)
+        for sign in (1.0, -1.0):
+            sc = dataclasses.replace(fig4, grid=grid, initial=dataclasses.replace(
+                fig4.initial, corrugation_amplitude=sign * fig4.initial.corrugation_amplitude))
+            s0 = cli.build_initial_state(sc)
+            runs = []
+            for rtol in tolerances:
+                monkeypatch.setattr(timestepper, "RTOL", rtol)
+                runs.append(run_simulation(s0, 300.0, sc.snapshot_times, sc.step,
+                                           sc.variant, sc.params, sc.grid))
+            run, ref = runs
+            counts.append((run.summary.steps, run.summary.rejected_steps,
+                           run.summary.factorisations))
+            errors.append(max(max(np.max(np.abs(a.state.eta - b.state.eta)),
+                                  np.max(np.abs(a.state.gamma - b.state.gamma)))
+                              for a, b in zip(run.snapshots, ref.snapshots, strict=True)))
+        assert counts[0] == counts[1], counts
+        assert abs(errors[0] - errors[1]) <= 0.1 * max(errors), errors
 
     def test_held_step_and_order_keep_the_lu(self, monkeypatch):
         # gbtrf runs once per attempt whose h or order differs from the
