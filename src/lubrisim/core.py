@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,13 +143,12 @@ class Grid:
         return np.linspace(0.0, self.length, self.n_nodes)
 
 
-def _frozen_array(name: str, values) -> np.ndarray:
+def _nodal_array(name: str, values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim == 0:
         raise ValueError(f"{name} must be an array of nodal values, got a scalar")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
@@ -162,26 +161,33 @@ class State:
     lets one ``rhs`` call evaluate many states and is validated once:
     finite, with every film thickness at least ETA_FLOOR, else
     PositivityError names the first thinnest node within its row.
-    Immutable after construction: the arrays are copied and marked
-    read-only, so states can be shared freely; a State hashes and compares
-    by identity, keying the linearisation cache.
+    Immutable after construction: both fields are copied once into
+    ``fields`` (2, ..., n_nodes), read-only, and eta and gamma are its row
+    views, so states can be shared freely; a State hashes and compares by
+    identity, keying the linearisation cache.
     """
 
     eta: np.ndarray
     gamma: np.ndarray
     t: float = 0.0
+    fields: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        eta = _frozen_array("eta", self.eta)
-        gamma = _frozen_array("gamma", self.gamma)
-        if eta.shape != gamma.shape:
-            raise ValueError(
-                f"eta and gamma must have equal shapes, got {eta.shape} vs {gamma.shape}"
-            )
-        if not (eta >= ETA_FLOOR).all():
-            raise PositivityError.at_minimum(eta)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "gamma", gamma)
+        try:  # the fast path: one copy, one finiteness and one floor check
+            fields = np.array((self.eta, self.gamma), dtype=float)
+        except ValueError:  # unequal shapes, or no numbers
+            fields = None
+        if fields is None or fields.ndim < 2 or not np.isfinite(fields).all():
+            # the per-field checks name the first fault
+            eta, gamma = _nodal_array("eta", self.eta), _nodal_array("gamma", self.gamma)
+            raise ValueError(f"eta and gamma must have equal shapes, "
+                             f"got {eta.shape} vs {gamma.shape}")
+        if not (fields[0] >= ETA_FLOOR).all():
+            raise PositivityError.at_minimum(fields[0])
+        fields.setflags(write=False)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "eta", fields[0])
+        object.__setattr__(self, "gamma", fields[1])
         object.__setattr__(self, "t", _require_finite("t", self.t))
 
     @property
@@ -257,8 +263,8 @@ def surface_tension(gamma_field, tension_slope: float) -> np.ndarray:
 def write_csv(path, header: str, rows) -> None:
     """A table of floats at 17 significant digits, so values survive the text;
     None is written as nan."""
-    line = ",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n"
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        # Python floats format faster than numpy scalars
-        fh.writelines(line.format(*row) for row in np.asarray(rows, dtype=float).tolist())
+        # one format call over Python floats, which format faster than numpy scalars
+        fh.write(header + "\n" + line * len(table) % tuple(table.ravel().tolist()))

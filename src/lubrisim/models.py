@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TERM_GROUPS, Grid, ModelVariant, Params, State, surface_tension
-from .discretization import stencil_ops
+from .discretization import Ghosted, stencil_ops
 
 # The diffusion term is always present (its toggle only selects the
 # slope-corrected form), so its contribution is named after the term.
@@ -137,8 +137,9 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     ds = params.inv_peclet
     geometric = ds != 0.0 and "geometric_diffusion" in on
 
-    ghost_eta, ghost_gam = ops.ghosted(eta), ops.ghosted(gam)  # one gather each
-    etx, gmx = ops.d1(ghost_eta), ops.d1(ghost_gam)
+    ghost = ops.ghosted(state.fields)  # one gather and one d1 for both fields
+    ghost_eta, ghost_gam = map(Ghosted, ghost.padded)
+    etx, gmx = ops.d1(ghost)
     e2 = eta * eta
     e3 = e2 * eta
     ge = gam * eta
@@ -184,7 +185,7 @@ def _groups(variant: ModelVariant, state: State, params: Params, grid: Grid):
     for name, row in zip(reads, basis):
         np.multiply(*column[name], out=row)
     # fewer live arrays: a lower peak on large batches
-    del column, ghost_eta, ghost_gam, etxx, etx, x1s, ex2, etxxx
+    del column, ghost, ghost_eta, ghost_gam, etxx, etx, x1s, ex2, etxxx
     np.einsum("tk,k...->t...", weights, basis, out=mixed)
     made = {"1": 1.0, "eta": eta, "gamma": gam, "gamma_x": gmx,
             "eta^2": e2, "eta^3": e3, "gamma eta": ge}  # each prefactor made once

@@ -115,8 +115,7 @@ def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
     if s_new.n_nodes != s_old.n_nodes:
         raise ValueError("states do not share a grid")
-    return -_negated_residual(s_new, (s_old.eta, s_old.gamma), cfg.dt,
-                              rhs(variant, s_new, params, grid))
+    return -_negated_residual(s_new, s_old.fields, cfg.dt, rhs(variant, s_new, params, grid))
 
 
 def _negated_residual(s_new: State, old, dt: float, r: Rhs) -> np.ndarray:
@@ -152,7 +151,7 @@ class FdJacobian:
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
         """gbtrf's banded LU and pivots, made by the first solve and kept."""
         hb = self.pattern.half_bandwidth
-        lu = np.zeros((3 * hb + 1, self.n), order="F")  # gbtrf's fill rows
+        lu = np.empty((3 * hb + 1, self.n), order="F")  # rows < hb: fill-in gbtrf sets
         lu[hb:] = self.banded
         lu[2 * hb] += self.shift
         lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
@@ -186,10 +185,10 @@ class _ProbePattern:
 
     The state and its probes are a (field, 1 + probe, node) stack holding
     the (field, node) bumps at flat indices ``bump`` (node N-1 with periodic
-    node 0); rhs differences from the state are (field, probe, node) arrays.
-    Jacobian entry i is the difference at src[i], a row below m;
-    it lands at dest[i] of the column-major band, whose position p holds
-    interleaved unknown order[p].
+    node 0); rhs differences from the state are a flat (field, probe, node)
+    buffer ending in one zero slot.  Slot i of the column-major band, whose
+    position p holds interleaved unknown order[p], is that buffer's entry
+    src[i]: a difference at a row below m, or the zero slot.
     """
 
     color: np.ndarray
@@ -197,7 +196,6 @@ class _ProbePattern:
     n_probes: int
     bump: np.ndarray
     src: np.ndarray
-    dest: np.ndarray
     order: np.ndarray
     gather: np.ndarray
     half_bandwidth: int
@@ -242,11 +240,12 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
     prow = position[2 * (src % n_nodes) + src // (n_probes * n_nodes)]
     pcol = position[np.concatenate(cols)]
     hb = int(np.abs(prow - pcol).max())
-    dest = (hb + prow - pcol) + (2 * hb + 1) * pcol
+    band = np.full((2 * hb + 1) * order.size, 2 * n_probes * n_nodes)  # the zero slot
+    band[(hb + prow - pcol) + (2 * hb + 1) * pcol] = src
     gather = position[np.arange(2 * n_nodes) % (2 * m)]
-    for arr in (colors, bump, src, dest, order, gather):
+    for arr in (colors, bump, band, order, gather):
         arr.setflags(write=False)
-    return _ProbePattern(*colors, n_probes, bump, src, dest, order, gather, hb)
+    return _ProbePattern(*colors, n_probes, bump, band, order, gather, hb)
 
 
 @functools.lru_cache(maxsize=1)  # a residual's state is the next Jacobian's
@@ -255,21 +254,20 @@ def _linearised(variant: ModelVariant, state: State, params: Params,
     """``jacobian_fd`` at state without its 1/dt shift: -d rhs/du and rhs,
     from one rhs call on the state stacked over its colour probes."""
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
-    fields = np.stack((state.eta, state.gamma))
-    eps = FD_EPSILON * np.maximum(1.0, np.abs(fields))
-    stack = np.repeat(fields[:, None, :], pat.n_probes + 1, axis=1)
+    eps = FD_EPSILON * np.maximum(1.0, np.abs(state.fields))
+    stack = np.repeat(state.fields[:, None, :], pat.n_probes + 1, axis=1)
     stack.reshape(-1)[pat.bump] += eps.reshape(-1)
     batch = State(stack[0], stack[1], state.t)
     del stack  # the batch holds its own copy
     out = rhs(variant, batch, params, grid)
-    diff = np.empty((2, pat.n_probes, grid.n_nodes))
-    np.subtract(out.deta_dt[1:], out.deta_dt[0], out=diff[0])
-    np.subtract(out.dgamma_dt[1:], out.dgamma_dt[0], out=diff[1])
+    diff = np.empty(2 * pat.n_probes * grid.n_nodes + 1)  # and the zero slot
+    diff[-1] = 0.0
+    d = diff[:-1].reshape(2, pat.n_probes, grid.n_nodes)
+    np.subtract(out.deta_dt[1:], out.deta_dt[0], out=d[0])
+    np.subtract(out.dgamma_dt[1:], out.dgamma_dt[0], out=d[1])
 
     hb = pat.half_bandwidth
-    ab = np.zeros((2 * hb + 1) * pat.order.size)
-    ab[pat.dest] = diff.take(pat.src)
-    ab = ab.reshape(2 * hb + 1, -1, order="F")
+    ab = diff.take(pat.src).reshape(2 * hb + 1, -1, order="F")
     ab /= -_interleave(*eps)[pat.order]  # one bump size per band column
     ab.setflags(write=False)
     return FdJacobian(pat, ab, Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
@@ -280,7 +278,8 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     """Coloured finite-difference Jacobian of the step residual, with the rhs
     at state as its base: one rhs call on the state stacked over every
     colour probe of both fields, none if that state was the last one."""
-    return replace(_linearised(variant, state, params, grid), shift=1.0 / cfg.dt)
+    lin = _linearised(variant, state, params, grid)
+    return FdJacobian(lin.pattern, lin.banded, lin.base, 1.0 / cfg.dt)
 
 
 def _rms(e: np.ndarray, u: np.ndarray) -> float:
@@ -290,10 +289,10 @@ def _rms(e: np.ndarray, u: np.ndarray) -> float:
 @dataclass
 class _Held:
     """run_simulation's carrier through ``advance``: the accepted solution's
-    backward differences D (MAX_ORDER + 3, stacked fields, node) at spacing
-    h, the order and the steps accepted at both; the held band (None: take
-    one at the next predictor), whether it predates the step, the refresh and
-    LU counts; whether the attempt lands on a snapshot; its error estimate."""
+    backward differences D (MAX_ORDER + 3, stacked fields, node) at spacing h,
+    the order and the steps accepted at both; the held band (None: take one at
+    the next predictor), whether it predates the step, the refresh and LU
+    counts; whether the attempt lands on a snapshot; its error, pred and u."""
 
     D: np.ndarray
     h: float
@@ -305,6 +304,8 @@ class _Held:
     factorisations: int = 0
     check: bool = False
     err: float = math.inf
+    pred: np.ndarray | None = None
+    u: np.ndarray | None = None
 
     def start(self, h: float):
         """c = h / alpha_k, pred and psi = sum_j gamma_j D_j / alpha_k, D first
@@ -317,13 +318,14 @@ class _Held:
             r, u = np.cumprod(m, axis=1)
             D[:] = ((r @ u).T @ D.reshape(k + 1, -1)).reshape(D.shape)
             self.h, self.equal = h, 0
-        return h / a, D.sum(axis=0), np.einsum("j,j...", _GAMMA[1:k + 1], D[1:]) / a
+        self.pred = D.sum(axis=0)
+        return h / a, self.pred, np.einsum("j,j...", _GAMMA[1:k + 1], D[1:]) / a
 
-    def accept(self, u: np.ndarray) -> float:
-        """Fold u - pred into D; the step factor: 1 until order + 1 steps are
-        accepted at h, then that of the best of orders k, k +- 1."""
+    def accept(self) -> float:
+        """Fold the attempt's u - pred into D; the step factor: 1 until order
+        + 1 steps are accepted at h, then that of the best of orders k, k +- 1."""
         k, D = self.order, self.D
-        change = u - D[:k + 1].sum(axis=0)  # start's pred, bit for bit
+        change = self.u - self.pred
         D[k + 2], D[k + 1] = change - D[k + 1], change
         for i in range(k, -1, -1):
             D[i] += D[i + 1]
@@ -358,7 +360,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
     held, t_new, dt, current = _held, state.t + cfg.dt, cfg.dt, state
-    old = (state.eta, state.gamma)  # the (eta, gamma) the step starts from
+    old = state.fields  # the (eta, gamma) the step starts from
     if held is None:
         # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
         # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
@@ -398,7 +400,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             break
 
     if held is not None:
-        u = np.array((current.eta, current.gamma))
+        u = held.u = current.fields
         newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
         held.err = max(_rms(e, u) for e in (_ERRC[held.order] * (u - pred), *newton))
     return current, StepReport(norm_before, norm_after, it + 1,
@@ -465,15 +467,15 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
 
     t, state, h, held = 0.0, s0, cfg.dt, _Held(np.zeros((MAX_ORDER + 3, 2, s0.n_nodes)), cfg.dt)
     f0 = rhs(variant, s0, params, grid)  # the first predictor: s0 + h f0
-    held.D[:2] = (s0.eta, s0.gamma), (h * f0.deta_dt, h * f0.dgamma_dt)
+    held.D[:2] = s0.fields, (h * f0.deta_dt, h * f0.dgamma_dt)
     while pending:
         target = pending[0]  # under 2h off, half the way: no sliver lands on it
         left, slack = target - t, 4.0 * math.ulp(target)  # slack: the rounding of t
         held.check = left <= h + slack  # a landing sets t to the target
         step = h if abs(left - h) <= slack else min(h, left if held.check else 0.5 * left)
+        cfg = cfg if step == cfg.dt else replace(cfg, dt=step)  # rebuilt as the step changes
         try:
-            new, report = advance(state, replace(cfg, dt=step), variant, params, grid,
-                                  _held=held)
+            new, report = advance(state, cfg, variant, params, grid, _held=held)
         except (PositivityError, np.linalg.LinAlgError) as exc:
             new, held.err, why = None, math.inf, f"{type(exc).__name__}: {exc}"
         if held.err > 1.0:
@@ -490,7 +492,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         summary.steps += 1
         t = target if held.check else t + step
         state = new if new.t == t else State(new.eta, new.gamma, t)  # s0.t need not be 0
-        factor, held.stale = held.accept(np.array((state.eta, state.gamma))), True
+        factor, held.stale = held.accept(), True
         h = step if 1.0 <= factor < 1.2 else step * factor
         summary.final_film_mass_drift = film = abs(_drift(report.film_mass, film0))
         summary.final_surfactant_mass_drift = surf = abs(_drift(report.surfactant_mass, surf0))

@@ -152,6 +152,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             s.eta[0] = 2.0
 
+    def test_state_fields_are_one_read_only_stack(self):
+        eta, gamma = np.linspace(1.0, 2.0, 5), np.linspace(0.5, 1.5, 5)
+        s = State(eta, gamma)
+        assert s.fields.shape == (2, 5) and not s.fields.flags.writeable
+        assert s.eta.base is s.fields and s.gamma.base is s.fields  # row views
+        np.testing.assert_array_equal(s.fields, [eta, gamma])
+        for arr in (s.fields, s.eta, s.gamma):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+        eta[0] = gamma[0] = 9.0  # the caller's arrays were copied
+        assert (s.eta[0], s.gamma[0]) == (1.0, 0.5)
+
+    def test_batch_fields_stack_both_fields(self):
+        eta, gamma = np.ones((3, 7)), np.full((3, 7), 2.0)
+        s = State(eta, gamma)
+        assert s.fields.shape == (2, 3, 7)
+        assert s.eta.base is s.fields and s.gamma.base is s.fields
+        np.testing.assert_array_equal(s.eta, eta)
+        np.testing.assert_array_equal(s.gamma, gamma)
+
     def test_state_hashes_and_compares_by_identity(self):
         # equal fields make distinct States: the key of the rhs cache
         s = State(np.ones(5), np.ones(5))
@@ -175,6 +195,21 @@ class TestWriteCsv:
         np.testing.assert_array_equal(back, rows)
         signed = ~np.isnan(rows)  # -0.0 keeps its sign; nan is written unsigned
         np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(rows[signed]))
+
+    @pytest.mark.parametrize("rows", [
+        np.array(CSV_HARD_VALUES).reshape(-1, 1) * [1.0, -1.0],
+        [(1.5, None), (None, -2.0)],
+        [(math.inf, -math.inf), (-0.0, 0.0)],
+        np.empty((0, 2)),
+        [(0.1, -1.0 / 3.0)],
+    ], ids=["hard", "none", "inf-zero", "0-row", "1-row"])
+    def test_text_is_that_of_per_row_formatting(self, tmp_path, rows):
+        # the single format call writes the bytes "{:.17g}" wrote row by row
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b", rows)
+        per_row = "".join("{:.17g},{:.17g}\n".format(*row)
+                          for row in np.asarray(rows, dtype=float).tolist())
+        assert path.read_bytes() == ("a,b\n" + per_row).encode()
 
     def test_none_is_written_as_nan(self, tmp_path):
         path = tmp_path / "t.csv"

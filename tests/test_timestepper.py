@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from lubrisim import (
     BoundaryKind,
@@ -415,6 +416,34 @@ class TestBandedSolver:
         err = np.max(np.abs(dense @ x[:n] - b[:n]))
         assert err <= 1e-14 * np.max(np.abs(dense)) * np.max(np.abs(x))
         np.testing.assert_array_equal(x[n:], x[:x.size - n])
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_lu_leaves_its_workspace_rows_unset(self, boundary):
+        # LAPACK's gbtrf needs rows < hb of its input unset: a NaN workspace
+        # gives the factors (within the matrix), pivots and solve of a zeroed one
+        g = Grid(33, 10.0, boundary)
+        jac = jacobian_fd(smooth_state(g, seed=44), StepConfig(dt=1.0),
+                          ModelVariant.FULL_CM, Params(bond=0.1, hamaker=0.01, incline=0.3), g)
+        hb, pat = jac.pattern.half_bandwidth, jac.pattern
+        factors = []
+        for fill in (0.0, np.nan):
+            ab = np.full((3 * hb + 1, jac.n), fill, order="F")
+            ab[hb:] = jac.banded
+            ab[2 * hb] += jac.shift
+            lu, piv, info = lapack.dgbtrf(ab, hb, hb)
+            assert info == 0
+            factors.append((lu, piv))
+        row, col = np.indices(ab.shape)
+        inside = (row + col >= 2 * hb) & (row + col < 2 * hb + jac.n)
+        b = np.random.default_rng(44).uniform(-1.0, 1.0, 2 * g.n_nodes)
+        (lu0, piv0), *others = factors
+        x0 = lapack.dgbtrs(lu0, hb, hb, b[pat.order], piv0)[0][pat.gather]
+        for lu, piv in (*others, jac._lu):
+            np.testing.assert_array_equal(lu[inside], lu0[inside])
+            np.testing.assert_array_equal(piv, piv0)
+            np.testing.assert_array_equal(
+                lapack.dgbtrs(lu, hb, hb, b[pat.order], piv)[0][pat.gather], x0)
+        np.testing.assert_array_equal(jac.solve(b), x0)
 
     def test_singular_jacobian_raises(self, periodic_grid):
         jac = jacobian_fd(smooth_state(periodic_grid, seed=33), StepConfig(dt=1.0),
