@@ -24,7 +24,6 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .core import (
     ETA_FLOOR,
@@ -280,6 +279,7 @@ def scenario_to_dict(value):
 
 
 def load_config(path) -> Scenario:
+    import yaml  # here, not at the top: only --config and save_config pay its import
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -293,6 +293,7 @@ def load_config(path) -> Scenario:
 
 
 def save_config(scenario: Scenario, path) -> None:
+    import yaml
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
 

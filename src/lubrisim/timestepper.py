@@ -19,12 +19,13 @@ Jacobian and the residual there; ``_linearised``'s cache hands both on.
 
 ``advance`` alone is backward Euler over cfg.dt, each Newton update on a
 fresh Jacobian.  ``run_simulation`` picks its own steps h and orders k <=
-MAX_ORDER, each attempt an ``advance`` whose ``_Held`` carrier makes it an
-NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997) on the
-backward differences D_j of the accepted solution at spacing h (Byrne &
-Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from pred -
-psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new LU
-when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
+MAX_ORDER and hands each attempt, with its ``_Held`` carrier, to ``advance``
+(the name the benchmark harness and tests wrap), which forwards it to
+``_attempt``: an NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
+1997) on the backward differences D_j of the accepted solution at spacing h
+(Byrne & Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from
+pred - psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new
+LU when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
 scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (stacked over
 the probes to refresh the band), one gbtrs and its end's masses, and one
 more rhs call and gbtrs to check its Newton error on a snapshot.
@@ -349,60 +350,63 @@ def _drift(after: float, before: float) -> float:
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             params: Params, grid: Grid, *, _held: _Held | None = None
             ) -> tuple[State, StepReport]:
-    """One step of cfg.dt via at most cfg.newton_iters Newton updates: alone,
-    backward Euler, each update on a fresh Jacobian; with run_simulation's
-    ``_held``, an NDF attempt on its band, refreshed at the predictor if it
-    holds none, leaving in ``_held`` its error estimate: ERRC_k (u - pred),
-    or the Newton update J^-1 r at the residual taken after the last update
-    (always if ``_held.check``) if larger."""
+    """One backward-Euler step of cfg.dt via at most cfg.newton_iters Newton
+    updates, each on a fresh Jacobian; with ``_held``, an NDF ``_attempt``."""
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
                 raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
-    held, t_new, dt, current = _held, state.t + cfg.dt, cfg.dt, state
-    old = state.fields  # the (eta, gamma) the step starts from
-    if held is None:
-        # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
-        # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
-        base = _linearised(variant, state, params, grid).base
-        jac = jacobian_fd(state, cfg, variant, params, grid)
-    else:
-        dt, pred, psi = held.start(cfg.dt)
-        old, current = pred - psi, State(*pred, t_new)  # a predictor below the floor raises
-        if (jac := held.band) is None:
-            base = _linearised(variant, current, params, grid).base
-            held.band = jacobian_fd(current, replace(cfg, dt=dt), variant, params, grid)
-            held.stale, held.refreshes = False, held.refreshes + 1
-        else:
-            base = rhs(variant, current, params, grid)
-            held.band = jac if jac.shift == 1.0 / dt else replace(jac, shift=1.0 / dt)
-        held.factorisations += held.band is not jac  # a new LU at its first solve
-        jac = held.band
-
-    neg_r = (_interleave(base.deta_dt, base.dgamma_dt) if held is None  # -r at u_new = u_old
-             else _negated_residual(current, old, dt, base))
+    if _held is not None:
+        return _attempt(state, cfg, variant, params, grid, _held)
+    t_new, old, current = state.t + cfg.dt, state.fields, state
+    # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
+    # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
+    base = _linearised(variant, state, params, grid).base
+    neg_r = _interleave(base.deta_dt, base.dgamma_dt)  # -r at u_new = u_old
     norm_before = float(np.abs(neg_r).max())
     for it in range(cfg.newton_iters):
-        if it and held is None:
-            jac = jacobian_fd(current, cfg, variant, params, grid)
-        du, norm_after = jac.solve(neg_r), math.nan  # nan: no residual after du
+        du = jacobian_fd(current, cfg, variant, params, grid).solve(neg_r)  # a cache hit
         # State rejects a film that breached the floor, before any rhs call
         current = State(current.eta + du[0::2], current.gamma + du[1::2], t_new)
-        if held is None:
-            base = _linearised(variant, current, params, grid).base
-        elif it + 1 < cfg.newton_iters or held.check:
-            base = rhs(variant, current, params, grid)
-        else:
+        base = _linearised(variant, current, params, grid).base
+        neg_r = _negated_residual(current, old, cfg.dt, base)
+        if (norm_after := float(np.abs(neg_r).max())) <= cfg.newton_tol:
             break
-        neg_r = _negated_residual(current, old, dt, base)
-        norm_after = float(np.abs(neg_r).max())
-        if norm_after <= cfg.newton_tol:
+    return current, StepReport(norm_before, norm_after, it + 1,
+                               film_mass(current, grid), surfactant_mass(current, grid))
+
+
+def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Params,
+             grid: Grid, held: _Held) -> tuple[State, StepReport]:
+    """An NDF attempt of step cfg.dt on the held band, refreshed at the
+    predictor if it holds none, leaving in held.err ERRC_k (u - pred) or, if
+    larger, J^-1 r at the residual after the last update (always if held.check)."""
+    dt, pred, psi = held.start(cfg.dt)
+    old, current = pred - psi, State(*pred, state.t + cfg.dt)  # below the floor: raises
+    if (jac := held.band) is None:
+        base = _linearised(variant, current, params, grid).base
+        held.band = jacobian_fd(current, replace(cfg, dt=dt), variant, params, grid)
+        held.stale, held.refreshes = False, held.refreshes + 1
+    else:
+        base = rhs(variant, current, params, grid)
+        held.band = jac if jac.shift == 1.0 / dt else replace(jac, shift=1.0 / dt)
+    held.factorisations += held.band is not jac  # a new LU at its first solve
+    jac = held.band
+
+    neg_r = _negated_residual(current, old, dt, base)
+    norm_before = float(np.abs(neg_r).max())
+    for it in range(cfg.newton_iters):
+        du, norm_after = jac.solve(neg_r), math.nan  # nan: no residual after du
+        current = State(current.eta + du[0::2], current.gamma + du[1::2], current.t)
+        if it + 1 == cfg.newton_iters and not held.check:
+            break
+        neg_r = _negated_residual(current, old, dt, rhs(variant, current, params, grid))
+        if (norm_after := float(np.abs(neg_r).max())) <= cfg.newton_tol:
             break
 
-    if held is not None:
-        u = held.u = current.fields
-        newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
-        held.err = max(_rms(e, u) for e in (_ERRC[held.order] * (u - pred), *newton))
+    u = held.u = current.fields
+    newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
+    held.err = max(_rms(e, u) for e in (_ERRC[held.order] * (u - pred), *newton))
     return current, StepReport(norm_before, norm_after, it + 1,
                                film_mass(current, grid), surfactant_mass(current, grid))
 

@@ -597,17 +597,28 @@ class TestMain:
                      "--k-max", "2", "--n-points", "11"]) == 0
         assert out.exists()
 
-    def test_module_runs_from_a_checkout(self, tmp_path):
-        # python -m lubrisim, with src/ on the path and nothing installed
+    @staticmethod
+    def run_from_checkout(*args):
+        """A fresh interpreter with src/ on the path and nothing installed."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = tmp_path / "d.csv"
-        done = subprocess.run([sys.executable, "-m", "lubrisim", "dispersion",
-                               "--n-points", "3", "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_module_runs_from_a_checkout(self, tmp_path):
+        out = tmp_path / "d.csv"
+        self.run_from_checkout("-m", "lubrisim", "dispersion", "--n-points", "3",
+                               "--out", str(out))
         assert len(out.read_text().splitlines()) == 4  # header and 3 points
+
+    def test_cli_import_leaves_yaml_unloaded(self):
+        # only --config and save_config read or write YAML
+        out = self.run_from_checkout(
+            "-c", "import sys, lubrisim.cli; print('yaml' in sys.modules)")
+        assert out.split() == ["False"]
 
     def test_simulate_with_overrides(self, tmp_path):
         out = tmp_path / "sim"

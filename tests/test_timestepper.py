@@ -1246,6 +1246,24 @@ class TestHeldJacobian:
             accepted = [fresh for err, _, fresh in checked if err <= 1.0]
             assert len(accepted) == len(res.snapshots) - 1 and max(accepted) < 1.0
 
+    def test_held_attempts_take_every_update(self, monkeypatch):
+        # a tolerance no residual meets: every attempt takes all 3 updates on
+        # its band, and only one landing on a snapshot takes the residual
+        # after its last; the others report none after it (nan), not the
+        # residual of an earlier update
+        attempts = record_attempts(monkeypatch)
+        sc = cli.preset("fig2")
+        res = run_simulation(cli.build_initial_state(sc), 10.0, (1.0, 10.0),
+                             StepConfig(dt=1.0, newton_iters=3, newton_tol=1e-300),
+                             sc.variant, sc.params, sc.grid)
+        assert res.summary.failure is None and res.summary.rejected_steps > 0
+        assert not any(a["raised"] for a in attempts)
+        checks = [a["check"] for a in attempts]
+        assert any(checks) and not all(checks)
+        assert all(a["report"].newton_iters_used == 3 for a in attempts)
+        assert all(math.isfinite(a["report"].residual_norm_after) == a["check"]
+                   for a in attempts)
+
     def test_underflow_after_rejections_is_a_failure(self, noflux_grid, monkeypatch):
         # every error estimate above 1: the step shrinks by 5 until it
         # underflows, and the snapshot taken before is kept
