@@ -34,19 +34,23 @@ Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs): half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric
 grids, and 13 (less on tiny grids) on periodic ones, numbered in the folded
 order 0, N-2, 1, N-3, ... (after Cuthill & McKee, Proc. ACM Nat. Conf.
-1969) to keep cyclic neighbours at most 6 positions apart.
+1969) to keep cyclic neighbours at most 6 positions apart.  gbtrf/gbtrs are
+scipy's ``_flapack`` extension, loaded from its file (scipy.linalg's package
+init costs 0.3 s and 25 MB), or from scipy.linalg.lapack if it is missing.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import (
     BoundaryKind,
@@ -69,6 +73,22 @@ MAX_ORDER = 4      # run_simulation's highest NDF order (fig2 and fig4 never pic
 KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415])  # NDF kappa_k, per order k
 _GAMMA = np.r_[0.0, np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))]  # 1 + 1/2 + ... + 1/k
 _ALPHA, _ERRC = (1.0 - KAPPA) * _GAMMA, KAPPA * _GAMMA + 1.0 / np.arange(1, MAX_ORDER + 2)
+
+
+def _load_lapack():
+    """scipy's LAPACK extension module, from its file or else from scipy.linalg."""
+    linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):  # scipy.linalg's name for it: a later import reuses it
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+lapack = _load_lapack()
 
 
 @dataclass(frozen=True)

@@ -619,6 +619,11 @@ class TestMain:
         out = self.run_from_checkout(
             "-c", "import sys, lubrisim.cli; print('yaml' in sys.modules)")
         assert out.split() == ["False"]
+        # timestepper loads scipy's LAPACK extension from its file, without
+        # scipy.linalg's package init
+        out = self.run_from_checkout(
+            "-c", "import sys, lubrisim, lubrisim.cli; print('scipy.linalg' in sys.modules)")
+        assert out.split() == ["False"]
 
     def test_simulate_with_overrides(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.machinery
 import math
 import warnings
 
@@ -444,6 +445,39 @@ class TestBandedSolver:
             np.testing.assert_array_equal(
                 lapack.dgbtrs(lu, hb, hb, b[pat.order], piv)[0][pat.gather], x0)
         np.testing.assert_array_equal(jac.solve(b), x0)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_loaded_lapack_matches_scipy_linalg(self, boundary):
+        # the extension loaded from its file and scipy.linalg.lapack give
+        # the same factors, pivots and solve on a band of either kind
+        g = Grid(33, 10.0, boundary)
+        jac = jacobian_fd(smooth_state(g, seed=45), StepConfig(dt=1.0),
+                          ModelVariant.FULL_CM, Params(bond=0.1, hamaker=0.01, incline=0.3), g)
+        hb, pat = jac.pattern.half_bandwidth, jac.pattern
+        ab = np.empty((3 * hb + 1, jac.n), order="F")
+        ab[hb:] = jac.banded
+        ab[2 * hb] += jac.shift
+        b = np.random.default_rng(45).uniform(-1.0, 1.0, 2 * g.n_nodes)[pat.order]
+        routes = []
+        for route in (timestepper._load_lapack(), lapack):
+            lu, piv, info = route.dgbtrf(ab, hb, hb)
+            assert info == 0
+            routes.append((lu, piv, route.dgbtrs(lu, hb, hb, b, piv)[0]))
+        for loaded, public in zip(*routes, strict=True):
+            np.testing.assert_array_equal(loaded, public)
+
+    def test_lapack_falls_back_to_scipy_linalg(self, monkeypatch):
+        # where the extension file is not found the loader imports the public
+        # module, and a step solved through it is the same to the last bit
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        public = timestepper._load_lapack()
+        assert public is lapack
+        g = Grid(33, 10.0, BoundaryKind.NO_FLUX_SYMMETRIC)
+        s0, cfg = smooth_state(g, seed=46), StepConfig(dt=1.0)
+        steps = [advance(s0, cfg, ModelVariant.FULL_CM, Params(), g)[0]]
+        monkeypatch.setattr(timestepper, "lapack", public)
+        steps.append(advance(s0, cfg, ModelVariant.FULL_CM, Params(), g)[0])
+        np.testing.assert_array_equal(steps[0].fields, steps[1].fields)
 
     def test_singular_jacobian_raises(self, periodic_grid):
         jac = jacobian_fd(smooth_state(periodic_grid, seed=33), StepConfig(dt=1.0),
