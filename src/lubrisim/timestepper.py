@@ -14,8 +14,11 @@ twice its reach apart (STENCIL_REACH = 3 nodes for eta, GAMMA_REACH = 2
 for gamma) never feed the same row and are perturbed together: node j
 takes colour j mod (2*reach + 1) on symmetric grids, 7 + 5 = 12 probes,
 and the periodic ring is cut into floor(m / (2*reach + 1)) near-equal
-blocks.  One rhs call on a state stacked over its probes gives the
-Jacobian and the residual there; ``_linearised``'s cache hands both on.
+blocks.  The rhs of the state stacked over its probes gives the Jacobian
+and the residual there; ``_linearised``'s cache hands both on.  It takes
+one rhs call per block of stacked rows holding at most _BLOCK_VALUES node
+values per field: one call at N = 97 and on the periodic N = 129 grid, 7 at
+N = 769, so the temporaries of a call stop growing with N.
 
 ``advance`` alone is backward Euler over cfg.dt, each Newton update on a
 fresh Jacobian.  ``run_simulation`` picks its own steps h and orders k <=
@@ -26,24 +29,29 @@ MAX_ORDER and hands each attempt, with its ``_Held`` carrier, to ``advance``
 (Byrne & Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from
 pred - psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new
 LU when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
-scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (stacked over
-the probes to refresh the band), one gbtrs and its end's masses, and one
-more rhs call and gbtrs to check its Newton error on a snapshot.
+scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (of the probe
+stack, in blocks, to refresh the band), one gbtrs and its end's masses, and
+one more rhs call and gbtrs to check its Newton error on a snapshot.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
-(LAPACK gbtrf/gbtrs): half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric
-grids, and 13 (less on tiny grids) on periodic ones, numbered in the folded
-order 0, N-2, 1, N-3, ... (after Cuthill & McKee, Proc. ACM Nat. Conf.
-1969) to keep cyclic neighbours at most 6 positions apart.  gbtrf/gbtrs are
-scipy's ``_flapack`` extension, loaded from its file (scipy.linalg's package
-init costs 0.3 s and 25 MB), or from scipy.linalg.lapack if it is missing.
+(LAPACK gbtrf/gbtrs, Anderson et al., LAPACK Users' Guide, SIAM 1999):
+half-bandwidth 2*STENCIL_REACH + 1 = 7 on symmetric grids, and 13 (less on
+tiny grids) on periodic ones, numbered in the folded order 0, N-2, 1, N-3,
+... (after Cuthill & McKee, Proc. ACM Nat. Conf. 1969) to keep cyclic
+neighbours at most 6 positions apart.  gbtrf/gbtrs come from the OpenBLAS
+that numpy's wheels bundle (numpy.libs/libscipy_openblas64_*.so, 64-bit
+integers), called through ctypes: no scipy module loads, and the process
+holds one OpenBLAS and one BLAS thread pool, not scipy's second copy (about
+2.6 MB resident and one more OS thread).  A numpy without that library gets
+them from scipy.linalg.lapack, whose package init costs about 0.3 s and
+25 MB.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
+import glob
 import math
 import numbers
 import os
@@ -70,25 +78,85 @@ GAMMA_REACH = 2    # node reach of one gamma column: gamma enters the fluxes
 FD_EPSILON = 1e-7  # a probe bumps a value by FD_EPSILON * max(1, |value|)
 RTOL = 1e-6        # run_simulation's error tolerance, relative to 1 + |u|
 MAX_ORDER = 4      # run_simulation's highest NDF order (fig2 and fig4 never pick 5)
+_BLOCK_VALUES = 2048  # node values per field in one rhs call on the probe stack
 KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415])  # NDF kappa_k, per order k
 _GAMMA = np.r_[0.0, np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))]  # 1 + 1/2 + ... + 1/k
 _ALPHA, _ERRC = (1.0 - KAPPA) * _GAMMA, KAPPA * _GAMMA + 1.0 / np.arange(1, MAX_ORDER + 2)
 
 
-def _load_lapack():
-    """scipy's LAPACK extension module, from its file or else from scipy.linalg."""
-    linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "_flapack" + suffix)
-        if os.path.isfile(path):  # scipy.linalg's name for it: a later import reuses it
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    return importlib.import_module("scipy.linalg.lapack")
+def _workspace(banded: np.ndarray, shift: float, extra: int = 0):
+    """A flat float64 buffer of gbtrf's (3 hb + 1, n) Fortran-order workspace
+    and ``extra`` slots after it, and that workspace: the band with shift on
+    its diagonal, below rows < hb that gbtrf fills in."""
+    hb, m = banded.shape[0] // 2, banded.shape[1]
+    buf = np.empty((3 * hb + 1) * m + extra)
+    ab = buf[:(3 * hb + 1) * m].reshape(3 * hb + 1, m, order="F")
+    ab[hb:] = banded
+    ab[2 * hb] += shift
+    return buf, ab
 
 
-lapack = _load_lapack()
+class _OpenblasBandLu:
+    """gbtrf's LU of the band with shift on its diagonal, with 1-based
+    pivots, from the 64-bit LAPACK of the OpenBLAS that numpy itself links.
+    One buffer holds the workspace, the solution and, as int64, the pivots
+    and the scalars Fortran takes by address: every argument comes from the
+    buffer's one address (0.4 us through ctypes.c_char.from_buffer, 1.2 us
+    through ``ndarray.ctypes``, against 6.6 us for a gbtrs at N = 97).
+    gbtrs's arguments are built once, and each solve reuses the slots."""
+
+    def __init__(self, gbtrf, gbtrs, banded: np.ndarray, shift: float):
+        hb, m = banded.shape[0] // 2, banded.shape[1]
+        ld = 3 * hb + 1
+        buf, self.lu = _workspace(banded, shift, 2 * m + 5)
+        self.x = buf[ld * m:(ld + 1) * m]
+        ints = buf[(ld + 1) * m:].view(np.int64)
+        ints[m:] = m, hb, ld, 1, 0  # n, kl = ku, ldab, nrhs, info
+        self.piv = ints[:m]
+        lu = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        x, piv = lu + 8 * ld * m, lu + 8 * (ld + 1) * m
+        n, kl, ldab, one, info = range(piv + 8 * m, piv + 8 * (m + 5), 8)
+        gbtrf(n, n, kl, kl, lu, ldab, piv, info)
+        self.info = int(ints[-1])
+        self._gbtrs = functools.partial(gbtrs, b"N", n, kl, kl, one, lu, ldab, piv, x, n, info,
+                                        1)  # and Fortran's hidden length of "N"
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for b in band order, in the buffer the next solve
+        reuses: one thread at a time (ctypes releases the GIL)."""
+        self.x[:] = b
+        self._gbtrs()
+        return self.x
+
+
+class _ScipyBandLu:
+    """The same through scipy.linalg.lapack, with 0-based pivots."""
+
+    def __init__(self, banded: np.ndarray, shift: float):
+        from scipy.linalg import lapack
+        self._lapack, self._hb = lapack, banded.shape[0] // 2
+        _, ab = _workspace(banded, shift)
+        self.lu, self.piv, self.info = lapack.dgbtrf(ab, self._hb, self._hb, overwrite_ab=True)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._lapack.dgbtrs(self.lu, self._hb, self._hb, b, self.piv)[0]
+
+
+def _load_band_lu(libs: str):
+    """The banded LU class: through numpy's own scipy-openblas64 library if
+    the directory ``libs`` holds it, else through scipy.linalg.lapack."""
+    found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
+    if not found:
+        return _ScipyBandLu
+    lib = ctypes.CDLL(found[0])  # numpy has loaded it: the same handle, no second copy
+    gbtrf, gbtrs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
+    gbtrf.argtypes = [ctypes.c_void_p] * 8  # addresses, passed as ints
+    gbtrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]  # a length
+    gbtrf.restype = gbtrs.restype = None
+    return functools.partial(_OpenblasBandLu, gbtrf, gbtrs)
+
+
+_band_lu = _load_band_lu(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"))
 
 
 @dataclass(frozen=True)
@@ -169,22 +237,16 @@ class FdJacobian:
         return self.pattern.order.size
 
     @functools.cached_property
-    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
+    def _lu(self) -> _OpenblasBandLu | _ScipyBandLu:
         """gbtrf's banded LU and pivots, made by the first solve and kept."""
-        hb = self.pattern.half_bandwidth
-        lu = np.empty((3 * hb + 1, self.n), order="F")  # rows < hb: fill-in gbtrf sets
-        lu[hb:] = self.banded
-        lu[2 * hb] += self.shift
-        lu, piv, info = lapack.dgbtrf(lu, hb, hb, overwrite_ab=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {info})")
-        return lu, piv
+        lu = _band_lu(self.banded, self.shift)
+        if lu.info != 0:
+            raise np.linalg.LinAlgError(f"singular Jacobian (gbtrf info {lu.info})")
+        return lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Banded LU solve with partial pivoting, which is backward stable."""
-        hb = self.pattern.half_bandwidth
-        lu, piv = self._lu
-        xp, _ = lapack.dgbtrs(lu, hb, hb, b[self.pattern.order], piv)
+        xp = self._lu.solve(b[self.pattern.order])
         if not np.isfinite(xp).all():
             raise np.linalg.LinAlgError("non-finite solution of the Jacobian")
         return xp[self.pattern.gather]
@@ -273,32 +335,37 @@ def _probe_pattern(n_nodes: int, periodic: bool) -> _ProbePattern:
 def _linearised(variant: ModelVariant, state: State, params: Params,
                 grid: Grid) -> FdJacobian:
     """``jacobian_fd`` at state without its 1/dt shift: -d rhs/du and rhs,
-    from one rhs call on the state stacked over its colour probes."""
+    from the rhs of the state stacked over its colour probes."""
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
     eps = FD_EPSILON * np.maximum(1.0, np.abs(state.fields))
     stack = np.repeat(state.fields[:, None, :], pat.n_probes + 1, axis=1)
     stack.reshape(-1)[pat.bump] += eps.reshape(-1)
-    batch = State(stack[0], stack[1], state.t)
-    del stack  # the batch holds its own copy
-    out = rhs(variant, batch, params, grid)
     diff = np.empty(2 * pat.n_probes * grid.n_nodes + 1)  # and the zero slot
     diff[-1] = 0.0
     d = diff[:-1].reshape(2, pat.n_probes, grid.n_nodes)
-    np.subtract(out.deta_dt[1:], out.deta_dt[0], out=d[0])
-    np.subtract(out.dgamma_dt[1:], out.dgamma_dt[0], out=d[1])
+    # rhs computes the rows of a stack independently, so the blocks give
+    # the whole stack's rhs bit for bit
+    rows = max(1, _BLOCK_VALUES // grid.n_nodes)
+    for i in range(0, pat.n_probes + 1, rows):
+        out = rhs(variant, State(*stack[:, i:i + rows], state.t), params, grid)
+        if i == 0:  # row 0 is the unprobed state
+            base = Rhs(out.deta_dt[0], out.dgamma_dt[0])
+        first = max(i, 1)  # the stack row of the block's first probe
+        np.subtract(out.deta_dt[first - i:], base.deta_dt, out=d[0, first - 1:i + rows - 1])
+        np.subtract(out.dgamma_dt[first - i:], base.dgamma_dt, out=d[1, first - 1:i + rows - 1])
 
     hb = pat.half_bandwidth
     ab = diff.take(pat.src).reshape(2 * hb + 1, -1, order="F")
     ab /= -_interleave(*eps)[pat.order]  # one bump size per band column
     ab.setflags(write=False)
-    return FdJacobian(pat, ab, Rhs(out.deta_dt[0], out.dgamma_dt[0]), 0.0)
+    return FdJacobian(pat, ab, base, 0.0)
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
                 params: Params, grid: Grid) -> FdJacobian:
     """Coloured finite-difference Jacobian of the step residual, with the rhs
-    at state as its base: one rhs call on the state stacked over every
-    colour probe of both fields, none if that state was the last one."""
+    at state as its base: the rhs of the state stacked over every colour
+    probe of both fields, none if that state was the last one."""
     lin = _linearised(variant, state, params, grid)
     return FdJacobian(lin.pattern, lin.banded, lin.base, 1.0 / cfg.dt)
 

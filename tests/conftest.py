@@ -1,3 +1,6 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,15 @@ def record_rhs_shapes(monkeypatch) -> list:
 
     monkeypatch.setattr(timestepper, "rhs", recording_rhs)
     return shapes
+
+
+# numpy's bundled OpenBLAS with 64-bit LAPACK, where timestepper takes its
+# banded LU from; looked up here, not through timestepper, so that a loader
+# falling back to scipy.linalg where the library exists fails the tests
+needs_numpy_openblas = pytest.mark.skipif(
+    not glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                               "libscipy_openblas64_*.so")),
+    reason="numpy bundles no scipy-openblas64 library")
 
 
 # values a 17-digit CSV must carry exactly: negatives, a subnormal, huge, nan

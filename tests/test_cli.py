@@ -31,6 +31,8 @@ from lubrisim.cli import (
     scenario_to_dict,
 )
 
+from conftest import needs_numpy_openblas
+
 
 class TestLoadConfig:
     def test_empty_document_gives_defaults(self, tmp_path):
@@ -615,15 +617,24 @@ class TestMain:
         assert len(out.read_text().splitlines()) == 4  # header and 3 points
 
     def test_cli_import_leaves_yaml_unloaded(self):
-        # only --config and save_config read or write YAML
-        out = self.run_from_checkout(
-            "-c", "import sys, lubrisim.cli; print('yaml' in sys.modules)")
-        assert out.split() == ["False"]
-        # timestepper loads scipy's LAPACK extension from its file, without
-        # scipy.linalg's package init
-        out = self.run_from_checkout(
-            "-c", "import sys, lubrisim, lubrisim.cli; print('scipy.linalg' in sys.modules)")
-        assert out.split() == ["False"]
+        # only --config and save_config read or write YAML; and either LU
+        # route imports nothing of scipy before its first factorisation
+        out = self.run_from_checkout("-c", (
+            "import sys, lubrisim, lubrisim.cli\n"
+            "print('yaml' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"))
+        assert out.split() == ["False", "False"]
+
+    @needs_numpy_openblas
+    def test_a_step_loads_no_scipy(self):
+        # the banded LU comes from numpy's own OpenBLAS, so importing the
+        # package and taking a step loads no scipy module at all
+        out = self.run_from_checkout("-c", (
+            "import sys, lubrisim, lubrisim.cli\n"
+            "sc = lubrisim.cli.preset('fig2')\n"
+            "lubrisim.advance(lubrisim.cli.build_initial_state(sc), sc.step, sc.variant,"
+            " sc.params, sc.grid)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+        assert out.split() == ["[]"]
 
     def test_simulate_with_overrides(self, tmp_path):
         out = tmp_path / "sim"

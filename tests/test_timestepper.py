@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.machinery
 import math
 import warnings
 
@@ -28,7 +27,7 @@ from lubrisim import (
 from lubrisim import cli, discretization, models, timestepper
 from lubrisim.timestepper import FD_EPSILON, GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
-from conftest import record_rhs_shapes, smooth_state
+from conftest import needs_numpy_openblas, record_rhs_shapes, smooth_state
 
 
 def flat_state(n, eta=1.0, gamma=1.0):
@@ -345,6 +344,31 @@ class TestJacobian:
             jacobian_fd(s, StepConfig(dt=dt), ModelVariant.FULL_CM, Params(), g)
         assert shapes == [batch_shape(g)]
 
+    @pytest.mark.parametrize("boundary, blocks", [
+        (BoundaryKind.NO_FLUX_SYMMETRIC, 7), (BoundaryKind.PERIODIC, 8)])
+    def test_blocks_give_the_whole_stack(self, boundary, blocks, monkeypatch):
+        # at N = 769 the 13 (15 periodic) rows of the probe stack are
+        # evaluated two at a time, the last one alone; the band and base
+        # equal, bit for bit, those of one rhs call on the whole stack
+        g = Grid(769, 10.0, boundary)
+        s = smooth_state(g, seed=47)
+        p = Params(bond=0.1, hamaker=0.01, incline=0.3)
+        shapes = record_rhs_shapes(monkeypatch)
+        lin = timestepper._linearised(ModelVariant.FULL_CM, s, p, g)
+        assert shapes == [(2, 769)] * (blocks - 1) + [(1, 769)]
+        pat, hb = lin.pattern, lin.pattern.half_bandwidth
+        eps = FD_EPSILON * np.maximum(1.0, np.abs(s.fields))
+        stack = np.repeat(s.fields[:, None, :], pat.n_probes + 1, axis=1)
+        stack.reshape(-1)[pat.bump] += eps.reshape(-1)
+        whole = rhs(ModelVariant.FULL_CM, State(*stack), p, g)
+        diff = np.append([whole.deta_dt[1:] - whole.deta_dt[0],
+                          whole.dgamma_dt[1:] - whole.dgamma_dt[0]], 0.0)
+        band = diff[pat.src].reshape(2 * hb + 1, -1, order="F")
+        np.testing.assert_array_equal(
+            lin.banded, band / -timestepper._interleave(*eps)[pat.order])
+        np.testing.assert_array_equal(lin.base.deta_dt, whole.deta_dt[0])
+        np.testing.assert_array_equal(lin.base.dgamma_dt, whole.dgamma_dt[0])
+
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_linearisation_base_is_rhs(self, boundary):
         # row 0 of the stacked call is the state itself, bit for bit
@@ -439,43 +463,48 @@ class TestBandedSolver:
         b = np.random.default_rng(44).uniform(-1.0, 1.0, 2 * g.n_nodes)
         (lu0, piv0), *others = factors
         x0 = lapack.dgbtrs(lu0, hb, hb, b[pat.order], piv0)[0][pat.gather]
-        for lu, piv in (*others, jac._lu):
+        own = jac._lu  # numpy's OpenBLAS gives Fortran's 1-based pivots
+        base = 1 if isinstance(own, timestepper._OpenblasBandLu) else 0
+        for lu, piv in (*others, (own.lu, own.piv - base)):
             np.testing.assert_array_equal(lu[inside], lu0[inside])
             np.testing.assert_array_equal(piv, piv0)
             np.testing.assert_array_equal(
                 lapack.dgbtrs(lu, hb, hb, b[pat.order], piv)[0][pat.gather], x0)
         np.testing.assert_array_equal(jac.solve(b), x0)
 
+    @needs_numpy_openblas
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     def test_loaded_lapack_matches_scipy_linalg(self, boundary):
-        # the extension loaded from its file and scipy.linalg.lapack give
-        # the same factors, pivots and solve on a band of either kind
+        # numpy's own OpenBLAS through ctypes and scipy.linalg.lapack give
+        # the same factors (within the matrix), pivots (1-based against
+        # 0-based) and solve on a band of either kind
         g = Grid(33, 10.0, boundary)
         jac = jacobian_fd(smooth_state(g, seed=45), StepConfig(dt=1.0),
                           ModelVariant.FULL_CM, Params(bond=0.1, hamaker=0.01, incline=0.3), g)
         hb, pat = jac.pattern.half_bandwidth, jac.pattern
-        ab = np.empty((3 * hb + 1, jac.n), order="F")
+        ab = np.zeros((3 * hb + 1, jac.n), order="F")
         ab[hb:] = jac.banded
         ab[2 * hb] += jac.shift
         b = np.random.default_rng(45).uniform(-1.0, 1.0, 2 * g.n_nodes)[pat.order]
-        routes = []
-        for route in (timestepper._load_lapack(), lapack):
-            lu, piv, info = route.dgbtrf(ab, hb, hb)
-            assert info == 0
-            routes.append((lu, piv, route.dgbtrs(lu, hb, hb, b, piv)[0]))
-        for loaded, public in zip(*routes, strict=True):
-            np.testing.assert_array_equal(loaded, public)
+        own = timestepper._band_lu(jac.banded, jac.shift)
+        lu, piv, info = lapack.dgbtrf(ab, hb, hb)
+        assert own.info == info == 0
+        row, col = np.indices(ab.shape)
+        inside = (row + col >= 2 * hb) & (row + col < 2 * hb + jac.n)
+        np.testing.assert_array_equal(own.lu[inside], lu[inside])
+        np.testing.assert_array_equal(own.piv, piv + 1)
+        np.testing.assert_array_equal(own.solve(b), lapack.dgbtrs(lu, hb, hb, b, piv)[0])
 
-    def test_lapack_falls_back_to_scipy_linalg(self, monkeypatch):
-        # where the extension file is not found the loader imports the public
-        # module, and a step solved through it is the same to the last bit
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-        public = timestepper._load_lapack()
-        assert public is lapack
+    def test_lapack_falls_back_to_scipy_linalg(self, monkeypatch, tmp_path):
+        # where numpy's library is not found (an empty directory hides it)
+        # the LU comes from scipy.linalg.lapack, and a step solved through
+        # it is the same to the last bit
+        public = timestepper._load_band_lu(str(tmp_path))
+        assert public is timestepper._ScipyBandLu
         g = Grid(33, 10.0, BoundaryKind.NO_FLUX_SYMMETRIC)
         s0, cfg = smooth_state(g, seed=46), StepConfig(dt=1.0)
         steps = [advance(s0, cfg, ModelVariant.FULL_CM, Params(), g)[0]]
-        monkeypatch.setattr(timestepper, "lapack", public)
+        monkeypatch.setattr(timestepper, "_band_lu", public)
         steps.append(advance(s0, cfg, ModelVariant.FULL_CM, Params(), g)[0])
         np.testing.assert_array_equal(steps[0].fields, steps[1].fields)
 
@@ -1153,17 +1182,13 @@ class TestHeldJacobian:
         # attempt's before it, or that refreshes the band, and never else:
         # the shift alpha_k / h is unchanged, and so is the band's LU
         calls = []
-        lapack = timestepper.lapack
+        band_lu = timestepper._band_lu
 
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(lapack, name)
+        def counting(*args):
+            calls.append(1)
+            return band_lu(*args)
 
-            def dgbtrf(self, *args, **kwargs):
-                calls.append(1)
-                return lapack.dgbtrf(*args, **kwargs)
-
-        monkeypatch.setattr(timestepper, "lapack", Counting())
+        monkeypatch.setattr(timestepper, "_band_lu", counting)
         attempts = record_attempts(monkeypatch)
         recording, made = timestepper.advance, []
 
