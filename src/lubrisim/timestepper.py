@@ -14,16 +14,16 @@ twice its reach apart (STENCIL_REACH = 3 nodes for eta, GAMMA_REACH = 2
 for gamma) never feed the same row and are perturbed together: node j
 takes colour j mod (2*reach + 1) on symmetric grids, 7 + 5 = 12 probes,
 and the periodic ring is cut into floor(m / (2*reach + 1)) near-equal
-blocks.  The rhs of the state stacked over its probes gives the Jacobian
-and the residual there; ``_linearised``'s cache hands both on.  It takes
-one rhs call per block of stacked rows holding at most _BLOCK_VALUES node
-values per field: one call at N = 97 and on the periodic N = 129 grid, 7 at
-N = 769, so the temporaries of a call stop growing with N.
+blocks.  ``_linearised`` evaluates the state stacked over its probes in
+blocks of at most _BLOCK_VALUES node values per field (one rhs call at
+N = 97 and on the periodic N = 129 grid, 7 at N = 769), each written over
+its rows; one subtraction gives all probe differences, and a read-only
+copy of row 0 the residual: its cache hands both on, not the stack.
 
 ``advance`` alone is backward Euler over cfg.dt, each Newton update on a
 fresh Jacobian.  ``run_simulation`` picks its own steps h and orders k <=
 MAX_ORDER and hands each attempt, with its ``_Held`` carrier, to ``advance``
-(the name the benchmark harness and tests wrap), which forwards it to
+(only because the benchmark harness wraps it), which forwards it to
 ``_attempt``: an NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
 1997) on the backward differences D_j of the accepted solution at spacing h
 (Byrne & Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from
@@ -340,25 +340,31 @@ def _linearised(variant: ModelVariant, state: State, params: Params,
     eps = FD_EPSILON * np.maximum(1.0, np.abs(state.fields))
     stack = np.repeat(state.fields[:, None, :], pat.n_probes + 1, axis=1)
     stack.reshape(-1)[pat.bump] += eps.reshape(-1)
-    diff = np.empty(2 * pat.n_probes * grid.n_nodes + 1)  # and the zero slot
-    diff[-1] = 0.0
-    d = diff[:-1].reshape(2, pat.n_probes, grid.n_nodes)
     # rhs computes the rows of a stack independently, so the blocks give
-    # the whole stack's rhs bit for bit
+    # the whole stack's rhs bit for bit; each overwrites its own rows
     rows = max(1, _BLOCK_VALUES // grid.n_nodes)
     for i in range(0, pat.n_probes + 1, rows):
         out = rhs(variant, State(*stack[:, i:i + rows], state.t), params, grid)
-        if i == 0:  # row 0 is the unprobed state
-            base = Rhs(out.deta_dt[0], out.dgamma_dt[0])
-        first = max(i, 1)  # the stack row of the block's first probe
-        np.subtract(out.deta_dt[first - i:], base.deta_dt, out=d[0, first - 1:i + rows - 1])
-        np.subtract(out.dgamma_dt[first - i:], base.dgamma_dt, out=d[1, first - 1:i + rows - 1])
+        stack[0, i:i + rows], stack[1, i:i + rows] = out.deta_dt, out.dgamma_dt
+    base = stack[:, 0].copy()  # row 0 is the unprobed state; a copy frees the stack
+    base.setflags(write=False)
+    diff = np.empty(2 * pat.n_probes * grid.n_nodes + 1)  # and the zero slot
+    diff[-1] = 0.0
+    np.subtract(stack[:, 1:], stack[:, :1], out=diff[:-1].reshape(2, pat.n_probes, -1))
 
     hb = pat.half_bandwidth
     ab = diff.take(pat.src).reshape(2 * hb + 1, -1, order="F")
     ab /= -_interleave(*eps)[pat.order]  # one bump size per band column
     ab.setflags(write=False)
-    return FdJacobian(pat, ab, base, 0.0)
+    return FdJacobian(pat, ab, Rhs(*base), 0.0)
+
+
+def _require_nodes(state: State, grid: Grid) -> None:
+    """Reject, before any rhs call, a state that is not one field pair over
+    the grid's nodes: a batch, or another grid's."""
+    if state.eta.shape != (grid.n_nodes,):
+        raise ValueError(f"state fields of shape {state.eta.shape} are not one state "
+                         f"on the grid's {grid.n_nodes} nodes")
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -366,6 +372,7 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     """Coloured finite-difference Jacobian of the step residual, with the rhs
     at state as its base: the rhs of the state stacked over every colour
     probe of both fields, none if that state was the last one."""
+    _require_nodes(state, grid)
     lin = _linearised(variant, state, params, grid)
     return FdJacobian(lin.pattern, lin.banded, lin.base, 1.0 / cfg.dt)
 
@@ -380,7 +387,7 @@ class _Held:
     backward differences D (MAX_ORDER + 3, stacked fields, node) at spacing h,
     the order and the steps accepted at both; the held band (None: take one at
     the next predictor), whether it predates the step, the refresh and LU
-    counts; whether the attempt lands on a snapshot; its error, pred and u."""
+    counts; whether the attempt lands on a snapshot; its error and u - pred."""
 
     D: np.ndarray
     h: float
@@ -392,8 +399,7 @@ class _Held:
     factorisations: int = 0
     check: bool = False
     err: float = math.inf
-    pred: np.ndarray | None = None
-    u: np.ndarray | None = None
+    change: np.ndarray | None = None
 
     def start(self, h: float):
         """c = h / alpha_k, pred and psi = sum_j gamma_j D_j / alpha_k, D first
@@ -406,14 +412,12 @@ class _Held:
             r, u = np.cumprod(m, axis=1)
             D[:] = ((r @ u).T @ D.reshape(k + 1, -1)).reshape(D.shape)
             self.h, self.equal = h, 0
-        self.pred = D.sum(axis=0)
-        return h / a, self.pred, np.einsum("j,j...", _GAMMA[1:k + 1], D[1:]) / a
+        return h / a, D.sum(axis=0), np.einsum("j,j...", _GAMMA[1:k + 1], D[1:]) / a
 
     def accept(self) -> float:
         """Fold the attempt's u - pred into D; the step factor: 1 until order
         + 1 steps are accepted at h, then that of the best of orders k, k +- 1."""
-        k, D = self.order, self.D
-        change = self.u - self.pred
+        k, D, change = self.order, self.D, self.change
         D[k + 2], D[k + 1] = change - D[k + 1], change
         for i in range(k, -1, -1):
             D[i] += D[i + 1]
@@ -439,6 +443,7 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             ) -> tuple[State, StepReport]:
     """One backward-Euler step of cfg.dt via at most cfg.newton_iters Newton
     updates, each on a fresh Jacobian; with ``_held``, an NDF ``_attempt``."""
+    _require_nodes(state, grid)
     if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
         for name, f in (("eta", state.eta), ("gamma", state.gamma)):
             if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
@@ -466,8 +471,8 @@ def advance(state: State, cfg: StepConfig, variant: ModelVariant,
 def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Params,
              grid: Grid, held: _Held) -> tuple[State, StepReport]:
     """An NDF attempt of step cfg.dt on the held band, refreshed at the
-    predictor if it holds none, leaving in held.err ERRC_k (u - pred) or, if
-    larger, J^-1 r at the residual after the last update (always if held.check)."""
+    predictor if it holds none, leaving u - pred in held.change and in held.err
+    ERRC_k (u - pred) or, if larger, J^-1 r after the last update (always if held.check)."""
     dt, pred, psi = held.start(cfg.dt)
     old, current = pred - psi, State(*pred, state.t + cfg.dt)  # below the floor: raises
     if (jac := held.band) is None:
@@ -491,9 +496,9 @@ def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Param
         if (norm_after := float(np.abs(neg_r).max())) <= cfg.newton_tol:
             break
 
-    u = held.u = current.fields
+    held.change = current.fields - pred
     newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
-    held.err = max(_rms(e, u) for e in (_ERRC[held.order] * (u - pred), *newton))
+    held.err = max(_rms(e, current.fields) for e in (_ERRC[held.order] * held.change, *newton))
     return current, StepReport(norm_before, norm_after, it + 1,
                                film_mass(current, grid), surfactant_mass(current, grid))
 
@@ -543,6 +548,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     predates the step, else on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5
     if it raised.  Below 10 ulps of the target time h ends the run,
     returning the partial results with the failure in the summary."""
+    _require_nodes(s0, grid)
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]

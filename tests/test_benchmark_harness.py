@@ -17,7 +17,7 @@ import pytest
 
 from lubrisim import cli, timestepper
 
-from conftest import record_rhs_shapes
+from conftest import record_attempts, record_rhs_shapes
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -59,21 +59,6 @@ def traced_simulate(tracing, scenario, out, **kwargs):
     return tracing.layer_metrics(tracer.spans(), scenario.grid.n_nodes), results[0].summary
 
 
-def record_checks(monkeypatch) -> list:
-    """Whether each attempt that returned landed on a snapshot, so took its
-    residual after the update.  Patch before installing a tracer."""
-    checks = []
-    real = timestepper.advance
-
-    def recording(*args, _held):
-        out = real(*args, _held=_held)
-        checks.append(_held.check)
-        return out
-
-    monkeypatch.setattr(timestepper, "advance", recording)
-    return checks
-
-
 def test_traced_probe_count(tracing, tmp_path, monkeypatch):
     # the fig2 drop to t = 100: one rhs call at s0, outside every attempt,
     # then every attempt is one advance span with one rhs call at its
@@ -81,8 +66,9 @@ def test_traced_probe_count(tracing, tmp_path, monkeypatch):
     # band, and one more where it lands on a snapshot
     sc = cli.preset("fig2")
     shapes = record_rhs_shapes(monkeypatch)
-    checks = record_checks(monkeypatch)
+    recorded = record_attempts(monkeypatch)
     metrics, summary = traced_simulate(tracing, sc, str(tmp_path), t_end=100.0)
+    checks = [a["check"] for a in recorded if not a["raised"]]  # took a residual after
     n = sc.grid.n_nodes
     attempts = summary.steps + summary.rejected_steps
     stacked = (timestepper._probe_pattern(n, False).n_probes + 1, n)
@@ -99,8 +85,9 @@ def test_traced_reuse_run(tracing, tmp_path, monkeypatch):
     # attempt's span
     sc = cli.preset("fig4")
     shapes = record_rhs_shapes(monkeypatch)
-    checks = record_checks(monkeypatch)
+    recorded = record_attempts(monkeypatch)
     metrics, summary = traced_simulate(tracing, sc, str(tmp_path))
+    checks = [a["check"] for a in recorded if not a["raised"]]
     attempts = summary.steps + summary.rejected_steps
     assert summary.failure is None and summary.steps < 150
     assert summary.jacobian_refreshes < 0.25 * attempts

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from lubrisim import (
 from lubrisim import cli, discretization, models, timestepper
 from lubrisim.timestepper import FD_EPSILON, GAMMA_REACH, STENCIL_REACH, _probe_pattern
 
-from conftest import needs_numpy_openblas, record_rhs_shapes, smooth_state
+from conftest import needs_numpy_openblas, record_attempts, record_rhs_shapes, smooth_state
 
 
 def flat_state(n, eta=1.0, gamma=1.0):
@@ -76,34 +77,6 @@ def batch_shape(grid):
     """Shape of the stacked rhs call: the state over its colour probes."""
     pat = _probe_pattern(grid.n_nodes, grid.boundary is BoundaryKind.PERIODIC)
     return (pat.n_probes + 1, grid.n_nodes)
-
-
-def record_attempts(monkeypatch) -> list:
-    """One dict per step attempt run_simulation makes through
-    ``timestepper.advance``: its start time t0, step h and order, whether it
-    lands on a snapshot and so checks its Newton error, its report (None
-    when it raised), whether it refreshed the held band, the exception it
-    raised (None) and its error estimate (inf when it raised)."""
-    attempts = []
-    real = timestepper.advance
-
-    def recording(state, cfg, *args, _held):
-        attempt = {"t0": state.t, "h": cfg.dt, "order": _held.order, "check": _held.check,
-                   "report": None, "raised": None}
-        attempts.append(attempt)
-        refreshes = _held.refreshes
-        try:
-            end, attempt["report"] = real(state, cfg, *args, _held=_held)
-            return end, attempt["report"]
-        except Exception as exc:
-            attempt["raised"] = type(exc).__name__
-            raise
-        finally:
-            attempt["refreshed"] = _held.refreshes > refreshes
-            attempt["err"] = math.inf if attempt["raised"] else _held.err
-
-    monkeypatch.setattr(timestepper, "advance", recording)
-    return attempts
 
 
 def rupturing_film():
@@ -380,6 +353,17 @@ class TestJacobian:
         np.testing.assert_array_equal(base.deta_dt, single.deta_dt)
         np.testing.assert_array_equal(base.dgamma_dt, single.dgamma_dt)
 
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_linearisation_base_frees_the_stack(self, boundary):
+        # at N = 769, in blocks, the base is a read-only copy of the
+        # evaluated stack's row 0, not a view: the bands that cache and hold
+        # it keep 2N values alive, not the whole probe stack
+        g = Grid(769, 10.0, boundary)
+        s = smooth_state(g, seed=48)
+        base = timestepper._linearised(ModelVariant.FULL_CM, s, Params(), g).base
+        for f in (base.deta_dt, base.dgamma_dt):
+            assert not f.flags.writeable and f.base.size == 2 * g.n_nodes
+
     def test_linearisation_breach_reports_the_state_node(self, noflux_grid):
         # probes only thicken the film, so a stack of the state and its
         # probes names the node and value the state alone names: the first
@@ -592,6 +576,23 @@ class TestAdvance:
         with pytest.raises(ValueError, match=f"periodic {field}"):
             run_simulation(bad, 5.0, (), cfg, ModelVariant.FULL_CM, Params(),
                            periodic_grid)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("shape", [(31,), (2, 33)])
+    @pytest.mark.parametrize("entry", ["advance", "run_simulation", "jacobian_fd"])
+    def test_state_off_the_grid_is_rejected(self, entry, shape, boundary, monkeypatch):
+        # another grid's state, or a batch of states, is refused before any
+        # rhs call by one ValueError that names its shape and the node count
+        g = Grid(33, 10.0, boundary)
+        s = State(np.ones(shape), np.ones(shape))
+        cfg, args = StepConfig(dt=1.0), (ModelVariant.FULL_CM, Params(), g)
+        call = {"advance": lambda: advance(s, cfg, *args),
+                "run_simulation": lambda: run_simulation(s, 5.0, (), cfg, *args),
+                "jacobian_fd": lambda: jacobian_fd(s, cfg, *args)}[entry]
+        shapes = record_rhs_shapes(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}") + " .* 33 nodes"):
+            call()
+        assert shapes == []
 
     def test_slow_mode_decay_matches_dispersion(self):
         # criterion-level check at desk scale; the acceptance suite runs the
@@ -810,18 +811,18 @@ class TestRunSimulation:
             calls.append(1)
             return State(*args, **kwargs)
 
-        real = timestepper.advance
+        real = timestepper._attempt
 
-        def counting_advance(*args, **kwargs):
+        def counting_attempt(*args):
             before = len(calls)
             try:
-                return real(*args, **kwargs)
+                return real(*args)
             finally:
                 inside.append(len(calls) - before)
 
         s = smooth_state(noflux_grid, seed=29)
         monkeypatch.setattr(timestepper, "State", counting_state)
-        monkeypatch.setattr(timestepper, "advance", counting_advance)
+        monkeypatch.setattr(timestepper, "_attempt", counting_attempt)
         attempts = record_attempts(monkeypatch)
         res = run_simulation(State(s.eta, s.gamma, t0), 4.0, (2.0, 4.0),
                              StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
@@ -1190,16 +1191,16 @@ class TestHeldJacobian:
 
         monkeypatch.setattr(timestepper, "_band_lu", counting)
         attempts = record_attempts(monkeypatch)
-        recording, made = timestepper.advance, []
+        recording, made = timestepper._attempt, []
 
-        def counting(*args, _held):
+        def counting(*args):
             before = len(calls)
             try:
-                return recording(*args, _held=_held)
+                return recording(*args)
             finally:
                 made.append(len(calls) - before)
 
-        monkeypatch.setattr(timestepper, "advance", counting)
+        monkeypatch.setattr(timestepper, "_attempt", counting)
         for name in ("fig2", "fig4"):
             sc = cli.preset(name)
             for recorded in (calls, attempts, made):
@@ -1276,22 +1277,22 @@ class TestHeldJacobian:
         # error estimate: every snapshot a run returns is converged to
         # within the tolerance, also as seen from a fresh Jacobian
         checked = []
-        real = timestepper.advance
+        real = timestepper._attempt
 
-        def checking(state, cfg, variant, params, grid, *, _held):
-            dt, pred, psi = _held.start(cfg.dt)  # rescales D once, as advance would
-            end, report = real(state, cfg, variant, params, grid, _held=_held)
-            if _held.check:
+        def checking(state, cfg, variant, params, grid, held):
+            dt, pred, psi = held.start(cfg.dt)  # rescales D once, as the attempt would
+            end, report = real(state, cfg, variant, params, grid, held)
+            if held.check:
                 neg_r = timestepper._negated_residual(
                     end, pred - psi, dt, timestepper.rhs(variant, end, params, grid))
                 fresh = timestepper.jacobian_fd(end, StepConfig(dt=dt), variant, params, grid)
                 scale = timestepper.RTOL * (1.0 + np.abs(np.stack((end.eta, end.gamma))))
                 errors = [np.sqrt(np.mean((np.stack((e[0::2], e[1::2])) / scale) ** 2))
-                          for e in (_held.band.solve(neg_r), fresh.solve(neg_r))]
-                checked.append((_held.err, *errors))
+                          for e in (held.band.solve(neg_r), fresh.solve(neg_r))]
+                checked.append((held.err, *errors))
             return end, report
 
-        monkeypatch.setattr(timestepper, "advance", checking)
+        monkeypatch.setattr(timestepper, "_attempt", checking)
         for name in ("fig2", "fig4"):
             sc = cli.preset(name)
             checked.clear()
@@ -1326,15 +1327,15 @@ class TestHeldJacobian:
     def test_underflow_after_rejections_is_a_failure(self, noflux_grid, monkeypatch):
         # every error estimate above 1: the step shrinks by 5 until it
         # underflows, and the snapshot taken before is kept
-        real = timestepper.advance
+        real = timestepper._attempt
 
-        def inaccurate(state, cfg, *args, _held):
-            end, report = real(state, cfg, *args, _held=_held)
+        def inaccurate(state, cfg, variant, params, grid, held):
+            end, report = real(state, cfg, variant, params, grid, held)
             if state.t > 0.5:
-                _held.err = 1e6
+                held.err = 1e6
             return end, report
 
-        monkeypatch.setattr(timestepper, "advance", inaccurate)
+        monkeypatch.setattr(timestepper, "_attempt", inaccurate)
         res = run_simulation(smooth_state(noflux_grid, seed=42), 2.0, (0.5,),
                              StepConfig(dt=0.1), ModelVariant.FULL_CM, Params(),
                              noflux_grid)
