@@ -283,7 +283,7 @@ def load_config(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # not UTF-8: raised inside safe_load
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)

@@ -20,18 +20,18 @@ N = 97 and on the periodic N = 129 grid, 7 at N = 769), each written over
 its rows; one subtraction gives all probe differences, and a read-only
 copy of row 0 the residual: its cache hands both on, not the stack.
 
-``advance`` alone is backward Euler over cfg.dt, each Newton update on a
-fresh Jacobian.  ``run_simulation`` picks its own steps h and orders k <=
-MAX_ORDER and hands each attempt, with its ``_Held`` carrier, to ``advance``
-(only because the benchmark harness wraps it), which forwards it to
-``_attempt``: an NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput. 18,
-1997) on the backward differences D_j of the accepted solution at spacing h
+``advance`` alone is backward Euler over cfg.dt, each Newton update on a fresh
+Jacobian.  ``run_simulation`` picks its own steps h and orders k <= MAX_ORDER
+and hands each attempt, with its ``_Held`` carrier, to ``advance`` (only
+because the benchmark harness wraps it), which forwards it to ``_attempt`` with
+no ``_require_state``: an NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput.
+18, 1997) on the backward differences D_j of the accepted solution at spacing h
 (Byrne & Hindmarsh, ACM TOMS 1, 1975): backward Euler over h / alpha_k from
-pred - psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new
-LU when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
-scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (of the probe
-stack, in blocks, to refresh the band), one gbtrs and its end's masses, and
-one more rhs call and gbtrs to check its Newton error on a snapshot.
+pred - psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new LU
+when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
+scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (of the probe stack,
+in blocks, to refresh the band), one gbtrs and its end's masses, and one more
+rhs call and gbtrs to check its Newton error on a snapshot.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs, Anderson et al., LAPACK Users' Guide, SIAM 1999):
@@ -202,8 +202,8 @@ def _interleave(eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def residual(s_new: State, s_old: State, cfg: StepConfig, variant: ModelVariant,
              params: Params, grid: Grid) -> np.ndarray:
     """Backward-Euler residual, interleaved per node (eta then gamma)."""
-    if s_new.n_nodes != s_old.n_nodes:
-        raise ValueError("states do not share a grid")
+    for s in (s_new, s_old):
+        _require_state(s, grid)
     return -_negated_residual(s_new, s_old.fields, cfg.dt, rhs(variant, s_new, params, grid))
 
 
@@ -359,12 +359,16 @@ def _linearised(variant: ModelVariant, state: State, params: Params,
     return FdJacobian(pat, ab, Rhs(*base), 0.0)
 
 
-def _require_nodes(state: State, grid: Grid) -> None:
-    """Reject, before any rhs call, a state that is not one field pair over
-    the grid's nodes: a batch, or another grid's."""
+def _require_state(state: State, grid: Grid) -> None:
+    """Reject, before any rhs call, a state that is not one field pair over the
+    grid's nodes (a batch, or another grid's), or whose periodic node N-1 is not node 0."""
     if state.eta.shape != (grid.n_nodes,):
         raise ValueError(f"state fields of shape {state.eta.shape} are not one state "
                          f"on the grid's {grid.n_nodes} nodes")
+    if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
+        for name, f in (("eta", state.eta), ("gamma", state.gamma)):
+            if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
+                raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
 
 
 def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
@@ -372,7 +376,7 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
     """Coloured finite-difference Jacobian of the step residual, with the rhs
     at state as its base: the rhs of the state stacked over every colour
     probe of both fields, none if that state was the last one."""
-    _require_nodes(state, grid)
+    _require_state(state, grid)
     lin = _linearised(variant, state, params, grid)
     return FdJacobian(lin.pattern, lin.banded, lin.base, 1.0 / cfg.dt)
 
@@ -441,15 +445,11 @@ def _drift(after: float, before: float) -> float:
 def advance(state: State, cfg: StepConfig, variant: ModelVariant,
             params: Params, grid: Grid, *, _held: _Held | None = None
             ) -> tuple[State, StepReport]:
-    """One backward-Euler step of cfg.dt via at most cfg.newton_iters Newton
-    updates, each on a fresh Jacobian; with ``_held``, an NDF ``_attempt``."""
-    _require_nodes(state, grid)
-    if grid.boundary is BoundaryKind.PERIODIC:  # node N-1 is node 0 again
-        for name, f in (("eta", state.eta), ("gamma", state.gamma)):
-            if (gap := f[-1] - f[0]) != 0.0:  # exact: finite x - y is 0 only if x == y
-                raise ValueError(f"periodic {name}[N-1] - {name}[0] is {gap:.3e}, not 0")
+    """One backward-Euler step of cfg.dt via at most cfg.newton_iters Newton updates, each
+    on a fresh Jacobian; with ``_held``, an NDF ``_attempt``, dispatched before any check."""
     if _held is not None:
         return _attempt(state, cfg, variant, params, grid, _held)
+    _require_state(state, grid)
     t_new, old, current = state.t + cfg.dt, state.fields, state
     # the stacked call stays outside jacobian_fd: benchmarks/tracing.py divides
     # by (rhs calls under jacobian_fd) - (jacobian_fd calls), which it would zero
@@ -548,7 +548,7 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     predates the step, else on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5
     if it raised.  Below 10 ulps of the target time h ends the run,
     returning the partial results with the failure in the summary."""
-    _require_nodes(s0, grid)
+    _require_state(s0, grid)
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     targets = [float(st) for st in snapshot_times]

@@ -236,6 +236,15 @@ def test_malformed_config_is_config_error(tmp_path, caplog, text, where):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_not_utf8_is_config_error(tmp_path, caplog):
+    # the decoding error surfaces from inside yaml.safe_load
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot read config {path}" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin.yaml"]
+
+
 @pytest.mark.parametrize("flags,where", [
     (["--dt", "0"], "command line.step: dt"),
     (["--dt", "-1"], "command line.step: dt"),

@@ -560,35 +560,46 @@ class TestAdvance:
         assert s.eta[-1] == s.eta[0]
         assert s.gamma[-1] == s.gamma[0]
 
+    @staticmethod
+    def entry_call(entry, state, good, cfg, args):
+        """A call of one public step entry on state; residual takes it as
+        either argument, with the state good as the other."""
+        return {"advance": lambda: advance(state, cfg, *args),
+                "run_simulation": lambda: run_simulation(state, 5.0, (), cfg, *args),
+                "jacobian_fd": lambda: jacobian_fd(state, cfg, *args),
+                "residual(new)": lambda: residual(state, good, cfg, *args),
+                "residual(old)": lambda: residual(good, state, cfg, *args)}[entry]
+
+    ENTRIES = ["advance", "run_simulation", "jacobian_fd", "residual(new)", "residual(old)"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("gap", [1e-3, 1e-12])
     @pytest.mark.parametrize("field", ["eta", "gamma"])
-    def test_periodic_gap_is_rejected(self, periodic_grid, field, gap):
+    def test_periodic_gap_is_rejected(self, periodic_grid, field, gap, entry, monkeypatch):
         # node N - 1 is node 0 again: a gap would never close, so any
-        # difference at all is refused, before the first step
+        # difference at all is refused, before any rhs call
         s = smooth_state(periodic_grid, seed=3)
         fields = {"eta": s.eta.copy(), "gamma": s.gamma.copy()}
         fields[field][-1] += gap
         bad = State(**fields)
-        cfg = StepConfig(dt=1.0)
+        args = (ModelVariant.FULL_CM, Params(), periodic_grid)
+        call = self.entry_call(entry, bad, s, StepConfig(dt=1.0), args)
+        shapes = record_rhs_shapes(monkeypatch)
         with pytest.raises(ValueError, match=rf"periodic {field}\[N-1\] - {field}\[0\] "
                                              rf"is {gap:.3e}"):
-            advance(bad, cfg, ModelVariant.FULL_CM, Params(), periodic_grid)
-        with pytest.raises(ValueError, match=f"periodic {field}"):
-            run_simulation(bad, 5.0, (), cfg, ModelVariant.FULL_CM, Params(),
-                           periodic_grid)
+            call()
+        assert shapes == []
 
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("shape", [(31,), (2, 33)])
-    @pytest.mark.parametrize("entry", ["advance", "run_simulation", "jacobian_fd"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_state_off_the_grid_is_rejected(self, entry, shape, boundary, monkeypatch):
         # another grid's state, or a batch of states, is refused before any
         # rhs call by one ValueError that names its shape and the node count
         g = Grid(33, 10.0, boundary)
         s = State(np.ones(shape), np.ones(shape))
-        cfg, args = StepConfig(dt=1.0), (ModelVariant.FULL_CM, Params(), g)
-        call = {"advance": lambda: advance(s, cfg, *args),
-                "run_simulation": lambda: run_simulation(s, 5.0, (), cfg, *args),
-                "jacobian_fd": lambda: jacobian_fd(s, cfg, *args)}[entry]
+        args = (ModelVariant.FULL_CM, Params(), g)
+        call = self.entry_call(entry, s, flat_state(33), StepConfig(dt=1.0), args)
         shapes = record_rhs_shapes(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}") + " .* 33 nodes"):
             call()
@@ -1082,6 +1093,22 @@ class TestHeldJacobian:
         assert sum(a["check"] and a["err"] <= 1.0 for a in attempts) == 2
         assert res.summary.jacobian_refreshes == len(jacobians) == sum(
             a["refreshed"] for a in attempts) > 1
+
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    def test_attempts_are_not_rechecked(self, boundary, monkeypatch):
+        # run_simulation checks its start, and jacobian_fd each predictor it
+        # refreshes the band at; the attempts advance forwards are not checked
+        checks = []
+        real = timestepper._require_state
+        monkeypatch.setattr(timestepper, "_require_state",
+                            lambda state, grid: checks.append(1) or real(state, grid))
+        sc = cli.preset("fig2")
+        sc = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, boundary=boundary))
+        res = run_simulation(cli.build_initial_state(sc), 100.0, (), sc.step, sc.variant,
+                             sc.params, sc.grid)
+        sm = res.summary
+        assert sm.failure is None and sm.jacobian_refreshes > 1
+        assert len(checks) == 1 + sm.jacobian_refreshes < sm.steps + sm.rejected_steps
 
     def test_step_size_control(self, monkeypatch):
         # the fig2 drop to t = 1e4: each attempt's step and order follow from
