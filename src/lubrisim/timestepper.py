@@ -30,8 +30,8 @@ no ``_require_state``: an NDFk step (Shampine & Reichelt, SIAM J. Sci. Comput.
 pred - psi, Newton opening at pred = D_0 + ... + D_k on the held band (a new LU
 when h or k moves).  ERRC_k (u - pred) estimates the error, in an RMS norm
 scaled by RTOL * (1 + |u|).  An attempt costs one rhs call (of the probe stack,
-in blocks, to refresh the band), one gbtrs and its end's masses, and one more
-rhs call and gbtrs to check its Newton error on a snapshot.
+in blocks, to refresh the band) and one gbtrs, and one more rhs call and gbtrs
+to check its Newton error on a snapshot; a run integrates masses in batches.
 
 Both boundary kinds store dr/du banded and solve it with one banded LU
 (LAPACK gbtrf/gbtrs, Anderson et al., LAPACK Users' Guide, SIAM 1999):
@@ -181,9 +181,9 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class StepReport:
-    """One step's Newton residuals and updates, and the film and surfactant
-    mass of the state it ends in (a run's t = 0 snapshot: of s0, no updates);
-    residual_norm_after is nan where a run evaluates none after an update."""
+    """One step's Newton residual max-norms and updates, and the film and surfactant
+    mass of the state it ends in (a run's t = 0 snapshot: of s0, no updates); an
+    NDF attempt's masses are nan, and its norms unless it lands on a snapshot."""
 
     residual_norm_before: float
     residual_norm_after: float
@@ -382,7 +382,8 @@ def jacobian_fd(state: State, cfg: StepConfig, variant: ModelVariant,
 
 
 def _rms(e: np.ndarray, u: np.ndarray) -> float:
-    return float(np.linalg.norm(e / (RTOL * (1.0 + np.abs(u))))) / math.sqrt(e.size)
+    v = (e / (RTOL * (1.0 + np.abs(u)))).ravel(order="K")  # np.linalg.norm's order
+    return math.sqrt(v.dot(v)) / math.sqrt(e.size)
 
 
 @dataclass
@@ -472,7 +473,8 @@ def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Param
              grid: Grid, held: _Held) -> tuple[State, StepReport]:
     """An NDF attempt of step cfg.dt on the held band, refreshed at the
     predictor if it holds none, leaving u - pred in held.change and in held.err
-    ERRC_k (u - pred) or, if larger, J^-1 r after the last update (always if held.check)."""
+    ERRC_k (u - pred) or, if larger, J^-1 r after the last update (always if held.check).
+    Its report's masses are nan, and its residual norms unless held.check."""
     dt, pred, psi = held.start(cfg.dt)
     old, current = pred - psi, State(*pred, state.t + cfg.dt)  # below the floor: raises
     if (jac := held.band) is None:
@@ -486,7 +488,7 @@ def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Param
     jac = held.band
 
     neg_r = _negated_residual(current, old, dt, base)
-    norm_before = float(np.abs(neg_r).max())
+    norm_before = float(np.abs(neg_r).max()) if held.check else math.nan
     for it in range(cfg.newton_iters):
         du, norm_after = jac.solve(neg_r), math.nan  # nan: no residual after du
         current = State(current.eta + du[0::2], current.gamma + du[1::2], current.t)
@@ -499,8 +501,7 @@ def _attempt(state: State, cfg: StepConfig, variant: ModelVariant, params: Param
     held.change = current.fields - pred
     newton = () if math.isnan(norm_after) else (jac.solve(neg_r).reshape(-1, 2).T,)
     held.err = max(_rms(e, current.fields) for e in (_ERRC[held.order] * held.change, *newton))
-    return current, StepReport(norm_before, norm_after, it + 1,
-                               film_mass(current, grid), surfactant_mass(current, grid))
+    return current, StepReport(norm_before, norm_after, it + 1, math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -547,7 +548,8 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     PositivityError or LinAlgError retries on a fresh band if its own
     predates the step, else on h * max(0.2, 0.9 * err**(-1/(k+1))), h / 5
     if it raised.  Below 10 ulps of the target time h ends the run,
-    returning the partial results with the failure in the summary."""
+    returning the partial results with the failure in the summary; the
+    accepted states' masses are integrated stacked, in batches."""
     _require_state(s0, grid)
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -560,7 +562,18 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
     film0, surf0 = film_mass(s0, grid), surfactant_mass(s0, grid)
     result.snapshots.append(Snapshot(0.0, s0, StepReport(0.0, 0.0, 0, film0, surf0)))
     pending = sorted({st for st in (*targets, t_end) if st > 0.0})
-    summary = result.summary
+    summary, kept = result.summary, []  # the accepted fields not yet integrated
+
+    def integrate_kept():
+        """Integrate the kept states, stacked in one State, into the drifts (at each
+        snapshot, at the end and per probe-stack block); return the last one's masses."""
+        batch, kept[:] = State(*np.stack(kept, axis=1), t), []
+        for film, surf in zip(film_mass(batch, grid), surfactant_mass(batch, grid)):
+            summary.final_film_mass_drift = d_film = abs(_drift(film, film0))
+            summary.final_surfactant_mass_drift = d_surf = abs(_drift(surf, surf0))
+            summary.max_film_mass_drift = max(summary.max_film_mass_drift, d_film)
+            summary.max_surfactant_mass_drift = max(summary.max_surfactant_mass_drift, d_surf)
+        return film, surf
 
     t, state, h, held = 0.0, s0, cfg.dt, _Held(np.zeros((MAX_ORDER + 3, 2, s0.n_nodes)), cfg.dt)
     f0 = rhs(variant, s0, params, grid)  # the first predictor: s0 + h f0
@@ -591,14 +604,16 @@ def run_simulation(s0: State, t_end: float, snapshot_times, cfg: StepConfig,
         state = new if new.t == t else State(new.eta, new.gamma, t)  # s0.t need not be 0
         factor, held.stale = held.accept(), True
         h = step if 1.0 <= factor < 1.2 else step * factor
-        summary.final_film_mass_drift = film = abs(_drift(report.film_mass, film0))
-        summary.final_surfactant_mass_drift = surf = abs(_drift(report.surfactant_mass, surf0))
-        summary.max_film_mass_drift = max(summary.max_film_mass_drift, film)
-        summary.max_surfactant_mass_drift = max(summary.max_surfactant_mass_drift, surf)
+        kept.append(state.fields)  # a batch holds at most one probe-stack block
+        if held.check or (len(kept) + 1) * s0.n_nodes > _BLOCK_VALUES:
+            film, surf = integrate_kept()
         if held.check:
-            result.snapshots.append(Snapshot(t, state, report))
+            result.snapshots.append(Snapshot(t, state, replace(report, film_mass=film,
+                                                               surfactant_mass=surf)))
             pending.pop(0)
 
+    if kept:  # a failed run's too
+        integrate_kept()
     summary.final_time = t
     summary.jacobian_refreshes, summary.factorisations = held.refreshes, held.factorisations
     summary.wall_time = time.perf_counter() - started

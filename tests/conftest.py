@@ -52,20 +52,21 @@ def record_rhs_shapes(monkeypatch) -> list:
 def record_attempts(monkeypatch) -> list:
     """One dict per step attempt run_simulation makes, as advance forwards
     it to ``timestepper._attempt``: its start time t0, step h and order,
-    whether it lands on a snapshot and so checks its Newton error, its
-    report (None when it raised), whether it refreshed the held band, the
-    exception it raised (None) and its error estimate (inf when it raised)."""
+    whether it lands on a snapshot and so checks its Newton error, its end
+    state and report (None when it raised), whether it refreshed the held
+    band, the exception it raised (None) and its error estimate (inf when
+    it raised)."""
     attempts = []
     real = timestepper._attempt
 
     def recording(state, cfg, variant, params, grid, held):
         attempt = {"t0": state.t, "h": cfg.dt, "order": held.order, "check": held.check,
-                   "report": None, "raised": None}
+                   "state": None, "report": None, "raised": None}
         attempts.append(attempt)
         refreshes = held.refreshes
         try:
-            end, attempt["report"] = real(state, cfg, variant, params, grid, held)
-            return end, attempt["report"]
+            attempt["state"], attempt["report"] = real(state, cfg, variant, params, grid, held)
+            return attempt["state"], attempt["report"]
         except Exception as exc:
             attempt["raised"] = type(exc).__name__
             raise

@@ -87,6 +87,28 @@ def rupturing_film():
     return s0, ModelVariant.FULL_CM, Params(hamaker=1.0), grid
 
 
+def batched_run(case):
+    """A run and its grid whose accepted states run_simulation integrates in
+    batches: smooth films on 65 nodes (batches of up to 31 states), the fig2
+    preset to t = 1000 (97 nodes, several full batches of 21) and the
+    rupturing film, which fails after its t = 1 snapshot."""
+    if case == "fig2":
+        sc = cli.preset("fig2")
+        return run_simulation(cli.build_initial_state(sc), 1000.0, sc.snapshot_times,
+                              sc.step, sc.variant, sc.params, sc.grid), sc.grid
+    if case == "rupture":
+        s0, variant, params, grid = rupturing_film()
+        return run_simulation(s0, 10.0, (1.0, 5.0), StepConfig(dt=1.0), variant, params,
+                              grid), grid
+    grid = Grid(65, 10.0)
+    seed, t_end, times = {"seed37": (37, 4.0, ()), "seed44": (44, 8.0, (4.0,))}[case]
+    return run_simulation(smooth_state(grid, seed=seed), t_end, times, StepConfig(dt=1.0),
+                          ModelVariant.FULL_CM, Params(), grid), grid
+
+
+BATCHED_RUNS = ["seed37", "seed44", "fig2", "rupture"]
+
+
 def assert_colors_apart(color, separation, periodic):
     """Same-colour nodes lie more than ``separation`` apart, counted
     cyclically mod m on periodic grids, where the m coloured nodes form a
@@ -781,26 +803,39 @@ class TestRunSimulation:
             assert snap.report.film_mass == film_mass(snap.state, grid)
             assert snap.report.surfactant_mass == surfactant_mass(snap.state, grid)
 
-    def test_summary_drifts_come_from_the_reports(self, noflux_grid, monkeypatch):
-        # the drifts of every accepted attempt's report, and of no other
+    @pytest.mark.parametrize("case", BATCHED_RUNS)
+    def test_summary_drifts_come_from_the_accepted_states(self, case, monkeypatch):
+        # the drifts of every accepted attempt's end state, each integrated
+        # on its own here, and of no other state; a snapshot's report is its
+        # landing attempt's with its state's masses; a failed run's partial
+        # results cover every state it accepted before the failure
         attempts = record_attempts(monkeypatch)
-        s = smooth_state(noflux_grid, seed=44)
-        res = run_simulation(s, 8.0, (4.0,), StepConfig(dt=1.0),
-                             ModelVariant.FULL_CM, Params(), noflux_grid)
-        reports = [a["report"] for a in attempts if a["err"] <= 1.0]
-        assert res.summary.steps == len(reports) and res.summary.rejected_steps > 0
-        assert res.snapshots[-1].report is reports[-1]
-        assert any(res.snapshots[1].report is rep for rep in reports)
+        res, grid = batched_run(case)
+        accepted = [a for a in attempts if a["err"] <= 1.0]
+        assert res.summary.steps == len(accepted) and res.summary.rejected_steps > 0
         first = res.snapshots[0].report
-        film = [abs((rep.film_mass - first.film_mass) / abs(first.film_mass))
-                for rep in reports]
-        surf = [abs((rep.surfactant_mass - first.surfactant_mass)
-                    / abs(first.surfactant_mass)) for rep in reports]
+        film = [abs((film_mass(a["state"], grid) - first.film_mass) / abs(first.film_mass))
+                for a in accepted]
+        surf = [abs((surfactant_mass(a["state"], grid) - first.surfactant_mass)
+                    / abs(first.surfactant_mass)) for a in accepted]
         summary = res.summary
         assert summary.max_film_mass_drift == max(film)
         assert summary.final_film_mass_drift == film[-1]
         assert summary.max_surfactant_mass_drift == max(surf)
         assert summary.final_surfactant_mass_drift == surf[-1]
+        landed = [a for a in accepted if a["check"]]
+        assert len(res.snapshots) == len(landed) + 1
+        assert (accepted[-1] is landed[-1]) == (summary.failure is None)
+        assert (summary.failure is None) == (case != "rupture")
+        for a in attempts:  # an attempt integrates no mass, and only a landing
+            if (rep := a["report"]) is not None:  # takes its residual before its update
+                assert math.isnan(rep.film_mass) and math.isnan(rep.surfactant_mass)
+                assert math.isfinite(rep.residual_norm_before) == a["check"]
+        for snap, a in zip(res.snapshots[1:], landed):
+            np.testing.assert_array_equal(snap.state.fields, a["state"].fields)
+            assert repr(snap.report) == repr(dataclasses.replace(
+                a["report"], film_mass=film_mass(a["state"], grid),
+                surfactant_mass=surfactant_mass(a["state"], grid)))
 
     def test_snapshots_land_exactly(self, noflux_grid):
         s = smooth_state(noflux_grid, seed=28)
@@ -891,7 +926,8 @@ class TestEvaluationReuse:
     or step's start, handed on by the linearisation cache; a step's report
     carries the masses of its end state, so no state is integrated twice.
     The cache changes no result of a run either, whose attempts evaluate
-    their predictor once and integrate their end state once."""
+    their predictor once and integrate nothing: the run integrates its
+    accepted states once, stacked in batches."""
 
     @staticmethod
     def evaluate_every_call(monkeypatch):
@@ -1013,24 +1049,47 @@ class TestEvaluationReuse:
                 ModelVariant.FULL_CM, Params(), noflux_grid)
         assert len(integrals) == 2
 
-    def test_one_mass_pair_per_attempt(self, noflux_grid, monkeypatch):
-        # film and surfactant mass each integrate once per attempt that ends
-        # in a state, and once for the start: 2 (k + 1) over k attempts
-        integrals = []
-        real = discretization.StencilOps.integrate
+    @pytest.mark.parametrize("case", BATCHED_RUNS)
+    def test_one_mass_pair_per_batch(self, case, monkeypatch):
+        # film and surfactant mass each integrate s0, then each batch of
+        # accepted end states, stacked: a batch ends at each landing, when it
+        # holds one probe-stack block of node values, and at the run's end;
+        # no attempt, rejected or accepted, integrates anything
+        integrals, inside = [], []
+        real_integrate, real_attempt = discretization.StencilOps.integrate, timestepper._attempt
 
         def counting_integrate(self, f):
-            integrals.append(1)
-            return real(self, f)
+            integrals.append(np.shape(f))
+            return real_integrate(self, f)
+
+        def counting_attempt(*args):
+            before = len(integrals)
+            try:
+                return real_attempt(*args)
+            finally:
+                inside.append(len(integrals) - before)
 
         monkeypatch.setattr(discretization.StencilOps, "integrate", counting_integrate)
+        monkeypatch.setattr(timestepper, "_attempt", counting_attempt)
         attempts = record_attempts(monkeypatch)
-        res = run_simulation(smooth_state(noflux_grid, seed=37), 4.0, (),
-                             StepConfig(dt=1.0), ModelVariant.FULL_CM, Params(),
-                             noflux_grid)
-        assert res.summary.failure is None
-        assert not any(a["raised"] for a in attempts)
-        assert len(integrals) == 2 * (len(attempts) + 1)
+        res, grid = batched_run(case)
+        n, batches, size = grid.n_nodes, [], 0
+        rows = timestepper._BLOCK_VALUES // n
+        for a in attempts:
+            if a["err"] <= 1.0:
+                size += 1
+                if a["check"] or size == rows:
+                    batches.append(size)
+                    size = 0
+        batches += [size] * (size > 0)
+        assert sum(batches) == res.summary.steps
+        assert integrals == [(n,)] * 2 + [(b, n) for b in batches for _ in range(2)]
+        assert inside == [0] * len(attempts)
+        assert (res.summary.failure is None) == (case != "rupture")
+        if case != "rupture":
+            assert not any(a["raised"] for a in attempts)
+        if case == "fig2":
+            assert rows == 21 and batches.count(rows) >= 2
 
 
 class TestHeldJacobian:
@@ -1337,7 +1396,7 @@ class TestHeldJacobian:
         # a tolerance no residual meets: every attempt takes all 3 updates on
         # its band, and only one landing on a snapshot takes the residual
         # after its last; the others report none after it (nan), not the
-        # residual of an earlier update
+        # residual of an earlier update, and none before their first either
         attempts = record_attempts(monkeypatch)
         sc = cli.preset("fig2")
         res = run_simulation(cli.build_initial_state(sc), 10.0, (1.0, 10.0),
@@ -1349,6 +1408,8 @@ class TestHeldJacobian:
         assert any(checks) and not all(checks)
         assert all(a["report"].newton_iters_used == 3 for a in attempts)
         assert all(math.isfinite(a["report"].residual_norm_after) == a["check"]
+                   for a in attempts)
+        assert all(math.isfinite(a["report"].residual_norm_before) == a["check"]
                    for a in attempts)
 
     def test_underflow_after_rejections_is_a_failure(self, noflux_grid, monkeypatch):
